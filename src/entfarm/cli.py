@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # plain digits for numpy scalars too
     return str(value)
 
 
@@ -107,6 +108,9 @@ def _out(cfg: ExperimentConfig, filename: str) -> str:
 # run-cycles
 
 
+_REL_ENTROPY = "relative_entropy_to_fixed_point"
+
+
 def _coupled_fixed_point(cav, sigma0):
     """Fixed point reduced to the coupled modes, or None when not computable.
 
@@ -127,7 +131,11 @@ def _coupled_fixed_point(cav, sigma0):
         gaussian.assert_physical(star)
         thermo.log_density(star)
         return star, coupled
-    except NUMERICAL_ERRORS + (ValueError,):
+    except NUMERICAL_ERRORS + (ValueError,) as exc:
+        print(
+            f"warning: {_REL_ENTROPY} left blank: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
         return None, None
 
 
@@ -136,20 +144,17 @@ def cmd_run_cycles(args) -> int:
     cav = cfg.cavity_config()
     sigma0 = _initial_field(cfg, cav)
     star, coupled = _coupled_fixed_point(cav, sigma0)
-    rel_entropy: dict[int, float] = {}
-    observer = None
+    observables = dict(protocol.DIAGNOSTICS)
     if star is not None:
-
-        def observer(k, sigma_f, _star=star, _coupled=coupled):
-            reduced = gaussian.reduce_modes(sigma_f, _coupled)
-            rel_entropy[k] = thermo.relative_entropy(reduced, _star)
-
+        observables[_REL_ENTROPY] = lambda s: thermo.relative_entropy(
+            gaussian.reduce_modes(s.field_out, coupled), star
+        )
     traj = protocol.run_cycles(
         cav,
         sigma_f0=sigma0,
         n_cycles=cfg.n_cycles,
         snapshot_stride=cfg.stride,
-        field_observer=observer,
+        observables=observables,
     )
     rows = [
         (
@@ -158,7 +163,7 @@ def cmd_run_cycles(args) -> int:
             r.energy_input,
             r.field_purity,
             r.field_thermality,
-            rel_entropy.get(r.cycle),
+            r.values.get(_REL_ENTROPY),
         )
         for r in traj.records
     ]
@@ -170,7 +175,7 @@ def cmd_run_cycles(args) -> int:
             "energy_input",
             "field_purity",
             "thermality",
-            "relative_entropy_to_fixed_point",
+            _REL_ENTROPY,
         ),
         rows,
     )
@@ -194,13 +199,13 @@ def cmd_fixed_point(args) -> int:
     cfg = _load(args)
     cav = cfg.cavity_config()
     sigma0 = _initial_field(cfg, cav)
+    blocks = protocol.blocks_for(cav)
     res = spectral.fixed_point(
-        protocol.blocks_for(cav),
+        blocks,
         decoupled_positions=cavity.decoupled_positions(cav),
         initial_sigma=sigma0,
     )
-    prop = dynamics.propagator_for(cav)
-    sigma_d, _, _ = protocol.full_cycle(res.sigma_star, gaussian.vacuum_state(2), prop)
+    sigma_d, _, _ = protocol.full_cycle(res.sigma_star, gaussian.vacuum_state(2), blocks)
     neg = gaussian.log_negativity(sigma_d)
     freqs = cavity.mode_frequencies(cav)
     try:
@@ -300,6 +305,22 @@ def cmd_sweep(args) -> int:
 # short-cycle
 
 
+def _cycle_rows(cfg: ExperimentConfig, starts, attr: str) -> list[tuple]:
+    """Rows (cycle, value per run) of one diagnostic over (cavity, initial field) runs.
+
+    Each run computes only that diagnostic.
+    """
+    observables = {attr: protocol.DIAGNOSTICS[attr]}
+    columns = []
+    for cav, sigma0 in starts:
+        traj = protocol.run_cycles(
+            cav, sigma_f0=sigma0, n_cycles=cfg.n_cycles, snapshot_stride=cfg.stride,
+            observables=observables,
+        )
+        columns.append([getattr(rec, attr) for rec in traj.records])
+    return [(k, *values) for k, values in enumerate(zip(*columns), start=1)]
+
+
 def cmd_short_cycle(args) -> int:
     cfg = _load(args)
     base = cfg.cavity_config()
@@ -312,13 +333,7 @@ def cmd_short_cycle(args) -> int:
             file=sys.stderr,
         )
     cav = cfg.cavity_config()
-    traj = protocol.run_cycles(
-        cav,
-        sigma_f0=_initial_field(cfg, cav),
-        n_cycles=cfg.n_cycles,
-        snapshot_stride=cfg.stride,
-    )
-    rows = [(rec.cycle, rec.log_negativity) for rec in traj.records]
+    rows = _cycle_rows(cfg, [(cav, _initial_field(cfg, cav))], "log_negativity")
     _write_csv(_out(cfg, "short_cycle.csv"), ("cycle", "log_negativity"), rows)
     _write_text(
         _out(cfg, "short_cycle.gp"),
@@ -348,82 +363,29 @@ FIGURES = (
 )
 
 
-def _three_start_runs(cfg: ExperimentConfig, temperatures=(0.0, 0.5, 1.0)):
-    runs = []
-    for t in temperatures:
-        cav = cfg.cavity_config()
-        sigma0 = _initial_field(replace(cfg, temperature=t), cav)
-        runs.append(
-            protocol.run_cycles(
-                cav, sigma_f0=sigma0, n_cycles=cfg.n_cycles, snapshot_stride=cfg.stride
-            )
-        )
-    return runs
+# figures of one diagnostic per cycle from several start temperatures:
+# name -> (record attribute, column prefix, y label, start temperatures).
+# The thermality vacuum curve starts after one cycle: the estimator is
+# undefined on the exactly pure initial state.
+_START_FIGURES = {
+    "lognegplot": ("log_negativity", "en", "log-negativity", (0.0, 0.5, 1.0)),
+    "energyfig": ("energy_input", "energy", "energy cost per cycle", (0.0, 0.5, 1.0)),
+    "thermPure": ("field_purity", "purity", "field purity", (0.0, 1.0)),
+    "thermality": ("field_thermality", "thermality", "thermality estimator", (0.0, 0.5, 1.0)),
+}
 
 
-def _fig_lognegplot(cfg):
-    runs = _three_start_runs(cfg)
-    rows = [
-        (k + 1,) + tuple(run.records[k].log_negativity for run in runs)
-        for k in range(cfg.n_cycles)
-    ]
-    plots = [
-        "'lognegplot.csv' skip 1 using 1:2 with lines title 'vacuum start'",
-        "'lognegplot.csv' skip 1 using 1:3 with lines title 'T=0.5 start'",
-        "'lognegplot.csv' skip 1 using 1:4 with lines title 'T=1 start'",
-    ]
-    return ("cycle", "en_vacuum", "en_t05", "en_t1"), rows, _gnuplot(
-        "lognegplot", "log-negativity", plots
-    )
-
-
-def _fig_energyfig(cfg):
-    runs = _three_start_runs(cfg)
-    rows = [
-        (k + 1,) + tuple(run.records[k].energy_input for run in runs)
-        for k in range(cfg.n_cycles)
-    ]
-    plots = [
-        "'energyfig.csv' skip 1 using 1:2 with lines title 'vacuum start'",
-        "'energyfig.csv' skip 1 using 1:3 with lines title 'T=0.5 start'",
-        "'energyfig.csv' skip 1 using 1:4 with lines title 'T=1 start'",
-    ]
-    return ("cycle", "energy_vacuum", "energy_t05", "energy_t1"), rows, _gnuplot(
-        "energyfig", "energy cost per cycle", plots
-    )
-
-
-def _fig_thermpure(cfg):
-    runs = _three_start_runs(cfg, temperatures=(0.0, 1.0))
-    rows = [
-        (k + 1,) + tuple(run.records[k].field_purity for run in runs)
-        for k in range(cfg.n_cycles)
-    ]
-    plots = [
-        "'thermPure.csv' skip 1 using 1:2 with lines title 'vacuum start'",
-        "'thermPure.csv' skip 1 using 1:3 with lines title 'T=1 start'",
-    ]
-    return ("cycle", "purity_vacuum", "purity_t1"), rows, _gnuplot(
-        "thermPure", "field purity", plots
-    )
-
-
-def _fig_thermality(cfg):
-    # the vacuum curve starts after one cycle: the estimator is undefined on
-    # the exactly pure initial state
-    runs = _three_start_runs(cfg)
-    rows = [
-        (k + 1,) + tuple(run.records[k].field_thermality for run in runs)
-        for k in range(cfg.n_cycles)
-    ]
-    plots = [
-        "'thermality.csv' skip 1 using 1:2 with lines title 'vacuum start'",
-        "'thermality.csv' skip 1 using 1:3 with lines title 'T=0.5 start'",
-        "'thermality.csv' skip 1 using 1:4 with lines title 'T=1 start'",
-    ]
-    return ("cycle", "thermality_vacuum", "thermality_t05", "thermality_t1"), rows, _gnuplot(
-        "thermality", "thermality estimator", plots
-    )
+def _fig_starts(name: str, cfg: ExperimentConfig):
+    attr, prefix, ylabel, temperatures = _START_FIGURES[name]
+    cav = cfg.cavity_config()
+    starts = [(cav, _initial_field(replace(cfg, temperature=t), cav)) for t in temperatures]
+    rows = _cycle_rows(cfg, starts, attr)
+    header, plots = ["cycle"], []
+    for index, t in enumerate(temperatures, start=2):
+        header.append(f"{prefix}_vacuum" if t == 0.0 else f"{prefix}_t{t:g}".replace(".", ""))
+        title = "vacuum start" if t == 0.0 else f"T={t:g} start"
+        plots.append(f"'{name}.csv' skip 1 using 1:{index} with lines title '{title}'")
+    return tuple(header), rows, _gnuplot(name, ylabel, plots)
 
 
 def _fig_ultralong(cfg):
@@ -473,17 +435,8 @@ def _fig_eigtime(cfg):
 def _fig_extinction(cfg):
     base = cfg.cavity_config()
     r = abs(base.x2 - base.x1)
-    columns = []
-    for factor in (1.44, 1.48, 1.52):
-        cav = replace(cfg, cycle_time=factor * r).cavity_config()
-        traj = protocol.run_cycles(
-            cav, sigma_f0=_initial_field(cfg, cav), n_cycles=cfg.n_cycles,
-            snapshot_stride=cfg.stride,
-        )
-        columns.append([rec.log_negativity for rec in traj.records])
-    rows = [
-        (k + 1, columns[0][k], columns[1][k], columns[2][k]) for k in range(cfg.n_cycles)
-    ]
+    cavs = [replace(cfg, cycle_time=factor * r).cavity_config() for factor in (1.44, 1.48, 1.52)]
+    rows = _cycle_rows(cfg, [(cav, _initial_field(cfg, cav)) for cav in cavs], "log_negativity")
     plots = [
         "'extinction.csv' skip 1 using 1:2 with lines title 't_f = 1.44 r'",
         "'extinction.csv' skip 1 using 1:3 with lines title 't_f = 1.48 r'",
@@ -495,10 +448,7 @@ def _fig_extinction(cfg):
 
 
 _FIG_BUILDERS = {
-    "lognegplot": _fig_lognegplot,
-    "energyfig": _fig_energyfig,
-    "thermPure": _fig_thermpure,
-    "thermality": _fig_thermality,
+    **{name: partial(_fig_starts, name) for name in _START_FIGURES},
     "ultralong": _fig_ultralong,
     "eigcoupling": _fig_eigcoupling,
     "eigtime": _fig_eigtime,

@@ -42,7 +42,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "n_cycles": "500",
         "snapshot_stride": "geometric",
         "log_base": "e",
-        "energy_convention": "paper",
     },
     "output": {
         "directory": ".",
@@ -69,7 +68,6 @@ _DOC = """\
 #   n_cycles            cycles to simulate
 #   snapshot_stride     "geometric" or a positive integer
 #   log_base            e or 2; sets the unit of entropy and negativity
-#   energy_convention   paper or normal_ordered
 # [output]
 #   directory           where CSV and plot scripts are written
 """
@@ -89,7 +87,6 @@ class ExperimentConfig:
     n_cycles: int = 500
     snapshot_stride: str = "geometric"
     log_base: str = "e"
-    energy_convention: str = "paper"
     directory: str = "."
 
     def __post_init__(self):
@@ -101,11 +98,6 @@ class ExperimentConfig:
             raise ConfigError(f"[run] temperature: must be >= 0, got {self.temperature}")
         if self.log_base not in ("e", "2"):
             raise ConfigError(f"[run] log_base: must be e or 2, got {self.log_base!r}")
-        if self.energy_convention not in ("paper", "normal_ordered"):
-            raise ConfigError(
-                "[run] energy_convention: must be paper or normal_ordered, got "
-                f"{self.energy_convention!r}"
-            )
         if self.snapshot_stride != "geometric":
             try:
                 stride = int(self.snapshot_stride)
@@ -169,7 +161,6 @@ _FIELD_BY_KEY = {
     ("run", "n_cycles"): "n_cycles",
     ("run", "snapshot_stride"): "snapshot_stride",
     ("run", "log_base"): "log_base",
-    ("run", "energy_convention"): "energy_convention",
     ("output", "directory"): "directory",
 }
 

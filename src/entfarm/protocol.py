@@ -10,13 +10,45 @@ of the one-cycle propagator.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from entfarm import cavity, dynamics, gaussian, thermo
-from entfarm.dynamics import Propagator
 from entfarm.gaussian import InvalidStateError
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """The k-cycle field update sigma -> d sigma d^T + q.
+
+    For one cycle with ground-state detectors d = D and q = C C^T; the
+    inhomogeneity encodes the injected detector vacuum, so starting
+    detectors in any other state requires full_cycle instead.
+    """
+
+    d: np.ndarray
+    q: np.ndarray
+    k: int
+
+    def apply(self, sigma: np.ndarray) -> np.ndarray:
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != self.d.shape:
+            raise ValueError(
+                f"field state shape {sigma.shape} does not match D block {self.d.shape}"
+            )
+        if not np.allclose(sigma, sigma.T, atol=1e-9 * max(1.0, np.abs(sigma).max())):
+            raise InvalidStateError("field covariance must be symmetric")
+        out = self.d @ sigma @ self.d.T + self.q
+        return (out + out.T) / 2.0
+
+    def then(self, after: AffineMap) -> AffineMap:
+        """The composition that runs this map first, then `after`."""
+        return AffineMap(
+            after.d @ self.d, after.d @ self.q @ after.d.T + after.q, self.k + after.k
+        )
 
 
 @dataclass(frozen=True)
@@ -28,22 +60,75 @@ class CycleBlocks:
     c: np.ndarray  # 2M x 4, detector -> field
     d: np.ndarray  # 2M x 2M, field -> field
 
+    @property
+    def field_map(self) -> AffineMap:
+        """One cycle's field update with ground-state detectors."""
+        return AffineMap(self.d, self.c @ self.c.T, 1)
+
+
+@dataclass(frozen=True)
+class CycleStates:
+    """The states around one cycle: the argument of every observable."""
+
+    detector_in: np.ndarray
+    field_in: np.ndarray
+    detector_out: np.ndarray
+    field_out: np.ndarray
+    detector_freqs: np.ndarray
+    field_freqs: np.ndarray
+
+
+def _energy_input(s: CycleStates) -> float:
+    e_start = gaussian.energy(s.detector_in, s.detector_freqs, "paper") + gaussian.energy(
+        s.field_in, s.field_freqs, "paper"
+    )
+    e_end = gaussian.energy(s.detector_out, s.detector_freqs, "paper") + gaussian.energy(
+        s.field_out, s.field_freqs, "paper"
+    )
+    return e_end - e_start
+
+
+def _field_thermality(s: CycleStates) -> float:
+    try:
+        return thermo.thermality_estimator(s.field_out, s.field_freqs)
+    except thermo.UndefinedEstimatorError:
+        return math.nan
+
+
+# the built-in per-cycle diagnostics, keyed by their CycleRecord attribute
+DIAGNOSTICS = MappingProxyType(
+    {
+        "log_negativity": lambda s: gaussian.log_negativity(s.detector_out),
+        "energy_input": _energy_input,
+        "field_purity": lambda s: gaussian.purity(s.field_out),
+        "field_thermality": _field_thermality,
+    }
+)
+
+
+def _diagnostic(name: str) -> property:
+    return property(lambda record: record.values.get(name))
+
 
 @dataclass
 class CycleRecord:
-    """Diagnostics captured at the end of one cycle.
+    """Observables captured at the end of one cycle.
 
+    values maps each requested observable to its value; the built-in
+    diagnostics also read as attributes, None when not requested.
     field_thermality is NaN when the estimator is undefined (field at
     vacuum energy).  field_sigma is populated only on snapshot cycles.
     """
 
     cycle: int
     detector_sigma: np.ndarray
-    log_negativity: float
-    energy_input: float
-    field_purity: float
-    field_thermality: float
+    values: dict[str, object]
     field_sigma: np.ndarray | None = None
+
+    log_negativity = _diagnostic("log_negativity")
+    energy_input = _diagnostic("energy_input")
+    field_purity = _diagnostic("field_purity")
+    field_thermality = _diagnostic("field_thermality")
 
 
 @dataclass
@@ -69,37 +154,19 @@ def blocks_for(config: cavity.CavityConfig) -> CycleBlocks:
     return block_decompose(dynamics.propagator_for(config).s)
 
 
-def superoperator_step(sigma_f: np.ndarray, blocks: CycleBlocks) -> np.ndarray:
-    """One field update D sigma_f D^T + C C^T with ground-state detectors.
-
-    The inhomogeneity C C^T encodes the injected detector vacuum; starting
-    detectors in any other state requires full_cycle instead.
-    """
-    sigma_f = np.asarray(sigma_f, dtype=float)
-    if sigma_f.shape != blocks.d.shape:
-        raise ValueError(
-            f"field state shape {sigma_f.shape} does not match D block {blocks.d.shape}"
-        )
-    if not np.allclose(sigma_f, sigma_f.T, atol=1e-9 * max(1.0, np.abs(sigma_f).max())):
-        raise InvalidStateError("field covariance must be symmetric")
-    out = blocks.d @ sigma_f @ blocks.d.T + blocks.c @ blocks.c.T
-    return (out + out.T) / 2.0
-
-
 def full_cycle(
-    sigma_f: np.ndarray, sigma_d0: np.ndarray, prop: Propagator
+    sigma_f: np.ndarray, sigma_d0: np.ndarray, blocks: CycleBlocks
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evolve detectors (+) field jointly for one cycle; return the blocks.
 
     Returns (sigma_d_out, gamma_df, sigma_f_out) of the evolved joint
-    state S (sigma_d0 xor sigma_f) S^T.  Works for arbitrary injected
-    detector states.
+    state S (sigma_d0 xor sigma_f) S^T, with S given by its blocks.  Works
+    for arbitrary injected detector states.
     """
     sigma_f = np.asarray(sigma_f, dtype=float)
     sigma_d0 = np.asarray(sigma_d0, dtype=float)
     if sigma_d0.shape != (4, 4):
         raise ValueError("detector state must be 4x4 (two modes)")
-    blocks = block_decompose(prop.s)
     if sigma_f.shape != blocks.d.shape:
         raise ValueError("field state does not match the propagator mode count")
     a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
@@ -139,18 +206,17 @@ def run_cycles(
     n_cycles: int = 1,
     snapshot_stride="geometric",
     initial_label: str = "",
-    field_observer=None,
+    observables: Mapping[str, Callable[[CycleStates], object]] = DIAGNOSTICS,
 ) -> Trajectory:
-    """Run the extraction protocol for n_cycles and record diagnostics.
+    """Run the extraction protocol for n_cycles and record observables.
 
-    Defaults: vacuum field, ground-state detector pair.  Per cycle the
-    record holds the detector state and its log-negativity, the energy the
-    cycle pumped into the system (free-Hamiltonian convention including
-    zero-point terms), and the purity / thermality of the surviving field.
-    Field snapshots are kept at powers of two by default so ultralong runs
-    stay in bounded memory.  field_observer(cycle, sigma_f), when given, is
-    called with the surviving field state every cycle; it exists for extra
-    per-cycle diagnostics without a second pass over the evolution.
+    Defaults: vacuum field, ground-state detector pair.  observables maps a
+    name to a function of one cycle's CycleStates; each is evaluated every
+    cycle and nothing else is.  The default, DIAGNOSTICS, gives the
+    detector log-negativity, the energy the cycle pumped into the system
+    (free-Hamiltonian convention including zero-point terms), and the
+    purity / thermality of the surviving field.  Field snapshots are kept
+    at powers of two by default so ultralong runs stay in bounded memory.
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
@@ -161,45 +227,32 @@ def run_cycles(
     else:
         sigma_f = np.asarray(sigma_f0, dtype=float).copy()
         initial_label = initial_label or "custom"
-    if sigma_d0 is None:
-        sigma_d0 = gaussian.vacuum_state(2)
-    prop = dynamics.propagator_for(config)
-    freqs = cavity.joint_frequencies(config)
+    sigma_d0 = gaussian.vacuum_state(2) if sigma_d0 is None else np.asarray(sigma_d0, float)
+    blocks = blocks_for(config)
+    detector_freqs = cavity.joint_frequencies(config)[:2]
     field_freqs = cavity.mode_frequencies(config)
     snapshots = _snapshot_cycles(n_cycles, snapshot_stride)
 
     traj = Trajectory(fingerprint=config.fingerprint(), initial_field=initial_label)
-    e_detectors_in = gaussian.energy(sigma_d0, freqs[:2], "paper")
     for k in range(1, n_cycles + 1):
-        e_start = e_detectors_in + gaussian.energy(sigma_f, field_freqs, "paper")
-        sigma_d_out, _, sigma_f_next = full_cycle(sigma_f, sigma_d0, prop)
+        sigma_d_out, _, sigma_f_next = full_cycle(sigma_f, sigma_d0, blocks)
         if not np.all(np.isfinite(sigma_f_next)):
             raise InvalidStateError(f"cycle {k}: field state became non-finite")
-        e_end = gaussian.energy(sigma_d_out, freqs[:2], "paper") + gaussian.energy(
-            sigma_f_next, field_freqs, "paper"
+        states = CycleStates(
+            sigma_d0, sigma_f, sigma_d_out, sigma_f_next, detector_freqs, field_freqs
         )
         try:
-            neg = gaussian.log_negativity(sigma_d_out)
-            purity = gaussian.purity(sigma_f_next)
-            try:
-                therm = thermo.thermality_estimator(sigma_f_next, field_freqs)
-            except thermo.UndefinedEstimatorError:
-                therm = math.nan
+            values = {name: observe(states) for name, observe in observables.items()}
         except InvalidStateError as exc:
             raise InvalidStateError(f"cycle {k}: {exc}") from exc
         traj.records.append(
             CycleRecord(
                 cycle=k,
                 detector_sigma=sigma_d_out,
-                log_negativity=neg,
-                energy_input=e_end - e_start,
-                field_purity=purity,
-                field_thermality=therm,
+                values=values,
                 field_sigma=sigma_f_next.copy() if k in snapshots else None,
             )
         )
-        if field_observer is not None:
-            field_observer(k, sigma_f_next)
         sigma_f = sigma_f_next
     traj.final_field_sigma = sigma_f
     return traj

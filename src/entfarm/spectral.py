@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 
-from entfarm import cavity, dynamics, gaussian, protocol
-from entfarm.protocol import CycleBlocks
+from entfarm import cavity, gaussian, protocol
+from entfarm.protocol import AffineMap, CycleBlocks
 
 
 class SpectralFailureError(RuntimeError):
@@ -184,8 +184,8 @@ def fixed_point(
     away from the unit circle; decoupled rotations are exempt because their
     blocks are frozen at the initial state (vacuum when unspecified).
     """
-    d_full = blocks.d
-    q_full = blocks.c @ blocks.c.T
+    field_map = blocks.field_map
+    d_full, q_full = field_map.d, field_map.q
     n_phase = d_full.shape[0]
     dead = sorted(set(int(p) for p in decoupled_positions))
     keep = [i for p in range(n_phase // 2) if p not in dead for i in (2 * p, 2 * p + 1)]
@@ -228,25 +228,7 @@ def fixed_point(
 # k-fold composition in O(log k)
 
 
-@dataclass(frozen=True)
-class AffinePower:
-    """Exact k-fold composition of the cycle map: sigma -> D_k sigma D_k^T + Q_k."""
-
-    k: int
-    d_k: np.ndarray
-    q_k: np.ndarray
-
-    def apply(self, sigma: np.ndarray) -> np.ndarray:
-        out = self.d_k @ np.asarray(sigma, float) @ self.d_k.T + self.q_k
-        return (out + out.T) / 2.0
-
-
-def _compose(d1, q1, d2, q2):
-    # run (d1, q1) first, then (d2, q2)
-    return d2 @ d1, d2 @ q1 @ d2.T + q2
-
-
-def power_map(blocks: CycleBlocks, k: int, norm_cap: float = 1e12) -> AffinePower:
+def power_map(blocks: CycleBlocks, k: int, norm_cap: float = 1e12) -> AffineMap:
     """Compose the cycle map with itself k times by binary doubling.
 
     Cost O(log k) matrix products, exact up to rounding.  In the unstable
@@ -256,35 +238,28 @@ def power_map(blocks: CycleBlocks, k: int, norm_cap: float = 1e12) -> AffinePowe
     """
     if k < 1:
         raise ValueError("cycle count must be >= 1")
-    d_pow, q_pow = blocks.d.copy(), blocks.c @ blocks.c.T
-    d_acc = q_acc = None
-    acc_count = 0
-    pow_count = 1
+    power = blocks.field_map
+    acc = None
     kk = int(k)
     while True:
         if kk & 1:
-            if d_acc is None:
-                d_acc, q_acc = d_pow.copy(), q_pow.copy()
-            else:
-                d_acc, q_acc = _compose(d_acc, q_acc, d_pow, q_pow)
-            acc_count += pow_count
-            if np.max(np.abs(q_acc)) > norm_cap:
+            acc = power if acc is None else acc.then(power)
+            if np.max(np.abs(acc.q)) > norm_cap:
                 raise GrowthOverflowError(
                     f"composed map norm exceeded {norm_cap:g} while assembling k={k}",
-                    k_reached=max(acc_count - pow_count, pow_count),
+                    k_reached=max(acc.k - power.k, power.k),
                 )
         kk >>= 1
         if not kk:
             break
-        d_pow, q_pow = _compose(d_pow, q_pow, d_pow, q_pow)
-        pow_count *= 2
-        if np.max(np.abs(q_pow)) > norm_cap:
+        power = power.then(power)
+        if np.max(np.abs(power.q)) > norm_cap:
             raise GrowthOverflowError(
-                f"composed map norm exceeded {norm_cap:g} at 2^{int(math.log2(pow_count))} "
+                f"composed map norm exceeded {norm_cap:g} at 2^{int(math.log2(power.k))} "
                 f"cycles while assembling k={k}",
-                k_reached=max(acc_count, pow_count // 2),
+                k_reached=max(0 if acc is None else acc.k, power.k // 2),
             )
-    return AffinePower(k=k, d_k=d_acc, q_k=q_acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +297,6 @@ def extinction_scan(
     extraction is still live, the scan refines between the last good point
     and the cap before giving up.
     """
-    prop = dynamics.propagator_for(config)
     blocks = protocol.blocks_for(config)
     spectrum = field_spectrum(blocks)
     _, instability_n = timescales(spectrum)
@@ -336,9 +310,9 @@ def extinction_scan(
 
     sigma_d0 = gaussian.vacuum_state(2)
 
-    def negativity_after(power: AffinePower) -> float:
+    def negativity_after(power: AffineMap) -> float:
         sigma_f = power.apply(sigma_f0)
-        sigma_d, _, _ = protocol.full_cycle(sigma_f, sigma_d0, prop)
+        sigma_d, _, _ = protocol.full_cycle(sigma_f, sigma_d0, blocks)
         return gaussian.log_negativity(sigma_d)
 
     ks: list[int] = []

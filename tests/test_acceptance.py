@@ -56,7 +56,6 @@ def test_02_initial_state_independence():
     keep = [i for p in range(cfg.n_field_modes) if p not in dead for i in (2 * p, 2 * p + 1)]
     freqs = cavity.mode_frequencies(cfg)
     power = spectral.power_map(blocks, 2**22)
-    prop = dynamics.propagator_for(cfg)
     finals, plateaus = [], []
     for temperature in (0.0, 0.5, 1.0):
         if temperature == 0.0:
@@ -65,7 +64,7 @@ def test_02_initial_state_independence():
             sigma0 = gaussian.thermal_state(freqs, temperature)
         sigma = power.apply(sigma0)
         finals.append(sigma[np.ix_(keep, keep)])
-        sigma_d, _, _ = protocol.full_cycle(sigma, gaussian.vacuum_state(2), prop)
+        sigma_d, _, _ = protocol.full_cycle(sigma, gaussian.vacuum_state(2), blocks)
         plateaus.append(gaussian.log_negativity(sigma_d))
     for a in finals:
         for b in finals:
@@ -205,11 +204,11 @@ def test_10_invariant_suites():
     assert gaussian.check_symplectic(prop.s) < 1e-9
 
     # uncertainty bound holds over ten thousand cycles
-    blocks = protocol.blocks_for(cfg)
+    step = protocol.blocks_for(cfg).field_map
     sigma = gaussian.vacuum_state(cfg.n_field_modes)
     worst = np.inf
     for _ in range(10_000):
-        sigma = protocol.superoperator_step(sigma, blocks)
+        sigma = step.apply(sigma)
         worst = min(worst, float(gaussian.symplectic_eigenvalues(sigma).min()))
     assert worst >= 1.0 - 1e-8
 

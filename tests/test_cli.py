@@ -55,6 +55,20 @@ def test_run_cycles_windowed_reports_distance_to_fixed_point(monkeypatch, tmp_pa
     assert values[-1] < values[0]
 
 
+def test_run_cycles_warns_when_fixed_point_fails(monkeypatch, tmp_path, capsys):
+    # at 64 modes a coupled eigenvalue product sits 1.6e-11 from the unit
+    # circle, so there is no unique fixed point to measure the distance to
+    assert run(["run-cycles", "--modes", "64"], monkeypatch, tmp_path, n_cycles=2) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "NoUniqueFixedPointError" in warnings[0]
+    assert "unit circle" in warnings[0]
+    _, rows = read_csv(tmp_path / "trajectory.csv")
+    assert len(rows) == 2
+    assert all(r[5] == "" for r in rows)
+
+
 def test_log_base_flag_halves_nothing_but_rescales(monkeypatch, tmp_path):
     run(["run-cycles"], monkeypatch, tmp_path)
     _, rows_e = read_csv(tmp_path / "trajectory.csv")
@@ -74,6 +88,13 @@ def test_fixed_point_report(monkeypatch, tmp_path):
     assert float(row[3]) > 0.0
     sig_header, sig_rows = read_csv(tmp_path / "fixed_point_sigma.csv")
     assert len(sig_rows) == len(sig_header) == 10
+
+
+def test_fixed_point_sigma_cells_are_plain_floats(monkeypatch, tmp_path):
+    assert run(["fixed-point", "--window", "default", "--modes", "8"],
+               monkeypatch, tmp_path) == 0
+    _, rows = read_csv(tmp_path / "fixed_point_sigma.csv")
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 def test_fixed_point_uncoupled_exits_3(monkeypatch, tmp_path, capsys):

@@ -32,7 +32,6 @@ def test_round_trip_is_identity():
         n_cycles=42,
         snapshot_stride="7",
         log_base="2",
-        energy_convention="normal_ordered",
         directory="out",
     )
     text = config_mod.dump_config(cfg)
@@ -64,9 +63,13 @@ def test_file_values_override_defaults(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "exp.ini"
-    path.write_text("[cavity]\ncoupling_strength = 0.03\n")
-    with pytest.raises(ConfigError, match="coupling_strength"):
-        config_mod.load_config(str(path), environ={})
+    for text, key in (
+        ("[cavity]\ncoupling_strength = 0.03\n", "coupling_strength"),
+        ("[run]\nenergy_convention = paper\n", "energy_convention"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=key):
+            config_mod.load_config(str(path), environ={})
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -105,7 +108,6 @@ def test_unrecognized_env_override_rejected():
         ("modes", 0),
         ("temperature", -0.1),
         ("log_base", "10"),
-        ("energy_convention", "free"),
         ("snapshot_stride", "sometimes"),
         ("window", "wide"),
     ],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entfarm import cavity, dynamics, gaussian, protocol
+from entfarm import cavity, dynamics, gaussian, protocol, thermo
 from scipy.linalg import block_diag
 
 RNG = np.random.default_rng(5150)
@@ -43,62 +43,70 @@ def test_block_decompose_uncoupled_has_no_mixing():
 
 
 # ---------------------------------------------------------------------------
-# superoperator step vs explicit joint evolution
+# the one-cycle field map vs explicit joint evolution
 
 
 def test_one_step_equals_joint_evolution():
     cfg = small_config()
     prop = dynamics.propagator_for(cfg)
-    blocks = protocol.blocks_for(cfg)
+    step = protocol.blocks_for(cfg).field_map
     vac_f = gaussian.vacuum_state(cfg.n_field_modes)
     joint = dynamics.evolve(gaussian.vacuum_state(cfg.n_modes), prop)
     field_part = gaussian.reduce_modes(joint, range(2, cfg.n_modes))
-    stepped = protocol.superoperator_step(vac_f, blocks)
+    stepped = step.apply(vac_f)
     assert np.max(np.abs(stepped - field_part)) < 1e-12
 
 
 def test_iterated_step_equals_iterated_full_cycle():
     cfg = small_config(coupling=0.05, cycle_time=7.0)
-    prop = dynamics.propagator_for(cfg)
     blocks = protocol.blocks_for(cfg)
     sigma_step = gaussian.vacuum_state(cfg.n_field_modes)
     sigma_full = sigma_step.copy()
     for _ in range(9):
-        sigma_step = protocol.superoperator_step(sigma_step, blocks)
-        _, _, sigma_full = protocol.full_cycle(sigma_full, gaussian.vacuum_state(2), prop)
+        sigma_step = blocks.field_map.apply(sigma_step)
+        _, _, sigma_full = protocol.full_cycle(sigma_full, gaussian.vacuum_state(2), blocks)
     assert np.max(np.abs(sigma_step - sigma_full)) < 1e-10
 
 
 def test_step_is_affine():
     cfg = small_config()
-    blocks = protocol.blocks_for(cfg)
+    step = protocol.blocks_for(cfg).field_map
     from conftest import random_covariance
 
     s1, _ = random_covariance(cfg.n_field_modes, RNG)
     s2, _ = random_covariance(cfg.n_field_modes, RNG)
     alpha = 0.3
-    mixed = protocol.superoperator_step(alpha * s1 + (1 - alpha) * s2, blocks)
-    combo = alpha * protocol.superoperator_step(s1, blocks) + (
-        1 - alpha
-    ) * protocol.superoperator_step(s2, blocks)
+    mixed = step.apply(alpha * s1 + (1 - alpha) * s2)
+    combo = alpha * step.apply(s1) + (1 - alpha) * step.apply(s2)
     assert np.allclose(mixed, combo, atol=1e-12)
 
 
 def test_step_uncoupled_keeps_vacuum():
     cfg = small_config(coupling=0.0)
-    blocks = protocol.blocks_for(cfg)
+    step = protocol.blocks_for(cfg).field_map
     vac = gaussian.vacuum_state(cfg.n_field_modes)
-    assert np.allclose(protocol.superoperator_step(vac, blocks), vac, atol=1e-12)
+    assert np.allclose(step.apply(vac), vac, atol=1e-12)
 
 
 def test_step_rejects_bad_input():
-    blocks = protocol.blocks_for(small_config())
+    step = protocol.blocks_for(small_config()).field_map
     with pytest.raises(ValueError):
-        protocol.superoperator_step(np.eye(4), blocks)
+        step.apply(np.eye(4))
     lopsided = np.eye(16)
     lopsided[0, 1] = 0.5
     with pytest.raises(gaussian.InvalidStateError):
-        protocol.superoperator_step(lopsided, blocks)
+        step.apply(lopsided)
+
+
+def test_then_runs_the_first_map_first():
+    from conftest import random_covariance
+
+    first = protocol.AffineMap(RNG.normal(size=(4, 4)), np.eye(4), 2)
+    second = protocol.AffineMap(RNG.normal(size=(4, 4)), np.diag([1.0, 2.0, 3.0, 4.0]), 3)
+    sigma, _ = random_covariance(2, RNG)
+    both = first.then(second)
+    assert both.k == 5
+    assert np.allclose(both.apply(sigma), second.apply(first.apply(sigma)), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +115,12 @@ def test_step_rejects_bad_input():
 
 def test_full_cycle_uncoupled_rotates_detectors():
     cfg = small_config(coupling=0.0)
-    prop = dynamics.propagator_for(cfg)
+    blocks = protocol.blocks_for(cfg)
     from conftest import random_covariance
 
     sigma_d0, nus = random_covariance(2, RNG)
     sigma_d, gamma, _ = protocol.full_cycle(
-        gaussian.vacuum_state(cfg.n_field_modes), sigma_d0, prop
+        gaussian.vacuum_state(cfg.n_field_modes), sigma_d0, blocks
     )
     assert np.max(np.abs(gamma)) == 0.0
     assert np.allclose(gaussian.symplectic_eigenvalues(sigma_d), nus, atol=1e-9)
@@ -120,18 +128,18 @@ def test_full_cycle_uncoupled_rotates_detectors():
 
 def test_first_cycle_from_vacuum_extracts_entanglement():
     cfg = cavity.standard_config(64)
-    prop = dynamics.propagator_for(cfg)
+    blocks = protocol.blocks_for(cfg)
     sigma_d, _, _ = protocol.full_cycle(
-        gaussian.vacuum_state(64), gaussian.vacuum_state(2), prop
+        gaussian.vacuum_state(64), gaussian.vacuum_state(2), blocks
     )
     assert gaussian.log_negativity(sigma_d) > 1e-3
 
 
 def test_first_cycle_from_hot_field_extracts_nothing():
     cfg = cavity.standard_config(64)
-    prop = dynamics.propagator_for(cfg)
+    blocks = protocol.blocks_for(cfg)
     hot = gaussian.thermal_state(cavity.mode_frequencies(cfg), 1.0)
-    sigma_d, _, _ = protocol.full_cycle(hot, gaussian.vacuum_state(2), prop)
+    sigma_d, _, _ = protocol.full_cycle(hot, gaussian.vacuum_state(2), blocks)
     assert gaussian.log_negativity(sigma_d) == 0.0
 
 
@@ -139,9 +147,9 @@ def test_full_cycle_mirror_symmetry():
     # detectors at x and L - x: relabeling them must not change E_N
     cfg = small_config()
     assert cfg.x2 == pytest.approx(cfg.length - cfg.x1)
-    prop = dynamics.propagator_for(cfg)
+    blocks = protocol.blocks_for(cfg)
     sigma_d, _, _ = protocol.full_cycle(
-        gaussian.vacuum_state(cfg.n_field_modes), gaussian.vacuum_state(2), prop
+        gaussian.vacuum_state(cfg.n_field_modes), gaussian.vacuum_state(2), blocks
     )
     swap = np.zeros((4, 4))
     swap[0:2, 2:4] = np.eye(2)
@@ -152,11 +160,11 @@ def test_full_cycle_mirror_symmetry():
 
 
 def test_full_cycle_shape_validation():
-    prop = dynamics.propagator_for(small_config())
+    blocks = protocol.blocks_for(small_config())
     with pytest.raises(ValueError):
-        protocol.full_cycle(np.eye(4), np.eye(4), prop)
+        protocol.full_cycle(np.eye(4), np.eye(4), blocks)
     with pytest.raises(ValueError):
-        protocol.full_cycle(np.eye(16), np.eye(6), prop)
+        protocol.full_cycle(np.eye(16), np.eye(6), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +181,22 @@ def test_run_cycles_uncoupled_is_inert():
         assert r.field_purity == pytest.approx(1.0, abs=1e-11)
         assert math.isnan(r.field_thermality)  # vacuum field: estimator undefined
     assert traj.initial_field == "vacuum"
+
+
+def test_run_cycles_computes_only_requested_diagnostics(monkeypatch):
+    def unrequested(*args, **kwargs):
+        raise AssertionError("an unrequested diagnostic was computed")
+
+    monkeypatch.setattr(thermo, "thermality_estimator", unrequested)
+    monkeypatch.setattr(gaussian, "purity", unrequested)
+    only = {"log_negativity": protocol.DIAGNOSTICS["log_negativity"]}
+    traj = protocol.run_cycles(small_config(), n_cycles=3, observables=only)
+    for r in traj.records:
+        assert r.log_negativity > 0.0
+        assert r.energy_input is None
+        assert r.field_purity is None
+        assert r.field_thermality is None
+        assert list(r.values) == ["log_negativity"]
 
 
 def test_run_cycles_records_diagnostics():

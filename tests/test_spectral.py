@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entfarm import cavity, dynamics, gaussian, protocol, spectral
+from entfarm import cavity, gaussian, protocol, spectral
 from entfarm.protocol import CycleBlocks
 
 
@@ -150,7 +150,7 @@ def test_fixed_point_satisfies_stein_equation():
     dead = cavity.decoupled_positions(cfg)
     res = spectral.fixed_point(blocks, decoupled_positions=dead)
     # applying one more cycle must leave the coupled block invariant
-    stepped = protocol.superoperator_step(res.sigma_star, blocks)
+    stepped = blocks.field_map.apply(res.sigma_star)
     keep = [i for p in range(5) if p not in set(dead) for i in (2 * p, 2 * p + 1)]
     np.testing.assert_allclose(
         stepped[np.ix_(keep, keep)], res.sigma_star[np.ix_(keep, keep)], atol=1e-10
@@ -208,8 +208,9 @@ def test_power_map_single_cycle():
     cfg = window_config()
     blocks = protocol.blocks_for(cfg)
     power = spectral.power_map(blocks, 1)
-    np.testing.assert_allclose(power.d_k, blocks.d)
-    np.testing.assert_allclose(power.q_k, blocks.c @ blocks.c.T)
+    np.testing.assert_allclose(power.d, blocks.d)
+    np.testing.assert_allclose(power.q, blocks.c @ blocks.c.T)
+    assert power.k == 1
 
 
 @pytest.mark.parametrize("k", [2, 3, 7, 17, 64])
@@ -221,7 +222,7 @@ def test_power_map_matches_direct_iteration(k):
     power = spectral.power_map(blocks, k)
     direct = sigma.copy()
     for _ in range(k):
-        direct = protocol.superoperator_step(direct, blocks)
+        direct = blocks.field_map.apply(direct)
     np.testing.assert_allclose(power.apply(sigma), direct, atol=1e-9)
 
 
@@ -232,7 +233,7 @@ def test_power_map_hundred_cycles_full_cavity():
     power = spectral.power_map(blocks, 100)
     direct = sigma.copy()
     for _ in range(100):
-        direct = protocol.superoperator_step(direct, blocks)
+        direct = blocks.field_map.apply(direct)
     np.testing.assert_allclose(power.apply(sigma), direct, atol=1e-9)
     assert power.k == 100
 
@@ -311,8 +312,7 @@ def test_extinction_scan_plateau_matches_fixed_point_cycle():
     blocks = protocol.blocks_for(cfg)
     dead = cavity.decoupled_positions(cfg)
     star = spectral.fixed_point(blocks, decoupled_positions=dead).sigma_star
-    prop = dynamics.propagator_for(cfg)
-    sigma_d, _, _ = protocol.full_cycle(star, gaussian.vacuum_state(2), prop)
+    sigma_d, _, _ = protocol.full_cycle(star, gaussian.vacuum_state(2), blocks)
     plateau = gaussian.log_negativity(sigma_d)
     scan = spectral.extinction_scan(cfg)
     assert scan.negativities[-1] == pytest.approx(plateau, rel=1e-9)
