@@ -9,10 +9,8 @@ small truncated-Fock cross-check.
 """
 
 from entfarm.gaussian import (
-    get_log_base,
     log_negativity,
     purity,
-    set_log_base,
     symplectic_eigenvalues,
     symplectic_form,
     thermal_state,
@@ -22,10 +20,8 @@ from entfarm.gaussian import (
 )
 
 __all__ = [
-    "get_log_base",
     "log_negativity",
     "purity",
-    "set_log_base",
     "symplectic_eigenvalues",
     "symplectic_form",
     "thermal_state",

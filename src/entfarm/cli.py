@@ -33,7 +33,6 @@ NUMERICAL_ERRORS = (
     gaussian.InvalidStateError,
     gaussian.DecompositionError,
     dynamics.PropagatorAccuracyError,
-    dynamics.StepTooLargeError,
     spectral.SpectralFailureError,
     spectral.NoUniqueFixedPointError,
     spectral.GrowthOverflowError,
@@ -69,6 +68,15 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _in_unit(cfg: ExperimentConfig, nats):
+    """An entropy or log-negativity, computed in nats, in the configured unit."""
+    return None if nats is None else nats / math.log(cfg.log_base_value)
+
+
+def _warn_blank(columns: str, exc: Exception) -> None:
+    print(f"warning: {columns} left blank: {type(exc).__name__}: {exc}", file=sys.stderr)
+
+
 def _gnuplot(name: str, ylabel: str, plots: list[str], extra: str = "") -> str:
     lines = [
         f"# gnuplot script; run as: gnuplot {name}.gp",
@@ -95,7 +103,6 @@ def _initial_field(cfg: ExperimentConfig, cav: cavity.CavityConfig):
 def _load(args) -> ExperimentConfig:
     cfg = config_mod.load_config(getattr(args, "config", None))
     cfg = config_mod.apply_flag_overrides(cfg, args)
-    gaussian.set_log_base(cfg.log_base_value)
     os.makedirs(cfg.directory, exist_ok=True)
     return cfg
 
@@ -132,10 +139,7 @@ def _coupled_fixed_point(cav, sigma0):
         thermo.log_density(star)
         return star, coupled
     except NUMERICAL_ERRORS + (ValueError,) as exc:
-        print(
-            f"warning: {_REL_ENTROPY} left blank: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
+        _warn_blank(_REL_ENTROPY, exc)
         return None, None
 
 
@@ -153,17 +157,16 @@ def cmd_run_cycles(args) -> int:
         cav,
         sigma_f0=sigma0,
         n_cycles=cfg.n_cycles,
-        snapshot_stride=cfg.stride,
         observables=observables,
     )
     rows = [
         (
             r.cycle,
-            r.log_negativity,
+            _in_unit(cfg, r.log_negativity),
             r.energy_input,
             r.field_purity,
             r.field_thermality,
-            r.values.get(_REL_ENTROPY),
+            _in_unit(cfg, r.values.get(_REL_ENTROPY)),
         )
         for r in traj.records
     ]
@@ -206,12 +209,13 @@ def cmd_fixed_point(args) -> int:
         initial_sigma=sigma0,
     )
     sigma_d, _, _ = protocol.full_cycle(res.sigma_star, gaussian.vacuum_state(2), blocks)
-    neg = gaussian.log_negativity(sigma_d)
+    neg = _in_unit(cfg, gaussian.log_negativity(sigma_d))
     freqs = cavity.mode_frequencies(cav)
     try:
         purity = gaussian.purity(res.sigma_star)
         thermality = thermo.thermality_estimator(res.sigma_star, freqs)
-    except NUMERICAL_ERRORS + (ValueError,):
+    except NUMERICAL_ERRORS + (ValueError,) as exc:
+        _warn_blank("field_purity and thermality", exc)
         purity = math.nan
         thermality = math.nan
     _write_csv(
@@ -308,16 +312,19 @@ def cmd_sweep(args) -> int:
 def _cycle_rows(cfg: ExperimentConfig, starts, attr: str) -> list[tuple]:
     """Rows (cycle, value per run) of one diagnostic over (cavity, initial field) runs.
 
-    Each run computes only that diagnostic.
+    Each run computes only that diagnostic; log-negativity is written in the
+    configured unit.
     """
     observables = {attr: protocol.DIAGNOSTICS[attr]}
     columns = []
     for cav, sigma0 in starts:
         traj = protocol.run_cycles(
-            cav, sigma_f0=sigma0, n_cycles=cfg.n_cycles, snapshot_stride=cfg.stride,
-            observables=observables,
+            cav, sigma_f0=sigma0, n_cycles=cfg.n_cycles, observables=observables
         )
-        columns.append([getattr(rec, attr) for rec in traj.records])
+        values = [getattr(rec, attr) for rec in traj.records]
+        if attr == "log_negativity":
+            values = [_in_unit(cfg, v) for v in values]
+        columns.append(values)
     return [(k, *values) for k, values in enumerate(zip(*columns), start=1)]
 
 
@@ -391,7 +398,7 @@ def _fig_starts(name: str, cfg: ExperimentConfig):
 def _fig_ultralong(cfg):
     cav = cfg.cavity_config()
     scan = spectral.extinction_scan(cav, sigma_f0=_initial_field(cfg, cav))
-    rows = list(zip(scan.ks, scan.negativities))
+    rows = [(k, _in_unit(cfg, e)) for k, e in zip(scan.ks, scan.negativities)]
     extra = "set logscale x 10"
     if scan.spectral_estimate is not None:
         extra += (
@@ -504,8 +511,8 @@ def cmd_verify(args) -> int:
             f"max entry difference {err:.3e} (tolerance 1e-4)",
         )
         if n_modes == 1:
-            en_g = gaussian.log_negativity(gaussian.reduce_modes(sigma_g, (0, 1)))
-            en_f = gaussian.log_negativity(gaussian.reduce_modes(sigma_f, (0, 1)))
+            en_g = _in_unit(cfg, gaussian.log_negativity(gaussian.reduce_modes(sigma_g, (0, 1))))
+            en_f = _in_unit(cfg, gaussian.log_negativity(gaussian.reduce_modes(sigma_f, (0, 1))))
             record(
                 "detector negativity agreement",
                 abs(en_f - en_g) < 1e-4,
@@ -547,9 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", metavar="PATH", help="INI configuration file")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument(
-        "--workers", type=int, default=4, metavar="N", help="parallel sweep workers"
-    )
-    shared.add_argument(
         "--log-base", choices=("e", "2"), dest="log_base",
         help="unit of entropy and negativity",
     )
@@ -582,6 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", required=True, type=float)
     p.add_argument("--points", required=True, type=int)
     p.add_argument("--scale", default="linear", choices=("linear", "log"))
+    p.add_argument(
+        "--workers", type=int, default=4, metavar="N", help="parallel sweep workers"
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(

@@ -40,7 +40,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "run": {
         "temperature": "0.0",
         "n_cycles": "500",
-        "snapshot_stride": "geometric",
         "log_base": "e",
     },
     "output": {
@@ -66,8 +65,8 @@ _DOC = """\
 # [run]
 #   temperature         initial field temperature; 0 means vacuum
 #   n_cycles            cycles to simulate
-#   snapshot_stride     "geometric" or a positive integer
-#   log_base            e or 2; sets the unit of entropy and negativity
+#   log_base            e or 2: entropies and log-negativities are written
+#                       in nats or in bits; the library computes in nats
 # [output]
 #   directory           where CSV and plot scripts are written
 """
@@ -85,7 +84,6 @@ class ExperimentConfig:
     window: str = ""
     temperature: float = 0.0
     n_cycles: int = 500
-    snapshot_stride: str = "geometric"
     log_base: str = "e"
     directory: str = "."
 
@@ -98,18 +96,6 @@ class ExperimentConfig:
             raise ConfigError(f"[run] temperature: must be >= 0, got {self.temperature}")
         if self.log_base not in ("e", "2"):
             raise ConfigError(f"[run] log_base: must be e or 2, got {self.log_base!r}")
-        if self.snapshot_stride != "geometric":
-            try:
-                stride = int(self.snapshot_stride)
-            except ValueError:
-                raise ConfigError(
-                    "[run] snapshot_stride: must be 'geometric' or a positive "
-                    f"integer, got {self.snapshot_stride!r}"
-                )
-            if stride < 1:
-                raise ConfigError(
-                    f"[run] snapshot_stride: must be positive, got {stride}"
-                )
         if self.window not in ("", "default"):
             try:
                 float(self.window)
@@ -141,12 +127,6 @@ class ExperimentConfig:
     def log_base_value(self) -> float:
         return math.e if self.log_base == "e" else 2.0
 
-    @property
-    def stride(self):
-        if self.snapshot_stride == "geometric":
-            return "geometric"
-        return int(self.snapshot_stride)
-
 
 _FIELD_BY_KEY = {
     ("cavity", "length"): "length",
@@ -159,7 +139,6 @@ _FIELD_BY_KEY = {
     ("cavity", "window"): "window",
     ("run", "temperature"): "temperature",
     ("run", "n_cycles"): "n_cycles",
-    ("run", "snapshot_stride"): "snapshot_stride",
     ("run", "log_base"): "log_base",
     ("output", "directory"): "directory",
 }

@@ -2,8 +2,7 @@
 
 The equation of motion for the phase-space propagator is
 dS/dt = Omega F_sym S, solved exactly by S(t) = exp(Omega F_sym t) for
-time-independent couplings.  A fixed-step fourth-order integrator provides
-an independent route for cross-checks and for time-dependent generators.
+time-independent couplings.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ from entfarm import cavity, gaussian
 
 class PropagatorAccuracyError(RuntimeError):
     """The computed propagator failed its symplectic self-check."""
-
-
-class StepTooLargeError(RuntimeError):
-    """The integrator step left too much symplectic drift."""
 
 
 @dataclass(frozen=True)
@@ -75,48 +70,3 @@ def evolve(sigma: np.ndarray, prop: Propagator) -> np.ndarray:
     out = s @ sigma @ s.T
     return (out + out.T) / 2.0
 
-
-def integrate_propagator(f_sym_of_t, t: float, step: float) -> Propagator:
-    """Fixed-step RK4 integration of dS/dt = Omega F_sym(t) S from S(0) = I.
-
-    f_sym_of_t maps a time to the (symmetric) Hamiltonian matrix, so
-    time-dependent generators are supported.  Used as the independent check
-    on the exponential path.  Symplectic drift beyond 1e-6 raises
-    StepTooLargeError.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if t < 0:
-        raise ValueError("evolution time must be non-negative")
-    f0 = np.asarray(f_sym_of_t(0.0), dtype=float)
-    n = f0.shape[0] // 2
-    omega = gaussian.symplectic_form(n)
-    s = np.eye(2 * n)
-    n_steps = max(1, int(np.ceil(t / step)))
-    h = t / n_steps
-    for i in range(n_steps):
-        t0 = i * h
-        a1 = omega @ np.asarray(f_sym_of_t(t0), dtype=float)
-        a2 = omega @ np.asarray(f_sym_of_t(t0 + h / 2.0), dtype=float)
-        a4 = omega @ np.asarray(f_sym_of_t(t0 + h), dtype=float)
-        k1 = a1 @ s
-        k2 = a2 @ (s + h / 2.0 * k1)
-        k3 = a2 @ (s + h / 2.0 * k2)
-        k4 = a4 @ (s + h * k3)
-        s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    drift = gaussian.check_symplectic(s)
-    if drift > 1e-6:
-        raise StepTooLargeError(
-            f"integration drifted off the symplectic manifold by {drift:.3e}; "
-            "reduce the step"
-        )
-    return Propagator(s=s, t=float(t))
-
-
-def total_energy(sigma: np.ndarray, f_sym: np.ndarray) -> float:
-    """Mean of the full quadratic Hamiltonian, <H> = Tr(F_sym sigma) / 4.
-
-    Conserved exactly along evolve() with the same generator, interaction
-    term included, so it doubles as an integration sanity check.
-    """
-    return float(np.trace(np.asarray(f_sym) @ np.asarray(sigma)) / 4.0)

@@ -23,7 +23,6 @@ from scipy.sparse.linalg import expm_multiply
 from entfarm import cavity
 
 DIMENSION_CAP = 120_000
-DENSE_CAP = 8192
 DENSE_EIG_SWITCH = 2000
 
 
@@ -132,21 +131,6 @@ def _system_couplings(config: FockConfig) -> tuple[list[float], list[tuple[int, 
     return freqs, couplings
 
 
-def build_hamiltonian(config: FockConfig) -> np.ndarray:
-    """Dense Hermitian Hamiltonian of detectors plus retained field modes."""
-    if config.dimension > DENSE_CAP:
-        raise TooLargeError(
-            f"dense Hamiltonian at dimension {config.dimension} exceeds {DENSE_CAP}; "
-            "use evolve_and_covariance, which stays sparse"
-        )
-    freqs, couplings = _system_couplings(config)
-    h = oscillator_hamiltonian(freqs, couplings, config.cutoff).toarray()
-    defect = np.max(np.abs(h - h.conj().T))
-    if defect > 1e-12:
-        raise ValueError(f"hamiltonian assembly lost hermiticity ({defect:.3e})")
-    return h
-
-
 def _ground_state(dimension: int) -> np.ndarray:
     psi = np.zeros(dimension, dtype=complex)
     psi[0] = 1.0
@@ -214,8 +198,3 @@ def evolve_and_covariance(config: FockConfig, t: float, method: str = "auto") ->
     psi = evolve_ground_state(config, t, method=method)
     return state_covariance(psi, config.n_oscillators, config.cutoff)
 
-
-def energy_expectation(config: FockConfig, psi: np.ndarray) -> float:
-    freqs, couplings = _system_couplings(config)
-    h = oscillator_hamiltonian(freqs, couplings, config.cutoff)
-    return float(np.vdot(psi, h @ psi).real)

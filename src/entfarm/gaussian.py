@@ -5,8 +5,8 @@ identity: sigma_ij = <x_i x_j + x_j x_i> with x = (q_1, p_1, q_2, p_2, ...).
 All modes use hbar = 1 quadratures, so a single-mode thermal state at
 temperature T has sigma = coth(omega / 2T) * I.
 
-Entropic quantities are reported in a process-wide logarithm base (natural
-log by default, switchable to base 2 for bit units via ``set_log_base``).
+Entropic quantities (entropy, log-negativity) are in nats; a caller that
+wants bits divides by log 2 where it writes them.
 """
 
 from __future__ import annotations
@@ -22,36 +22,6 @@ class InvalidStateError(ValueError):
 
 class DecompositionError(RuntimeError):
     """A matrix factorization did not converge or structural checks failed."""
-
-
-# ---------------------------------------------------------------------------
-# logarithm base configuration
-
-_LOG_BASE: float = math.e
-
-
-def set_log_base(base: float) -> None:
-    """Set the logarithm base used by all entropy-like quantities.
-
-    Natural log gives nats, base 2 gives bits.  The choice is global so a
-    run never mixes units between modules.
-    """
-    base = float(base)
-    if not base > 1.0:
-        raise ValueError(f"log base must exceed 1, got {base}")
-    global _LOG_BASE
-    _LOG_BASE = base
-
-
-def get_log_base() -> float:
-    return _LOG_BASE
-
-
-def _log(x):
-    """Logarithm in the configured global base."""
-    if _LOG_BASE == math.e:
-        return np.log(x)
-    return np.log(x) / math.log(_LOG_BASE)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +214,14 @@ def _entropy_term(nu: float) -> float:
     # ((nu+1)/2) log((nu+1)/2) - ((nu-1)/2) log((nu-1)/2), continuous at nu = 1
     hi = (nu + 1.0) / 2.0
     lo = (nu - 1.0) / 2.0
-    out = hi * _log(hi)
+    out = hi * np.log(hi)
     if lo > 1e-300:
-        out -= lo * _log(lo)
+        out -= lo * np.log(lo)
     return float(out)
 
 
 def von_neumann_entropy(sigma: np.ndarray, tol: float = 1e-9) -> float:
-    """Entropy of a Gaussian state in the configured log base.
+    """Entropy of a Gaussian state in nats.
 
     Eigenvalues within tol below 1 are clamped to 1; anything lower is a
     physicality violation and raises InvalidStateError.
@@ -312,10 +282,10 @@ def log_negativity(sigma: np.ndarray) -> float:
 
     max(0, -log nu-collapse) where nu is the smallest partial-transpose
     symplectic eigenvalue; zero means no distillable entanglement is
-    certified.  Uses the configured log base.
+    certified.  In nats.
     """
     nu = ppt_minimum_eigenvalue(sigma)
     # eigenvalues within rounding distance of 1 certify nothing
     if nu >= 1.0 - 1e-12:
         return 0.0
-    return float(-_log(nu))
+    return float(-np.log(nu))

@@ -117,13 +117,11 @@ class CycleRecord:
     values maps each requested observable to its value; the built-in
     diagnostics also read as attributes, None when not requested.
     field_thermality is NaN when the estimator is undefined (field at
-    vacuum energy).  field_sigma is populated only on snapshot cycles.
+    vacuum energy).
     """
 
     cycle: int
-    detector_sigma: np.ndarray
     values: dict[str, object]
-    field_sigma: np.ndarray | None = None
 
     log_negativity = _diagnostic("log_negativity")
     energy_input = _diagnostic("energy_input")
@@ -133,8 +131,6 @@ class CycleRecord:
 
 @dataclass
 class Trajectory:
-    fingerprint: str
-    initial_field: str
     records: list[CycleRecord] = field(default_factory=list)
     final_field_sigma: np.ndarray | None = None
 
@@ -184,28 +180,11 @@ def full_cycle(
     )
 
 
-def _snapshot_cycles(n_cycles: int, stride) -> set[int]:
-    if stride == "geometric":
-        out = set()
-        k = 1
-        while k <= n_cycles:
-            out.add(k)
-            k *= 2
-        out.add(n_cycles)
-        return out
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError("snapshot stride must be positive or 'geometric'")
-    return set(range(stride, n_cycles + 1, stride)) | {n_cycles}
-
-
 def run_cycles(
     config: cavity.CavityConfig,
     sigma_f0: np.ndarray | None = None,
     sigma_d0: np.ndarray | None = None,
     n_cycles: int = 1,
-    snapshot_stride="geometric",
-    initial_label: str = "",
     observables: Mapping[str, Callable[[CycleStates], object]] = DIAGNOSTICS,
 ) -> Trajectory:
     """Run the extraction protocol for n_cycles and record observables.
@@ -215,25 +194,22 @@ def run_cycles(
     cycle and nothing else is.  The default, DIAGNOSTICS, gives the
     detector log-negativity, the energy the cycle pumped into the system
     (free-Hamiltonian convention including zero-point terms), and the
-    purity / thermality of the surviving field.  Field snapshots are kept
-    at powers of two by default so ultralong runs stay in bounded memory.
+    purity / thermality of the surviving field.  Only the final field state
+    is kept; an observable such as {"field": lambda s: s.field_out} records
+    the state of every cycle.
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
-    n_field = config.n_field_modes
     if sigma_f0 is None:
-        sigma_f = gaussian.vacuum_state(n_field)
-        initial_label = initial_label or "vacuum"
+        sigma_f = gaussian.vacuum_state(config.n_field_modes)
     else:
         sigma_f = np.asarray(sigma_f0, dtype=float).copy()
-        initial_label = initial_label or "custom"
     sigma_d0 = gaussian.vacuum_state(2) if sigma_d0 is None else np.asarray(sigma_d0, float)
     blocks = blocks_for(config)
     detector_freqs = cavity.joint_frequencies(config)[:2]
     field_freqs = cavity.mode_frequencies(config)
-    snapshots = _snapshot_cycles(n_cycles, snapshot_stride)
 
-    traj = Trajectory(fingerprint=config.fingerprint(), initial_field=initial_label)
+    traj = Trajectory()
     for k in range(1, n_cycles + 1):
         sigma_d_out, _, sigma_f_next = full_cycle(sigma_f, sigma_d0, blocks)
         if not np.all(np.isfinite(sigma_f_next)):
@@ -245,14 +221,7 @@ def run_cycles(
             values = {name: observe(states) for name, observe in observables.items()}
         except InvalidStateError as exc:
             raise InvalidStateError(f"cycle {k}: {exc}") from exc
-        traj.records.append(
-            CycleRecord(
-                cycle=k,
-                detector_sigma=sigma_d_out,
-                values=values,
-                field_sigma=sigma_f_next.copy() if k in snapshots else None,
-            )
-        )
+        traj.records.append(CycleRecord(cycle=k, values=values))
         sigma_f = sigma_f_next
     traj.final_field_sigma = sigma_f
     return traj

@@ -66,13 +66,6 @@ def field_spectrum(blocks: CycleBlocks, exclude_positions=()) -> FieldSpectrum:
     return FieldSpectrum(eigenvalues=ev[order])
 
 
-def symmetric_product_eigenvalues(spectrum: FieldSpectrum) -> np.ndarray:
-    """Eigenvalues {d_i d_j : i <= j} of the induced map on covariances."""
-    ev = spectrum.eigenvalues
-    prods = np.array([ev[i] * ev[j] for i in range(len(ev)) for j in range(i, len(ev))])
-    return prods[np.argsort(-np.abs(prods))]
-
-
 def timescales(spectrum: FieldSpectrum, tol: float = 1e-12) -> tuple[float | None, float | None]:
     """(convergence_n, instability_n) in cycles, from the leading modulus.
 

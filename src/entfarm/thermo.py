@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from entfarm import gaussian
-from entfarm.gaussian import _log
 
 
 class DivergentLogDensityError(ValueError):
@@ -66,8 +65,8 @@ def log_density(sigma_b: np.ndarray, pure_tol: float = 1e-9) -> QuadraticLogDens
             f"symplectic eigenvalue {nus.min():.12g} is too close to 1; "
             "log-density coefficients diverge for pure directions"
         )
-    c = float(np.sum(0.5 * _log(4.0 / (nus**2 - 1.0))))
-    h_diag = np.repeat(0.5 * _log((nus - 1.0) / (nus + 1.0)), 2)
+    c = float(np.sum(0.5 * np.log(4.0 / (nus**2 - 1.0))))
+    h_diag = np.repeat(0.5 * np.log((nus - 1.0) / (nus + 1.0)), 2)
     omega = gaussian.symplectic_form(len(nus))
     s_inv = -omega @ s.T @ omega  # symplectic inverse
     h = s_inv.T @ np.diag(h_diag) @ s_inv
@@ -77,9 +76,9 @@ def log_density(sigma_b: np.ndarray, pure_tol: float = 1e-9) -> QuadraticLogDens
 def relative_entropy(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
     """Quantum relative entropy S(rho_A || rho_B) between Gaussian states.
 
-    Evaluates -S(A) - c_B - (1/2) sum_ij sigma^A_ij (H_B)_ij in the
-    configured log base.  Returns +inf when the reference state has a pure
-    direction.  Result is nonnegative up to ~1e-9 of rounding.
+    Evaluates -S(A) - c_B - (1/2) sum_ij sigma^A_ij (H_B)_ij in nats.
+    Returns +inf when the reference state has a pure direction.  Result is
+    nonnegative up to ~1e-9 of rounding.
     """
     sigma_a = np.asarray(sigma_a, dtype=float)
     sigma_b = np.asarray(sigma_b, dtype=float)
@@ -169,17 +168,3 @@ def thermality_estimator(sigma: np.ndarray, frequencies: np.ndarray) -> float:
         raise UndefinedEstimatorError("matched thermal state has zero entropy")
     return gaussian.von_neumann_entropy(sigma) / fit.thermal_entropy
 
-
-def entropy_difference_check(
-    sigma: np.ndarray, frequencies: np.ndarray
-) -> tuple[float, float]:
-    """Relative entropy to the equal-energy thermal state, two ways.
-
-    Returns (S(sigma || thermal), S_thermal - S_sigma).  At equal energy the
-    energy terms of the free-energy difference cancel, so the two numbers
-    agree for any valid state; disagreement flags an implementation bug.
-    """
-    fit = effective_temperature(sigma, frequencies)
-    direct = relative_entropy(sigma, fit.thermal_sigma)
-    difference = fit.thermal_entropy - gaussian.von_neumann_entropy(sigma)
-    return direct, difference

@@ -1,10 +1,9 @@
 """Shared test helpers."""
 
 import numpy as np
-import pytest
 from scipy.linalg import expm
 
-from entfarm import gaussian
+from entfarm import gaussian, thermo
 
 
 def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
@@ -28,9 +27,25 @@ def random_covariance(
     return s @ d @ s.T, nus
 
 
-@pytest.fixture(autouse=True)
-def _natural_log_base():
-    """Tests assume nats unless they opt in to another base."""
-    gaussian.set_log_base(np.e)
-    yield
-    gaussian.set_log_base(np.e)
+def total_energy(sigma: np.ndarray, f_sym: np.ndarray) -> float:
+    """Mean of the full quadratic Hamiltonian, <H> = Tr(F_sym sigma) / 4.
+
+    Conserved exactly along dynamics.evolve() with the same generator,
+    interaction term included, so it doubles as an integration sanity check.
+    """
+    return float(np.trace(np.asarray(f_sym) @ np.asarray(sigma)) / 4.0)
+
+
+def entropy_difference_check(
+    sigma: np.ndarray, frequencies: np.ndarray
+) -> tuple[float, float]:
+    """Relative entropy to the equal-energy thermal state, two ways.
+
+    Returns (S(sigma || thermal), S_thermal - S_sigma).  At equal energy the
+    energy terms of the free-energy difference cancel, so the two numbers
+    agree for any valid state; disagreement flags an implementation bug.
+    """
+    fit = thermo.effective_temperature(sigma, frequencies)
+    direct = thermo.relative_entropy(sigma, fit.thermal_sigma)
+    difference = fit.thermal_entropy - gaussian.von_neumann_entropy(sigma)
+    return direct, difference

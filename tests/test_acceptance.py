@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from entfarm import cavity, dynamics, fock, gaussian, protocol, spectral, thermo
+from conftest import entropy_difference_check, total_energy
 
 
 @pytest.fixture(scope="module")
 def vacuum_run_64():
     cfg = cavity.standard_config(64)
-    return protocol.run_cycles(cfg, n_cycles=500, snapshot_stride=10**9)
+    return protocol.run_cycles(cfg, n_cycles=500)
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +28,7 @@ def thermal_run_64():
     cfg = cavity.standard_config(64)
     freqs = cavity.mode_frequencies(cfg)
     return protocol.run_cycles(
-        cfg, sigma_f0=gaussian.thermal_state(freqs, 1.0), n_cycles=500,
-        snapshot_stride=10**9,
+        cfg, sigma_f0=gaussian.thermal_state(freqs, 1.0), n_cycles=500
     )
 
 
@@ -175,7 +175,7 @@ def test_08_short_cycle_decline(factor):
     base = cavity.standard_config(128)
     r = abs(base.x2 - base.x1)
     cfg = cavity.standard_config(128, cycle_time=factor * r)
-    traj = protocol.run_cycles(cfg, n_cycles=60, snapshot_stride=10**9)
+    traj = protocol.run_cycles(cfg, n_cycles=60)
     en = np.array([rec.log_negativity for rec in traj.records])
     assert np.all(en > 0.0)
     # downward trend, no sustained plateau
@@ -228,17 +228,17 @@ def test_10_invariant_suites():
         sigma_t = gaussian.thermal_state(freqs, temperature)
         s_rand = _random_symplectic(4, rng, scale=0.2)
         sigma_a = (s_rand @ sigma_t @ s_rand.T + (s_rand @ sigma_t @ s_rand.T).T) / 2.0
-        rel, diff = thermo.entropy_difference_check(sigma_a, freqs)
+        rel, diff = entropy_difference_check(sigma_a, freqs)
         assert rel >= -1e-12
         assert abs(rel - diff) < 1e-8
 
     # total energy conserved along evolution
     f_sym = cavity.hamiltonian_matrix(cfg)
     sigma0 = gaussian.vacuum_state(2 + cfg.n_field_modes)
-    e0 = dynamics.total_energy(sigma0, f_sym)
+    e0 = total_energy(sigma0, f_sym)
     for t in (1.0, 5.0, 20.0):
         sig_t = dynamics.evolve(sigma0, dynamics.propagator(f_sym, t))
-        assert abs(dynamics.total_energy(sig_t, f_sym) - e0) < 1e-9
+        assert abs(total_energy(sig_t, f_sym) - e0) < 1e-9
 
     # detector-detector correlations grow as t^2 at early times (the two
     # detectors only talk through the field, so the first order vanishes)
@@ -254,7 +254,7 @@ def test_10_invariant_suites():
 
 def test_11_mode_count_convergence(vacuum_run_64):
     cfg = cavity.standard_config(128)
-    run_128 = protocol.run_cycles(cfg, n_cycles=500, snapshot_stride=10**9)
+    run_128 = protocol.run_cycles(cfg, n_cycles=500)
     p64 = plateau_of(vacuum_run_64)
     p128 = plateau_of(run_128)
     assert abs(p128 - p64) / p64 < 0.01

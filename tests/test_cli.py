@@ -71,11 +71,21 @@ def test_run_cycles_warns_when_fixed_point_fails(monkeypatch, tmp_path, capsys):
 
 def test_log_base_flag_halves_nothing_but_rescales(monkeypatch, tmp_path):
     run(["run-cycles"], monkeypatch, tmp_path)
-    _, rows_e = read_csv(tmp_path / "trajectory.csv")
+    header, rows_e = read_csv(tmp_path / "trajectory.csv")
     run(["run-cycles", "--log-base", "2"], monkeypatch, tmp_path)
     _, rows_2 = read_csv(tmp_path / "trajectory.csv")
-    ratio = float(rows_2[0][1]) / float(rows_e[0][1])
-    assert ratio == pytest.approx(1.0 / math.log(2.0), rel=1e-12)
+    assert len(rows_2) == len(rows_e) == 12
+    rel = "relative_entropy_to_fixed_point"
+    for nats, bits in zip(rows_e, rows_2):
+        row_e, row_2 = dict(zip(header, nats)), dict(zip(header, bits))
+        assert row_2["cycle"] == row_e["cycle"]
+        # entropic columns are computed in nats and divided once on output
+        assert float(row_2["log_negativity"]) == float(row_e["log_negativity"]) / math.log(2.0)
+        assert row_e[rel] != ""
+        assert float(row_2[rel]) == pytest.approx(float(row_e[rel]) / math.log(2.0), rel=1e-14)
+        # energy, purity and the entropy ratio carry no unit
+        for column in ("energy_input", "field_purity", "thermality"):
+            assert float(row_2[column]) == pytest.approx(float(row_e[column]), rel=1e-14)
 
 
 def test_fixed_point_report(monkeypatch, tmp_path):
@@ -95,6 +105,26 @@ def test_fixed_point_sigma_cells_are_plain_floats(monkeypatch, tmp_path):
                monkeypatch, tmp_path) == 0
     _, rows = read_csv(tmp_path / "fixed_point_sigma.csv")
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+def test_fixed_point_warns_when_state_diagnostics_fail(monkeypatch, tmp_path, capsys):
+    # at cycle time 21 the coupled map is expanding, and its fixed point at 8
+    # modes is not positive definite: purity and thermality are undefined there
+    cfgfile = tmp_path / "t21.ini"
+    cfgfile.write_text("[cavity]\ncycle_time = 21.0\n")
+    assert run(["fixed-point", "--config", str(cfgfile), "--modes", "8"],
+               monkeypatch, tmp_path) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(
+        "warning: field_purity and thermality left blank: InvalidStateError: "
+        "covariance is not positive definite"
+    )
+    header, rows = read_csv(tmp_path / "fixed_point.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["field_purity"] == row["thermality"] == "nan"
+    assert float(row["log_negativity"]) > 0.0
 
 
 def test_fixed_point_uncoupled_exits_3(monkeypatch, tmp_path, capsys):
@@ -132,6 +162,13 @@ def test_sweep_ordering_and_determinism(monkeypatch, tmp_path):
     params = [float(r[0]) for r in rows]
     assert params == sorted(params)
     assert all(r[3] == "" for r in rows)
+
+
+def test_workers_flag_belongs_to_sweep(monkeypatch, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["run-cycles", "--workers", "2"], monkeypatch, tmp_path)
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_short_cycle_warns_below_mode_floor(monkeypatch, tmp_path, capsys):

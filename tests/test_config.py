@@ -30,7 +30,6 @@ def test_round_trip_is_identity():
         window="default",
         temperature=0.5,
         n_cycles=42,
-        snapshot_stride="7",
         log_base="2",
         directory="out",
     )
@@ -66,6 +65,7 @@ def test_unknown_key_rejected(tmp_path):
     for text, key in (
         ("[cavity]\ncoupling_strength = 0.03\n", "coupling_strength"),
         ("[run]\nenergy_convention = paper\n", "energy_convention"),
+        ("[run]\nsnapshot_stride = geometric\n", "snapshot_stride"),
     ):
         path.write_text(text)
         with pytest.raises(ConfigError, match=key):
@@ -108,7 +108,6 @@ def test_unrecognized_env_override_rejected():
         ("modes", 0),
         ("temperature", -0.1),
         ("log_base", "10"),
-        ("snapshot_stride", "sometimes"),
         ("window", "wide"),
     ],
 )
@@ -125,11 +124,6 @@ def test_cavity_config_mode_policies():
     narrow = ExperimentConfig(modes=8, window="0.1").cavity_config()
     # pi/8 is the fundamental; a 0.1-wide window keeps only mode 1
     assert narrow.mode_numbers == (1,)
-
-
-def test_stride_property():
-    assert ExperimentConfig().stride == "geometric"
-    assert ExperimentConfig(snapshot_stride="25").stride == 25
 
 
 def test_sweep_grids():

@@ -159,14 +159,6 @@ def test_entropy_rejects_unphysical_state():
         gaussian.von_neumann_entropy(0.5 * np.eye(2))
 
 
-def test_entropy_log_base_switch():
-    sigma = gaussian.thermal_state([1.0], 1.0)
-    nats = gaussian.von_neumann_entropy(sigma)
-    gaussian.set_log_base(2.0)
-    bits = gaussian.von_neumann_entropy(sigma)
-    assert bits == pytest.approx(nats / math.log(2.0), rel=1e-12)
-
-
 def test_energy_convention_validation():
     with pytest.raises(ValueError):
         gaussian.energy(np.eye(2), [1.0], "banana")
@@ -234,12 +226,6 @@ def test_log_negativity_symmetric_under_swap():
     assert gaussian.log_negativity(swapped) == pytest.approx(
         gaussian.log_negativity(sigma), rel=1e-12
     )
-
-
-def test_log_negativity_in_bits():
-    r = 0.5
-    gaussian.set_log_base(2.0)
-    assert gaussian.log_negativity(tmsv(r)) == pytest.approx(2 * r / math.log(2), rel=1e-10)
 
 
 def test_log_negativity_needs_two_modes():

@@ -62,10 +62,17 @@ def test_expanding_window_spectrum_outside_unit_circle():
     assert spec.max_modulus > 1.0 + 1e-7
 
 
+def symmetric_product_eigenvalues(spectrum: spectral.FieldSpectrum) -> np.ndarray:
+    """Eigenvalues {d_i d_j : i <= j} of the induced map on covariances."""
+    ev = spectrum.eigenvalues
+    prods = np.array([ev[i] * ev[j] for i in range(len(ev)) for j in range(i, len(ev))])
+    return prods[np.argsort(-np.abs(prods))]
+
+
 def test_symmetric_product_eigenvalues_match_induced_map():
     rng = np.random.default_rng(3)
     d = rng.standard_normal((4, 4)) * 0.4
-    products = spectral.symmetric_product_eigenvalues(
+    products = symmetric_product_eigenvalues(
         spectral.field_spectrum(synthetic_blocks(d))
     )
     a, _ = spectral._sym_map_matrix(d)
