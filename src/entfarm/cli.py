@@ -211,13 +211,21 @@ def cmd_fixed_point(args) -> int:
     sigma_d, _, _ = protocol.full_cycle(res.sigma_star, gaussian.vacuum_state(2), blocks)
     neg = _in_unit(cfg, gaussian.log_negativity(sigma_d))
     freqs = cavity.mode_frequencies(cav)
+    physical = False
     try:
+        gaussian.assert_physical(res.sigma_star)
+        physical = True
         purity = gaussian.purity(res.sigma_star)
         thermality = thermo.thermality_estimator(res.sigma_star, freqs)
     except NUMERICAL_ERRORS + (ValueError,) as exc:
         _warn_blank("field_purity and thermality", exc)
         purity = math.nan
         thermality = math.nan
+    if not physical:
+        print(
+            "warning: log_negativity was computed from a non-physical fixed point",
+            file=sys.stderr,
+        )
     _write_csv(
         _out(cfg, "fixed_point.csv"),
         ("method", "coupled_dim", "residual", "log_negativity", "field_purity", "thermality"),

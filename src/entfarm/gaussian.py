@@ -73,8 +73,17 @@ def _as_covariance(sigma: np.ndarray) -> np.ndarray:
         raise ValueError(f"covariance matrix must be square, got shape {sigma.shape}")
     if sigma.shape[0] % 2 != 0 or sigma.shape[0] == 0:
         raise ValueError(f"covariance matrix must be 2N x 2N, got {sigma.shape[0]}")
-    if not np.allclose(sigma, sigma.T, atol=1e-10 * max(1.0, np.abs(sigma).max())):
-        raise InvalidStateError("covariance matrix must be symmetric")
+    largest = np.abs(sigma).max()
+    atol = 1e-10 * max(1.0, largest)
+    # a finite matrix within atol of its transpose passes np.allclose's
+    # elementwise |s - s^T| <= atol + 1e-5 |s^T| outright; anything else
+    # gets that test in full, including its inf and nan cases
+    if not (np.isfinite(largest) and np.abs(sigma - sigma.T).max() <= atol):
+        st = sigma.T
+        with np.errstate(invalid="ignore"):
+            close = (np.abs(sigma - st) <= atol + 1e-5 * np.abs(st)) & np.isfinite(st)
+        if not np.all(close | (sigma == st)):
+            raise InvalidStateError("covariance matrix must be symmetric")
     return sigma
 
 
@@ -99,43 +108,71 @@ def reduce_modes(sigma: np.ndarray, modes) -> np.ndarray:
 # spectral structure
 
 
-def symplectic_eigenvalues(sigma: np.ndarray, pair_tol: float = 1e-8) -> np.ndarray:
-    """Symplectic eigenvalues of a covariance matrix, sorted descending.
+def _cholesky(sigma: np.ndarray) -> np.ndarray:
+    """Lower factor T of sigma = T T^T; DecompositionError if not positive definite."""
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"covariance matrix is not positive definite: {exc}") from None
 
-    Computed as the moduli of the eigenvalues of i Omega sigma, which come
-    in +/- pairs; each pair is averaged.  Physical states have all values
-    >= 1, but no physicality check is applied here so that slightly
-    unphysical matrices produced by long evolutions can still be examined.
-    """
-    sigma = _as_covariance(sigma)
-    n = mode_count(sigma)
-    w = np.linalg.eigvals(symplectic_form(n) @ sigma)
-    moduli = np.sort(np.abs(w))[::-1]
+
+def _factor_form(t: np.ndarray) -> np.ndarray:
+    """K = T^T Omega T, exactly antisymmetric; its eigenvalues are +/- i nu."""
+    omega_t = np.empty_like(t)
+    omega_t[0::2] = t[1::2]
+    omega_t[1::2] = -t[0::2]
+    k = t.T @ omega_t
+    return (k - k.T) / 2.0
+
+
+def _symplectic_spectrum(t: np.ndarray, pair_tol: float) -> np.ndarray:
+    k = _factor_form(t)
+    # K^T K = -K^2 is real symmetric with eigenvalues nu^2, each one twice
+    gram = k.T @ k
+    del k
+    squares = np.linalg.eigvalsh(gram)[::-1]
+    del gram
+    moduli = np.sqrt(np.maximum(squares, 0.0))
     first, second = moduli[0::2], moduli[1::2]
     scale = max(1.0, moduli[0])
     if np.max(np.abs(first - second)) > pair_tol * scale:
         raise DecompositionError(
-            "eigenvalue moduli of Omega @ sigma did not pair up; "
+            "eigenvalues of K^T K did not pair up; "
             "matrix is too far from a valid covariance matrix"
         )
     return (first + second) / 2.0
+
+
+def symplectic_eigenvalues(sigma: np.ndarray, pair_tol: float = 1e-8) -> np.ndarray:
+    """Symplectic eigenvalues of a covariance matrix, sorted descending.
+
+    Cholesky route: with sigma = T T^T the antisymmetric K = T^T Omega T
+    has eigenvalues +/- i nu, so the real symmetric K^T K has each nu^2
+    twice; each pair is averaged.  A matrix that is not positive definite
+    has no Cholesky factor and raises DecompositionError.  No uncertainty
+    bound is checked here, so that slightly unphysical matrices produced
+    by long evolutions (some nu a little below 1) can still be examined.
+    """
+    return _symplectic_spectrum(_cholesky(_as_covariance(sigma)), pair_tol)
 
 
 def assert_physical(sigma: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Check sigma >= 1 in the symplectic sense; returns the eigenvalues.
 
     Raises InvalidStateError if sigma is not positive definite or any
-    symplectic eigenvalue falls below 1 - tol.  The definiteness check is
-    not redundant: an indefinite matrix can still have all moduli of
-    eig(i Omega sigma) above 1.
+    symplectic eigenvalue falls below 1 - tol.  Definiteness is tested by
+    the Cholesky factorization the eigenvalues are computed from; only
+    when it fails is the least eigenvalue computed, for the message.
     """
     sigma = _as_covariance(sigma)
-    low = float(np.min(np.linalg.eigvalsh(sigma)))
-    if low <= 0.0:
+    try:
+        t = _cholesky(sigma)
+    except DecompositionError:
+        low = float(np.min(np.linalg.eigvalsh(sigma)))
         raise InvalidStateError(
             f"covariance is not positive definite (eigenvalue {low:.6g})"
-        )
-    nus = symplectic_eigenvalues(sigma)
+        ) from None
+    nus = _symplectic_spectrum(t, pair_tol=1e-8)
     if np.any(nus < 1.0 - tol):
         raise InvalidStateError(
             f"symplectic eigenvalue {nus.min():.12g} violates the uncertainty bound"
@@ -155,13 +192,8 @@ def williamson_normal_form(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     sigma = _as_covariance(sigma)
     n = mode_count(sigma)
-    try:
-        t = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"covariance matrix is not positive definite: {exc}")
-    k = t.T @ symplectic_form(n) @ t
-    k = (k - k.T) / 2.0  # enforce exact antisymmetry against rounding
-    r, q = schur(k, output="real")
+    t = _cholesky(sigma)
+    r, q = schur(_factor_form(t), output="real")
 
     nus = np.empty(n)
     q = q.copy()
@@ -210,14 +242,19 @@ def purity(sigma: np.ndarray) -> float:
     return float(np.exp(-0.5 * logdet))
 
 
-def _entropy_term(nu: float) -> float:
-    # ((nu+1)/2) log((nu+1)/2) - ((nu-1)/2) log((nu-1)/2), continuous at nu = 1
-    hi = (nu + 1.0) / 2.0
-    lo = (nu - 1.0) / 2.0
-    out = hi * np.log(hi)
-    if lo > 1e-300:
-        out -= lo * np.log(lo)
-    return float(out)
+def entropy_of_spectrum(nus) -> float:
+    """Entropy in nats of a Gaussian state with symplectic eigenvalues nus.
+
+    Sums g(nu) = ((nu+1)/2) log((nu+1)/2) - ((nu-1)/2) log((nu-1)/2) over
+    the modes; g is continuous at nu = 1, where it vanishes.
+    """
+    nus = np.asarray(nus, dtype=float)
+    hi = (nus + 1.0) / 2.0
+    lo = (nus - 1.0) / 2.0
+    mixed = lo > 1e-300
+    lo_log_lo = np.zeros_like(lo)
+    lo_log_lo[mixed] = lo[mixed] * np.log(lo[mixed])
+    return float(np.sum(hi * np.log(hi) - lo_log_lo))
 
 
 def von_neumann_entropy(sigma: np.ndarray, tol: float = 1e-9) -> float:
@@ -226,8 +263,7 @@ def von_neumann_entropy(sigma: np.ndarray, tol: float = 1e-9) -> float:
     Eigenvalues within tol below 1 are clamped to 1; anything lower is a
     physicality violation and raises InvalidStateError.
     """
-    nus = assert_physical(sigma, tol=tol)
-    return float(sum(_entropy_term(nu) for nu in nus))
+    return entropy_of_spectrum(assert_physical(sigma, tol=tol))
 
 
 def energy(

@@ -97,9 +97,12 @@ def _excitation_energy(sigma: np.ndarray, frequencies: np.ndarray) -> float:
     return gaussian.energy(sigma, frequencies, "normal_ordered")
 
 
-def _thermal_excitation_energy(frequencies: np.ndarray, beta: float) -> float:
+def _thermal_excitation_energy(frequencies: np.ndarray, beta: float) -> tuple[float, float]:
+    # excitation energy E(beta) of the thermal state and its slope dE/dbeta
     nus = 1.0 / np.tanh(frequencies * beta / 2.0)
-    return float(np.sum(frequencies * (nus - 1.0) / 2.0))
+    energy_above = float(np.sum(frequencies * (nus - 1.0) / 2.0))
+    slope = -float(np.sum(frequencies**2 * (nus**2 - 1.0))) / 4.0
+    return energy_above, slope
 
 
 def effective_temperature(
@@ -108,10 +111,13 @@ def effective_temperature(
     """Thermal state of the same free Hamiltonian with the same energy.
 
     That state is the closest thermal state in relative entropy, since the
-    entropy gradient vanishes exactly at equal mean energy, and energy is
-    monotone in temperature so plain bisection on beta suffices.  States at
-    or below vacuum energy have no positive-temperature match; the beta ->
-    infinity limit is reported through NoThermalMatchError.
+    entropy gradient vanishes exactly at equal mean energy.  Energy is
+    monotone in temperature, so a bracket on beta always exists; inside it
+    Newton steps on log E(beta), which is convex and decreasing, converge
+    in a handful of iterations, and any step that leaves the bracket is
+    replaced by a bisection.  States at or below vacuum energy have no
+    positive-temperature match; the beta -> infinity limit is reported
+    through NoThermalMatchError.
     """
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
     target = _excitation_energy(sigma, frequencies)
@@ -125,29 +131,37 @@ def effective_temperature(
 
     # bracket the root of E(beta) - target, which is decreasing in beta
     beta_lo = beta_hi = 1.0 / float(np.min(frequencies))
-    while _thermal_excitation_energy(frequencies, beta_lo) < target:
+    while _thermal_excitation_energy(frequencies, beta_lo)[0] < target:
         beta_lo /= 2.0
         if beta_lo < 1e-300:
             raise NoThermalMatchError("target energy too large to bracket")
-    while _thermal_excitation_energy(frequencies, beta_hi) > target:
+    while _thermal_excitation_energy(frequencies, beta_hi)[0] > target:
         beta_hi *= 2.0
         if beta_hi > 1e300:
             raise NoThermalMatchError("target energy too small to bracket")
 
+    # from the low end Newton on the convex log E never overshoots the root
+    beta = beta_lo
     for _ in range(200):
-        beta_mid = math.sqrt(beta_lo * beta_hi)
-        err = _thermal_excitation_energy(frequencies, beta_mid) - target
-        if err > 0:
-            beta_lo = beta_mid
+        energy_above, slope = _thermal_excitation_energy(frequencies, beta)
+        if energy_above > target:
+            beta_lo = beta
         else:
-            beta_hi = beta_mid
-        if beta_hi - beta_lo <= rel_tol * beta_lo:
+            beta_hi = beta
+        step = math.nan
+        if energy_above > 0.0 and slope < 0.0:
+            step = math.log(energy_above / target) * energy_above / slope
+        new = beta - step
+        if not beta_lo <= new <= beta_hi:
+            new = math.sqrt(beta_lo * beta_hi)
+        converged = abs(new - beta) <= rel_tol * new or beta_hi - beta_lo <= rel_tol * beta_lo
+        beta = new
+        if converged:
             break
-    beta = math.sqrt(beta_lo * beta_hi)
     thermal_sigma = gaussian.thermal_state(frequencies, 1.0 / beta)
     return ThermalFit(
         beta=beta,
-        thermal_entropy=gaussian.von_neumann_entropy(thermal_sigma),
+        thermal_entropy=gaussian.entropy_of_spectrum(np.diag(thermal_sigma)[0::2]),
         thermal_sigma=thermal_sigma,
     )
 

@@ -49,3 +49,19 @@ def entropy_difference_check(
     direct = thermo.relative_entropy(sigma, fit.thermal_sigma)
     difference = fit.thermal_entropy - gaussian.von_neumann_entropy(sigma)
     return direct, difference
+
+
+def eigvals_symplectic_eigenvalues(sigma: np.ndarray, pair_tol: float = 1e-8) -> np.ndarray:
+    """Symplectic eigenvalues by the nonsymmetric eigensolve, sorted descending.
+
+    The moduli of the eigenvalues of Omega sigma come in +/- pairs; each
+    pair is averaged.  An independent oracle for the Cholesky route of
+    gaussian.symplectic_eigenvalues; it needs no positive definiteness.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    w = np.linalg.eigvals(gaussian.symplectic_form(sigma.shape[0] // 2) @ sigma)
+    moduli = np.sort(np.abs(w))[::-1]
+    first, second = moduli[0::2], moduli[1::2]
+    if np.max(np.abs(first - second)) > pair_tol * max(1.0, moduli[0]):
+        raise gaussian.DecompositionError("eigenvalue moduli of Omega @ sigma did not pair up")
+    return (first + second) / 2.0

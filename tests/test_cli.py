@@ -116,15 +116,35 @@ def test_fixed_point_warns_when_state_diagnostics_fail(monkeypatch, tmp_path, ca
                monkeypatch, tmp_path) == 0
     warnings = [line for line in capsys.readouterr().err.splitlines()
                 if line.startswith("warning:")]
-    assert len(warnings) == 1
+    assert len(warnings) == 2
     assert warnings[0].startswith(
         "warning: field_purity and thermality left blank: InvalidStateError: "
         "covariance is not positive definite"
     )
+    assert warnings[1] == "warning: log_negativity was computed from a non-physical fixed point"
     header, rows = read_csv(tmp_path / "fixed_point.csv")
     row = dict(zip(header, rows[0]))
     assert row["field_purity"] == row["thermality"] == "nan"
     assert float(row["log_negativity"]) > 0.0
+
+
+def test_fixed_point_checks_physicality_before_thermality(monkeypatch, tmp_path, capsys):
+    # at 4 modes the non-positive-definite fixed point has negative excitation
+    # energy, which thermality alone would misreport as the vacuum floor
+    cfgfile = tmp_path / "t21.ini"
+    cfgfile.write_text("[cavity]\ncycle_time = 21.0\n")
+    assert run(["fixed-point", "--config", str(cfgfile)], monkeypatch, tmp_path, modes=4) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 2
+    assert warnings[0].startswith(
+        "warning: field_purity and thermality left blank: InvalidStateError: "
+        "covariance is not positive definite (eigenvalue "
+    )
+    assert warnings[1] == "warning: log_negativity was computed from a non-physical fixed point"
+    header, rows = read_csv(tmp_path / "fixed_point.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["field_purity"] == row["thermality"] == "nan"
 
 
 def test_fixed_point_uncoupled_exits_3(monkeypatch, tmp_path, capsys):

@@ -7,11 +7,13 @@ spectrum.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from entfarm import gaussian
+from entfarm import cavity, gaussian, protocol
 from conftest import random_covariance, random_symplectic
 
 RNG = np.random.default_rng(20240807)
@@ -91,6 +93,18 @@ def test_symplectic_eigenvalues_of_squeezed_thermal():
     assert np.allclose(gaussian.symplectic_eigenvalues(sigma), [nu])
 
 
+def test_symplectic_eigenvalues_reject_non_positive_matrix():
+    # the Cholesky route has no factor to work from
+    with pytest.raises(gaussian.DecompositionError):
+        gaussian.symplectic_eigenvalues(np.diag([2.0, -0.5]))
+
+
+def test_assert_physical_names_the_least_eigenvalue():
+    with pytest.raises(gaussian.InvalidStateError,
+                       match=r"^covariance is not positive definite \(eigenvalue -2\)$"):
+        gaussian.assert_physical(np.diag([3.0, -2.0, 1.0, 1.0]))
+
+
 def test_williamson_round_trip():
     for n in (1, 2, 4):
         sigma, nus = random_covariance(n, RNG)
@@ -157,6 +171,37 @@ def test_purity_is_inverse_product_of_eigenvalues():
 def test_entropy_rejects_unphysical_state():
     with pytest.raises(gaussian.InvalidStateError):
         gaussian.von_neumann_entropy(0.5 * np.eye(2))
+
+
+def mpmath_entropy(sigma: np.ndarray, digits: int = 40) -> float:
+    """Entropy in nats by Cholesky and symmetric eigensolve at `digits` digits.
+
+    The float matrix is taken as exact.  Like von_neumann_entropy, a
+    symplectic eigenvalue at or below 1 contributes nothing.
+    """
+    n = sigma.shape[0] // 2
+    with mpmath.workdps(digits):
+        t = mpmath.cholesky(mpmath.matrix(sigma.tolist()))
+        k = t.T * mpmath.matrix(gaussian.symplectic_form(n).tolist()) * t
+        squares = sorted(mpmath.eigsy(k.T * k, eigvals_only=True), reverse=True)
+        total = mpmath.mpf(0)
+        for i in range(n):
+            nu = (mpmath.sqrt(squares[2 * i]) + mpmath.sqrt(squares[2 * i + 1])) / 2
+            if nu > 1:
+                hi, lo = (nu + 1) / 2, (nu - 1) / 2
+                total += hi * mpmath.log(hi) - lo * mpmath.log(lo)
+        return float(total)
+
+
+def test_entropy_matches_high_precision_oracle():
+    # early cycles leave most field modes within 1e-12 of the vacuum, where
+    # the entropy is most sensitive to rounding in the eigenvalues
+    states = {"field": lambda s: s.field_out}
+    traj = protocol.run_cycles(cavity.standard_config(8), n_cycles=20, observables=states)
+    for cycle in (1, 5, 20):
+        sigma = traj.records[cycle - 1].values["field"]
+        want = mpmath_entropy(sigma)
+        assert gaussian.von_neumann_entropy(sigma) == pytest.approx(want, rel=1e-11, abs=0)
 
 
 def test_energy_convention_validation():
@@ -248,3 +293,34 @@ def test_symmetry_is_enforced():
     bad[0, 1] = 0.3
     with pytest.raises(gaussian.InvalidStateError):
         gaussian.symplectic_eigenvalues(bad)
+
+
+def test_symmetry_check_matches_allclose():
+    # the check accepts exactly what np.allclose(s, s.T, atol) accepts, with
+    # atol = 1e-10 max(1, max |s|): asymmetries on both sides of the atol
+    # and 1e-5 |s^T| terms, and the inf and nan cases
+    rng = np.random.default_rng(8)
+    cases = []
+    for size in (1e-14, 1e-11, 1e-10, 2e-10, 1e-7, 5e-6, 1e-5, 2e-5, 1e-3):
+        for scale in (0.1, 1.0, 300.0):
+            m = scale * rng.normal(size=(4, 4))
+            m = m + m.T
+            m[1, 2] += size * scale * rng.choice((-1.0, 1.0))
+            cases.append(m)
+    for bad in ((np.inf, np.inf), (np.inf, 1.0), (-np.inf, np.inf), (np.nan, np.nan), (np.nan, 0.0)):
+        m = np.eye(4)
+        m[0, 3], m[3, 0] = bad
+        cases.append(m)
+    verdicts = []
+    for m in cases:
+        with np.errstate(invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # atol = inf
+            want = np.allclose(m, m.T, atol=1e-10 * max(1.0, np.abs(m).max()))
+        try:
+            gaussian.reduce_modes(m, [0])
+            got = True
+        except gaussian.InvalidStateError:
+            got = False
+        assert got == want, m
+        verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)

@@ -1,7 +1,7 @@
 """Property-based invariant tests on random small Gaussian states.
 
 Covariances come from conftest.random_covariance, seeded by Hypothesis, so
-each example is a physical state of 1 to 3 modes with a known symplectic
+each example is a physical state of 1 to 4 modes with a known symplectic
 spectrum.  Examples are derandomized: every run checks the same states.
 """
 
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entfarm import cavity, gaussian, protocol, thermo
-from conftest import random_covariance
+from conftest import eigvals_symplectic_eigenvalues, random_covariance
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -54,3 +54,24 @@ def test_full_cycle_keeps_states_physical(n, seed, excitation, coupling, cycle_t
     )
     gaussian.assert_physical(field_out)
     gaussian.assert_physical(detector_out)
+
+
+@PROPERTY
+@given(n=st.integers(min_value=1, max_value=4), seed=seeds, excitation=excitations)
+def test_symplectic_eigenvalues_match_eigvals_oracle(n, seed, excitation):
+    sigma, nus = random_covariance(n, np.random.default_rng(seed), excitation)
+    got = gaussian.symplectic_eigenvalues(sigma)
+    np.testing.assert_allclose(got, eigvals_symplectic_eigenvalues(sigma), rtol=1e-10, atol=0)
+    np.testing.assert_allclose(got, nus, rtol=1e-10, atol=0)
+
+
+@PROPERTY
+@given(n=st.integers(min_value=1, max_value=4), seed=seeds, excitation=excitations)
+def test_williamson_reconstructs_the_state(n, seed, excitation):
+    sigma, _ = random_covariance(n, np.random.default_rng(seed), excitation)
+    s, d = gaussian.williamson_normal_form(sigma)
+    np.testing.assert_allclose(s @ d @ s.T, sigma, rtol=0, atol=1e-10 * np.abs(sigma).max())
+    assert gaussian.check_symplectic(s) < 1e-9
+    np.testing.assert_allclose(
+        np.diag(d), np.repeat(gaussian.symplectic_eigenvalues(sigma), 2), rtol=1e-12, atol=0
+    )

@@ -198,6 +198,19 @@ def test_run_cycles_computes_only_requested_diagnostics(monkeypatch):
         assert list(r.values) == ["log_negativity"]
 
 
+def test_run_cycles_diagnostics_need_no_nonsymmetric_eigensolve(monkeypatch):
+    # per-cycle entropies and thermality go through Cholesky and a symmetric
+    # eigensolve; np.linalg.eigvals is several times slower at 128 modes
+    def nonsymmetric(*args, **kwargs):
+        raise AssertionError("a per-cycle diagnostic called np.linalg.eigvals")
+
+    monkeypatch.setattr(np.linalg, "eigvals", nonsymmetric)
+    traj = protocol.run_cycles(cavity.standard_config(4), n_cycles=3)
+    for r in traj.records:
+        assert list(r.values) == list(protocol.DIAGNOSTICS)
+        assert 0.0 < r.field_thermality < 1.0
+
+
 def test_run_cycles_records_diagnostics():
     cfg = small_config()
     traj = protocol.run_cycles(cfg, n_cycles=12)

@@ -2,7 +2,7 @@
 
 Cross-checks: the free-energy route to relative entropy (beta * (F_A - F_B)
 from mean energy and entropy alone) against the quadratic-log-density
-formula, and a scipy root solve against the package's own bisection.
+formula, and a scipy root solve against the package's own Newton solver.
 """
 
 import math
@@ -122,7 +122,7 @@ def test_effective_temperature_of_vacuum_has_no_match():
 
 def test_effective_temperature_of_squeezed_mode():
     # solve for T reproducing the squeezed state's energy with scipy, then
-    # compare against the package bisection
+    # compare against the package solver
     omega = 1.0
     sigma = np.diag([math.exp(2.0), math.exp(-2.0)])
     target_nu = math.cosh(2.0)  # (tr sigma) / 2
@@ -134,6 +134,29 @@ def test_effective_temperature_of_squeezed_mode():
     want = gaussian.energy(sigma, [omega], "paper")
     got = gaussian.energy(fit.thermal_sigma, [omega], "paper")
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_effective_temperature_matches_brentq_on_many_modes(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    freqs = rng.uniform(0.3, 12.0, n)
+    sigma, _ = random_covariance(n, rng, float(10 ** rng.uniform(-6.0, 0.5)))
+    target = gaussian.energy(sigma, freqs, "normal_ordered")
+
+    def excess(beta):
+        return float(np.sum(freqs * (1.0 / np.tanh(freqs * beta / 2.0) - 1.0) / 2.0)) - target
+
+    beta_oracle = brentq(excess, 1e-6, 1e6, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=1000)
+    calls = []
+    solve = thermo._thermal_excitation_energy
+    monkeypatch.setattr(
+        thermo, "_thermal_excitation_energy", lambda f, beta: calls.append(beta) or solve(f, beta)
+    )
+    fit = thermo.effective_temperature(sigma, freqs)
+    assert fit.beta == pytest.approx(beta_oracle, rel=1e-12, abs=0)
+    # the bisection this replaced evaluated E(beta) 43 to 52 times on these states
+    assert len(calls) <= 20
 
 
 # ---------------------------------------------------------------------------
