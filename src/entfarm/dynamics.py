@@ -43,8 +43,7 @@ def propagator(f_sym: np.ndarray, t: float, fingerprint: str = "") -> Propagator
         raise ValueError("F_sym must be symmetric")
     if t < 0:
         raise ValueError("evolution time must be non-negative")
-    n = f_sym.shape[0] // 2
-    s = expm(gaussian.symplectic_form(n) @ f_sym * t)
+    s = expm(gaussian.apply_symplectic_form(f_sym) * t)
     drift = gaussian.check_symplectic(s)
     if drift > 1e-9:
         raise PropagatorAccuracyError(

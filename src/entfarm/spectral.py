@@ -221,13 +221,30 @@ def fixed_point(
 # k-fold composition in O(log k)
 
 
+def _square(power: AffineMap, norm_cap: float, k: int, k_done: int) -> AffineMap:
+    """power composed with itself, checked against norm_cap.
+
+    k is the composition being assembled and k_done the largest one already
+    completed besides power; both only word the GrowthOverflowError.
+    """
+    square = power.then(power)
+    if np.max(np.abs(square.q)) > norm_cap:
+        raise GrowthOverflowError(
+            f"composed map norm exceeded {norm_cap:g} at 2^{int(math.log2(square.k))} "
+            f"cycles while assembling k={k}",
+            k_reached=max(k_done, power.k),
+        )
+    return square
+
+
 def power_map(blocks: CycleBlocks, k: int, norm_cap: float = 1e12) -> AffineMap:
     """Compose the cycle map with itself k times by binary doubling.
 
     Cost O(log k) matrix products, exact up to rounding.  In the unstable
     regime the inhomogeneous part grows without bound; when its max norm
     passes norm_cap the computation aborts with GrowthOverflowError whose
-    k_reached attribute reports the largest completed composition.
+    k_reached attribute reports the largest completed composition.  For
+    k = 2^j the result is the j-th squaring of the one-cycle map.
     """
     if k < 1:
         raise ValueError("cycle count must be >= 1")
@@ -245,13 +262,7 @@ def power_map(blocks: CycleBlocks, k: int, norm_cap: float = 1e12) -> AffineMap:
         kk >>= 1
         if not kk:
             break
-        power = power.then(power)
-        if np.max(np.abs(power.q)) > norm_cap:
-            raise GrowthOverflowError(
-                f"composed map norm exceeded {norm_cap:g} at 2^{int(math.log2(power.k))} "
-                f"cycles while assembling k={k}",
-                k_reached=max(0 if acc is None else acc.k, power.k // 2),
-            )
+        power = _square(power, norm_cap, k, 0 if acc is None else acc.k)
     return acc
 
 
@@ -283,12 +294,15 @@ def extinction_scan(
     sigma_f0: np.ndarray | None = None,
     norm_cap: float = 1e12,
 ) -> ExtinctionScan:
-    """Sample extraction quality on a geometric cycle grid via power_map.
+    """Sample extraction quality on a geometric cycle grid of composed maps.
 
     Default grid: powers of two up to 2^30, matching how ultralong runs are
-    usually plotted.  If the unstable growth overflows the norm cap while
-    extraction is still live, the scan refines between the last good point
-    and the cap before giving up.
+    usually plotted.  Powers of two walk one doubling chain, each squaring
+    the last, so a grid reaching 2^j costs j squarings and keeps only the
+    latest doubling; any other k goes through power_map.  If the
+    unstable growth overflows the norm cap while extraction is still live,
+    the scan refines between the last good point and the cap before giving
+    up.
     """
     blocks = protocol.blocks_for(config)
     spectrum = field_spectrum(blocks)
@@ -311,12 +325,21 @@ def extinction_scan(
     ks: list[int] = []
     negs: list[float] = []
     complete = True
+    doubling = None  # field_map^(2^j) at the largest power of two sampled so far
     for k in k_grid:
+        is_doubling = k & (k - 1) == 0
         try:
-            power = power_map(blocks, k, norm_cap=norm_cap)
+            if is_doubling and doubling is not None:
+                power = doubling
+                while power.k < k:
+                    power = _square(power, norm_cap, k, 0)
+            else:
+                power = power_map(blocks, k, norm_cap=norm_cap)
         except GrowthOverflowError:
             complete = False
             break
+        if is_doubling:
+            doubling = power
         ks.append(k)
         negs.append(negativity_after(power))
 

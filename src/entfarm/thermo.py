@@ -98,10 +98,14 @@ def _excitation_energy(sigma: np.ndarray, frequencies: np.ndarray) -> float:
 
 
 def _thermal_excitation_energy(frequencies: np.ndarray, beta: float) -> tuple[float, float]:
-    # excitation energy E(beta) of the thermal state and its slope dE/dbeta
-    nus = 1.0 / np.tanh(frequencies * beta / 2.0)
-    energy_above = float(np.sum(frequencies * (nus - 1.0) / 2.0))
-    slope = -float(np.sum(frequencies**2 * (nus**2 - 1.0))) / 4.0
+    # excitation energy E(beta) = sum w nbar of the thermal state and its
+    # slope dE/dbeta = -sum w^2 nbar (nbar + 1), from the occupations
+    # nbar = 1 / expm1(w beta), which keep full precision where
+    # coth(w beta / 2) - 1 cancels; past expm1's overflow nbar is 1/inf = 0
+    with np.errstate(over="ignore"):
+        nbar = 1.0 / np.expm1(frequencies * beta)
+    energy_above = float(np.sum(frequencies * nbar))
+    slope = -float(np.sum(frequencies**2 * nbar * (nbar + 1.0)))
     return energy_above, slope
 
 

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from entfarm import cavity, dynamics, gaussian
 from conftest import random_covariance, total_energy
@@ -39,6 +40,15 @@ def test_propagator_is_symplectic_and_unimodular():
     prop = dynamics.propagator_for(cfg)
     assert gaussian.check_symplectic(prop.s) < 1e-9
     assert np.linalg.det(prop.s) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("modes", [4, 64])
+def test_propagator_matches_dense_generator(modes):
+    # Omega F_sym by row swaps hands expm the same matrix as the dense product
+    cfg = cavity.standard_config(modes)
+    f = cavity.hamiltonian_matrix(cfg)
+    want = expm(gaussian.symplectic_form(modes + 2) @ f * cfg.cycle_time)
+    assert np.array_equal(dynamics.propagator(f, cfg.cycle_time).s, want)
 
 
 def test_propagator_composes():

@@ -129,18 +129,31 @@ def test_leakage_gate_trips_on_tiny_cutoff():
         fock.evolve_and_covariance(cfg, 20.0)
 
 
+def dense_evolution(config: fock.FockConfig, t: float) -> np.ndarray:
+    """exp(-iHt) on the ground state through a full eigendecomposition of H."""
+    energies, vectors = eigh(build_hamiltonian(config))
+    psi0 = fock._ground_state(config.dimension)
+    return vectors @ (np.exp(-1j * energies * t) * (vectors.conj().T @ psi0))
+
+
 def test_dense_and_krylov_paths_agree():
-    # cutoff 14 puts the dimension past the dense switch
+    # cutoff 14 (dimension 2744) is well past where the dense route is cheap
     cfg = fock.FockConfig(one_mode_config(), 14)
-    sd = fock.evolve_and_covariance(cfg, 20.0, method="dense")
-    sk = fock.evolve_and_covariance(cfg, 20.0, method="krylov")
+    sd = fock.state_covariance(dense_evolution(cfg, 20.0), cfg.n_oscillators, cfg.cutoff)
+    sk = fock.evolve_and_covariance(cfg, 20.0)
     np.testing.assert_allclose(sd, sk, atol=1e-10)
 
 
-def test_unknown_method_rejected():
-    cfg = fock.FockConfig(one_mode_config(), 4)
-    with pytest.raises(ValueError):
-        fock.evolve_ground_state(cfg, 1.0, method="chebyshev")
+def test_krylov_state_matches_dense_oracle_in_verify_sizes():
+    # the two truncations `verify` runs: 1 field mode at cutoff 8, 2 at cutoff 6
+    for cfg in (
+        fock.FockConfig(one_mode_config(), 8),
+        fock.FockConfig(cavity.standard_config(2), 6),
+    ):
+        t = cfg.cavity_config.cycle_time
+        np.testing.assert_allclose(
+            fock.evolve_ground_state(cfg, t), dense_evolution(cfg, t), rtol=0, atol=1e-10
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,18 @@ def test_check_symplectic_flags_non_symplectic():
     assert gaussian.check_symplectic(2.0 * np.eye(4)) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("n", [1, 3, 17, 64])
+def test_symplectic_form_by_row_swaps_is_the_dense_product(n):
+    # each entry of Omega x is one entry of x or its negative, so the swaps
+    # reproduce the dense products bit for bit, drift value included
+    rng = np.random.default_rng(n)
+    omega = gaussian.symplectic_form(n)
+    x = rng.standard_normal((2 * n, 3 * n))
+    assert np.array_equal(gaussian.apply_symplectic_form(x), omega @ x)
+    s = rng.standard_normal((2 * n, 2 * n))
+    assert gaussian.check_symplectic(s) == float(np.max(np.abs(s @ omega @ s.T - omega)))
+
+
 # ---------------------------------------------------------------------------
 # entropy, purity, energy
 

@@ -1,4 +1,4 @@
-"""Property-based invariant tests on random small Gaussian states.
+"""Property-based invariant tests on random small Gaussian states and cavities.
 
 Covariances come from conftest.random_covariance, seeded by Hypothesis, so
 each example is a physical state of 1 to 4 modes with a known symplectic
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entfarm import cavity, gaussian, protocol, thermo
+from entfarm import cavity, dynamics, gaussian, protocol, thermo
 from conftest import eigvals_symplectic_eigenvalues, random_covariance
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -54,6 +54,18 @@ def test_full_cycle_keeps_states_physical(n, seed, excitation, coupling, cycle_t
     )
     gaussian.assert_physical(field_out)
     gaussian.assert_physical(detector_out)
+
+
+@PROPERTY
+@given(
+    n=modes,
+    coupling=st.floats(min_value=0.0, max_value=0.2),
+    cycle_time=st.floats(min_value=0.5, max_value=30.0),
+)
+def test_propagator_is_symplectic(n, coupling, cycle_time):
+    cav = cavity.standard_config(n, coupling=coupling, cycle_time=cycle_time)
+    prop = dynamics.propagator(cavity.hamiltonian_matrix(cav), cav.cycle_time)
+    assert gaussian.check_symplectic(prop.s) <= 1e-9
 
 
 @PROPERTY

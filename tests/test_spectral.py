@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entfarm import cavity, gaussian, protocol, spectral
-from entfarm.protocol import CycleBlocks
+from entfarm.protocol import AffineMap, CycleBlocks
 
 
 def window_config(cycle_time=20.0, **overrides):
@@ -254,6 +254,19 @@ def test_power_map_overflow_reports_progress():
     assert 1 <= exc.value.k_reached < 2**20
 
 
+@pytest.mark.parametrize(
+    "k,k_reached,where",
+    [(2**20, 32, "at 2^6 cycles "), (2**20 + 33, 33, "at 2^6 cycles "), (40, 32, "")],
+)
+def test_power_map_overflow_names_largest_completed_composition(k, k_reached, where):
+    # q grows like 1.5^(2k): 2^5 squared passes the 1e12 cap, 33 cycles do not
+    blocks = synthetic_blocks(np.eye(4) * 1.5, np.eye(4))
+    with pytest.raises(spectral.GrowthOverflowError) as exc:
+        spectral.power_map(blocks, k)
+    assert exc.value.k_reached == k_reached
+    assert str(exc.value) == f"composed map norm exceeded 1e+12 {where}while assembling k={k}"
+
+
 def test_power_map_rejects_nonpositive_k():
     cfg = window_config()
     with pytest.raises(ValueError):
@@ -323,3 +336,65 @@ def test_extinction_scan_plateau_matches_fixed_point_cycle():
     plateau = gaussian.log_negativity(sigma_d)
     scan = spectral.extinction_scan(cfg)
     assert scan.negativities[-1] == pytest.approx(plateau, rel=1e-9)
+
+
+def per_k_scan(cfg, k_grid, norm_cap):
+    """(ks, negativities) of the scan with every k composed afresh by power_map."""
+    blocks = protocol.blocks_for(cfg)
+    vacuum, sigma_d0 = gaussian.vacuum_state(cfg.n_field_modes), gaussian.vacuum_state(2)
+    ks, negs = [], []
+
+    def sample(k):
+        power = spectral.power_map(blocks, k, norm_cap=norm_cap)
+        sigma_d, _, _ = protocol.full_cycle(power.apply(vacuum), sigma_d0, blocks)
+        ks.append(k)
+        negs.append(gaussian.log_negativity(sigma_d))
+
+    try:
+        for k in k_grid:
+            sample(k)
+    except spectral.GrowthOverflowError:
+        k = ks[-1]
+        try:
+            for _ in range(6):
+                k = int(k * 1.3) + 1
+                sample(k)
+        except spectral.GrowthOverflowError:
+            pass
+    return ks, negs
+
+
+@pytest.mark.parametrize("modes", [8, 16])
+def test_extinction_scan_walks_one_doubling_chain(modes, monkeypatch):
+    cfg = cavity.standard_config(modes)
+    calls = []
+    then = AffineMap.then
+    monkeypatch.setattr(AffineMap, "then", lambda a, b: calls.append(b.k) or then(a, b))
+    scan = spectral.extinction_scan(cfg)
+    monkeypatch.undo()
+    assert scan.complete
+    assert scan.ks == [2**j for j in range(31)]
+    # one squaring per doubling; composing each grid point afresh took 465
+    assert len(calls) <= len(scan.ks)
+    assert (scan.ks, scan.negativities) == per_k_scan(cfg, scan.ks, 1e12)
+
+
+def test_extinction_scan_mixed_grid_matches_power_map():
+    cfg = cavity.standard_config(8)
+    grid = [1, 3, 4, 5, 8, 64, 100, 2**20, 2**20 + 1, 2**22]
+    scan = spectral.extinction_scan(cfg, k_grid=grid)
+    assert (scan.ks, scan.negativities) == per_k_scan(cfg, grid, 1e12)
+
+
+def test_extinction_scan_overflow_matches_power_map():
+    # a cap between max|q| at 2^10 and 2^11 cycles ends the chain there
+    cfg = cavity.standard_config(8)
+    blocks = protocol.blocks_for(cfg)
+    q_max = [np.max(np.abs(spectral.power_map(blocks, 2**j).q)) for j in (10, 11)]
+    assert q_max[0] < q_max[1]
+    cap = float(np.mean(q_max))
+    grid = [2**j for j in range(31)]
+    scan = spectral.extinction_scan(cfg, norm_cap=cap)
+    assert not scan.complete
+    assert scan.ks[:11] == grid[:11] and max(scan.ks) < 2**11
+    assert (scan.ks, scan.negativities) == per_k_scan(cfg, grid, cap)

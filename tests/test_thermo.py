@@ -7,11 +7,12 @@ formula, and a scipy root solve against the package's own Newton solver.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from entfarm import gaussian, thermo
+from entfarm import cavity, gaussian, protocol, thermo
 from conftest import entropy_difference_check, random_covariance
 
 RNG = np.random.default_rng(31415)
@@ -157,6 +158,42 @@ def test_effective_temperature_matches_brentq_on_many_modes(seed, monkeypatch):
     assert fit.beta == pytest.approx(beta_oracle, rel=1e-12, abs=0)
     # the bisection this replaced evaluated E(beta) 43 to 52 times on these states
     assert len(calls) <= 20
+
+
+def test_thermal_excitation_energy_keeps_precision_at_large_beta():
+    # at w beta = 40, coth(w beta / 2) rounds to 1 and E(beta) used to read 0
+    freqs = np.array([1.0])
+    with mpmath.workdps(40):
+        nbar = 1 / mpmath.expm1(40)
+        want_energy, want_slope = float(nbar), float(-nbar * (nbar + 1))
+    energy, slope = thermo._thermal_excitation_energy(freqs, 40.0)
+    assert energy == pytest.approx(want_energy, rel=1e-15, abs=0)
+    assert slope == pytest.approx(want_slope, rel=1e-15, abs=0)
+    # past expm1's overflow the occupation is exactly 0, without a warning
+    assert thermo._thermal_excitation_energy(freqs, 1e3) == (0.0, -0.0)
+
+
+def mpmath_beta(frequencies, target: float, start: float, digits: int = 40) -> float:
+    """Root of sum w / (exp(w beta) - 1) = target, with the float target taken as exact."""
+    with mpmath.workdps(digits):
+        ws = [mpmath.mpf(float(w)) for w in frequencies]
+        goal = mpmath.mpf(target)
+        return float(mpmath.findroot(lambda b: sum(w / mpmath.expm1(w * b) for w in ws) - goal, start))
+
+
+def test_effective_temperature_matches_high_precision_root():
+    # early field states sit close to the vacuum, so w_min beta is large and
+    # coth(w beta / 2) - 1 cancelled: beta was off by 1.4e-13 at cycle 1
+    cav = cavity.standard_config(4)
+    freqs = cavity.mode_frequencies(cav)
+    states = {"field": lambda s: s.field_out}
+    traj = protocol.run_cycles(cav, n_cycles=5, observables=states)
+    for cycle in (1, 5):
+        sigma = traj.records[cycle - 1].values["field"]
+        fit = thermo.effective_temperature(sigma, freqs)
+        target = gaussian.energy(sigma, freqs, "normal_ordered")
+        want = mpmath_beta(freqs, target, fit.beta)
+        assert fit.beta == pytest.approx(want, rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
