@@ -366,18 +366,6 @@ def cmd_short_cycle(args) -> int:
 # reproduce-fig
 
 
-FIGURES = (
-    "lognegplot",
-    "energyfig",
-    "thermPure",
-    "thermality",
-    "ultralong",
-    "eigcoupling",
-    "eigtime",
-    "extinction",
-)
-
-
 # figures of one diagnostic per cycle from several start temperatures:
 # name -> (record attribute, column prefix, y label, start temperatures).
 # The thermality vacuum curve starts after one cycle: the estimator is
@@ -474,7 +462,7 @@ _FIG_BUILDERS = {
 def cmd_reproduce_fig(args) -> int:
     if args.name not in _FIG_BUILDERS:
         print(
-            f"error: unknown figure {args.name!r}; valid names: {', '.join(FIGURES)}",
+            f"error: unknown figure {args.name!r}; valid names: {', '.join(_FIG_BUILDERS)}",
             file=sys.stderr,
         )
         return EXIT_CONFIG
@@ -609,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_short_cycle)
 
     p = sub.add_parser("reproduce-fig", parents=[shared], help="emit figure data + script")
-    p.add_argument("name", help=f"one of: {', '.join(FIGURES)}")
+    p.add_argument("name", help=f"one of: {', '.join(_FIG_BUILDERS)}")
     p.set_defaults(func=cmd_reproduce_fig)
 
     p = sub.add_parser("verify", parents=[shared], help="brute-force validation suite")

@@ -7,13 +7,44 @@ time-independent couplings.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy
 from scipy.linalg import expm
 
 from entfarm import cavity, gaussian
+
+
+def _single_thread_scipy_blas() -> None:
+    """Run scipy's wheel-bundled OpenBLAS, if it has its own, on one thread.
+
+    numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
+    expm's Pade stage and Schur run in scipy's copy, every other product and
+    factorization in numpy's; with both multi-threaded the idle workers of
+    one spin against the busy workers of the other (`reproduce-fig eigtime`
+    at 128 modes, 2 threads, 2 cores: 2.6-3.0 s, and 1.2-1.3 s with scipy's
+    copy on one thread).  numpy's copy keeps the thread count the user set.
+    Without a bundled copy beside the scipy package (a shared system BLAS,
+    MKL, a non-Linux wheel) this does nothing.
+    """
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            set_threads = getattr(lib, symbol, None)
+            if set_threads is not None:
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                set_threads(1)
+                break
+
+
+_single_thread_scipy_blas()
 
 
 class PropagatorAccuracyError(RuntimeError):

@@ -290,7 +290,8 @@ def energy(
     n = mode_count(sigma)
     if freqs.shape != (n,):
         raise ValueError(f"need {n} frequencies, got {freqs.shape}")
-    block_traces = np.array([sigma[2 * i, 2 * i] + sigma[2 * i + 1, 2 * i + 1] for i in range(n)])
+    diag = np.diagonal(sigma)
+    block_traces = diag[0::2] + diag[1::2]
     if convention == "paper":
         return float(np.sum(freqs / 2.0 * block_traces))
     if convention == "normal_ordered":

@@ -243,12 +243,18 @@ def power_map(blocks: CycleBlocks, k: int, norm_cap: float = 1e12) -> AffineMap:
     Cost O(log k) matrix products, exact up to rounding.  In the unstable
     regime the inhomogeneous part grows without bound; when its max norm
     passes norm_cap the computation aborts with GrowthOverflowError whose
-    k_reached attribute reports the largest completed composition.  For
-    k = 2^j the result is the j-th squaring of the one-cycle map.
+    k_reached attribute reports the largest completed composition, 0 when
+    the one-cycle map itself is over the cap.  For k = 2^j the result is
+    the j-th squaring of the one-cycle map.
     """
     if k < 1:
         raise ValueError("cycle count must be >= 1")
     power = blocks.field_map
+    if np.max(np.abs(power.q)) > norm_cap:
+        raise GrowthOverflowError(
+            f"cycle map norm exceeded {norm_cap:g} at 1 cycle while assembling k={k}",
+            k_reached=0,
+        )
     acc = None
     kk = int(k)
     while True:

@@ -202,9 +202,21 @@ def test_short_cycle_warns_below_mode_floor(monkeypatch, tmp_path, capsys):
 
 def test_reproduce_fig_unknown_name(monkeypatch, tmp_path, capsys):
     assert run(["reproduce-fig", "nosuchfigure"], monkeypatch, tmp_path) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "lognegplot" in err and "extinction" in err
+    assert capsys.readouterr().err == (
+        "error: unknown figure 'nosuchfigure'; valid names: lognegplot, energyfig, "
+        "thermPure, thermality, ultralong, eigcoupling, eigtime, extinction\n"
+    )
+
+
+def test_reproduce_fig_help_lists_figures_in_order(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.main(["reproduce-fig", "--help"])
+    assert (
+        "positional arguments:\n"
+        "  name              one of: lognegplot, energyfig, thermPure, thermality,\n"
+        "                    ultralong, eigcoupling, eigtime, extinction\n"
+    ) in capsys.readouterr().out
 
 
 def test_reproduce_fig_lognegplot(monkeypatch, tmp_path):

@@ -5,10 +5,16 @@ a fixed-step RK4 integration of the equation of motion, and conservation
 laws that hold exactly for the continuous dynamics.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import expm
 
 from entfarm import cavity, dynamics, gaussian
@@ -74,6 +80,56 @@ def test_propagator_cache_reuses_instance():
     a = dynamics.propagator_for(small_config())
     b = dynamics.propagator_for(small_config())
     assert a is b
+
+
+# thread count of every OpenBLAS loaded once entfarm.dynamics is imported
+BLAS_THREADS_SCRIPT = """
+import ctypes, json
+import entfarm.dynamics
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+threads = {}
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for symbol in (
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_get_num_threads",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    ):
+        get = getattr(lib, symbol, None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            threads[path] = get()
+            break
+print(json.dumps(threads))
+"""
+
+
+def test_scipy_bundled_blas_runs_single_threaded():
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("reads /proc/self/maps; needs two cores for a two-thread OpenBLAS")
+    src = Path(dynamics.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    threads = json.loads(out)
+    if len(threads) < 2:
+        pytest.skip("numpy and scipy share one BLAS")
+    scipy_libs = Path(scipy.__file__).resolve().parents[1] / "scipy.libs"
+    bundled = {path: n for path, n in threads.items() if Path(path).parent == scipy_libs}
+    others = {path: n for path, n in threads.items() if path not in bundled}
+    assert bundled and others
+    assert set(bundled.values()) == {1}
+    assert set(others.values()) == {2}
+
+
+def test_blas_thread_setting_is_a_no_op_without_a_bundled_copy(monkeypatch, tmp_path):
+    # a scipy built against a shared BLAS has no scipy.libs beside it; no error
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    dynamics._single_thread_scipy_blas()
 
 
 def test_evolve_preserves_symplectic_spectrum():

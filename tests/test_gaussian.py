@@ -158,6 +158,25 @@ def test_thermal_entropy_purity_energy(omega, temperature):
     )
 
 
+def loop_energy(sigma, freqs, convention):
+    """gaussian.energy with its block traces summed mode by mode in Python."""
+    n = len(freqs)
+    block_traces = np.array([sigma[2 * i, 2 * i] + sigma[2 * i + 1, 2 * i + 1] for i in range(n)])
+    if convention == "paper":
+        return float(np.sum(freqs / 2.0 * block_traces))
+    return float(np.sum(freqs * (block_traces - 2.0) / 4.0))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 5, 64, 129, 130])
+@pytest.mark.parametrize("convention", ["paper", "normal_ordered"])
+def test_energy_is_the_mode_by_mode_sum(n_modes, convention):
+    sigma, _ = random_covariance(n_modes, RNG)
+    freqs = RNG.uniform(0.1, 20.0, size=n_modes)
+    assert np.array_equal(
+        gaussian.energy(sigma, freqs, convention), loop_energy(sigma, freqs, convention)
+    )
+
+
 def test_pure_state_entropy_is_zero():
     sigma, _ = random_covariance(3, RNG, excitation=0.0)
     assert gaussian.von_neumann_entropy(sigma) == pytest.approx(0.0, abs=1e-9)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from entfarm import cavity, dynamics, gaussian, protocol, thermo
-from conftest import eigvals_symplectic_eigenvalues, random_covariance
+from conftest import eigvals_symplectic_eigenvalues, random_covariance, random_symplectic
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -87,3 +88,34 @@ def test_williamson_reconstructs_the_state(n, seed, excitation):
     np.testing.assert_allclose(
         np.diag(d), np.repeat(gaussian.symplectic_eigenvalues(sigma), 2), rtol=1e-12, atol=0
     )
+
+
+@PROPERTY
+@given(seed=seeds, excitation=excitations)
+def test_ppt_eigenvalues_multiply_to_the_determinant(seed, excitation):
+    sigma, _ = random_covariance(2, np.random.default_rng(seed), excitation)
+    a, b, c = sigma[0:2, 0:2], sigma[2:4, 2:4], sigma[0:2, 2:4]
+    delta_tilde = np.linalg.det(a) + np.linalg.det(b) - 2.0 * np.linalg.det(c)
+    nu_minus_sq = gaussian.ppt_minimum_eigenvalue(sigma) ** 2
+    nu_plus_sq = delta_tilde - nu_minus_sq
+    assert nu_minus_sq * nu_plus_sq == pytest.approx(np.linalg.det(sigma), rel=1e-9, abs=0)
+
+
+@PROPERTY
+@given(seed=seeds, excitation=excitations)
+def test_ppt_minimum_eigenvalue_is_locally_invariant(seed, excitation):
+    rng = np.random.default_rng(seed)
+    sigma, _ = random_covariance(2, rng, excitation)
+    local = block_diag(random_symplectic(1, rng), random_symplectic(1, rng))
+    assert gaussian.ppt_minimum_eigenvalue(local @ sigma @ local.T) == pytest.approx(
+        gaussian.ppt_minimum_eigenvalue(sigma), rel=1e-9, abs=0
+    )
+
+
+@PROPERTY
+@given(seed=seeds, excitation=excitations)
+def test_product_state_has_no_log_negativity(seed, excitation):
+    rng = np.random.default_rng(seed)
+    sigma_a, _ = random_covariance(1, rng, excitation)
+    sigma_b, _ = random_covariance(1, rng, excitation)
+    assert gaussian.log_negativity(block_diag(sigma_a, sigma_b)) == 0.0

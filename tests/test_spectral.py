@@ -267,6 +267,15 @@ def test_power_map_overflow_names_largest_completed_composition(k, k_reached, wh
     assert str(exc.value) == f"composed map norm exceeded 1e+12 {where}while assembling k={k}"
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_power_map_one_cycle_map_over_cap_completes_nothing(k):
+    # max|C C^T| = 1 already exceeds the cap, so no composition completes
+    blocks = synthetic_blocks(np.eye(4) * 1.5, np.eye(4))
+    with pytest.raises(spectral.GrowthOverflowError) as exc:
+        spectral.power_map(blocks, k, norm_cap=0.5)
+    assert exc.value.k_reached == 0
+
+
 def test_power_map_rejects_nonpositive_k():
     cfg = window_config()
     with pytest.raises(ValueError):
