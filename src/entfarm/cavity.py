@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_N_MODES = 128
+# |sin(k_n x)| below this at a detector counts as a node of mode n there
+NODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def hamiltonian_matrix(config: CavityConfig) -> np.ndarray:
     return f_sym
 
 
-def decoupled_modes(config: CavityConfig, threshold: float = 1e-12) -> list[int]:
+def decoupled_modes(config: CavityConfig) -> list[int]:
     """Retained mode numbers whose profile has a node at both detectors.
 
     These modes never talk to the detectors: their propagator block is an
@@ -177,12 +179,12 @@ def decoupled_modes(config: CavityConfig, threshold: float = 1e-12) -> list[int]
     for n in config.mode_numbers:
         a1 = math.sin(n * math.pi * config.x1 / config.length)
         a2 = math.sin(n * math.pi * config.x2 / config.length)
-        if abs(a1) < threshold and abs(a2) < threshold:
+        if abs(a1) < NODE_TOL and abs(a2) < NODE_TOL:
             out.append(n)
     return out
 
 
-def decoupled_positions(config: CavityConfig, threshold: float = 1e-12) -> list[int]:
+def decoupled_positions(config: CavityConfig) -> list[int]:
     """Storage positions (0-based within the field block) of decoupled modes."""
-    dead = set(decoupled_modes(config, threshold))
+    dead = set(decoupled_modes(config))
     return [j for j, n in enumerate(config.mode_numbers) if n in dead]

@@ -287,6 +287,15 @@ def _sweep_point(cfg: ExperimentConfig, spec: SweepSpec, value: float):
         return (value, None, None, f"{type(exc).__name__}: {exc}")
 
 
+_SWEEP_HEADER = ("parameter", "max_modulus", "log10_critical_cycles", "failure")
+
+
+def _sweep_script(name: str, extra: str) -> str:
+    """gnuplot script of critical cycles against the parameter in <name>.csv."""
+    plots = [f"'{name}.csv' skip 1 using 1:3 with linespoints title 'critical cycles'"]
+    return _gnuplot(name, "log10 critical cycles", plots, extra=extra)
+
+
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     spec = SweepSpec(args.param, args.min, args.max, args.points, args.scale)
@@ -294,20 +303,8 @@ def cmd_sweep(args) -> int:
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         rows = list(pool.map(lambda v: _sweep_point(cfg, spec, float(v)), grid))
     rows.sort(key=lambda row: row[0])
-    _write_csv(
-        _out(cfg, "sweep.csv"),
-        ("parameter", "max_modulus", "log10_critical_cycles", "failure"),
-        rows,
-    )
-    _write_text(
-        _out(cfg, "sweep.gp"),
-        _gnuplot(
-            "sweep",
-            "log10 critical cycles",
-            ["'sweep.csv' skip 1 using 1:3 with linespoints title 'critical cycles'"],
-            extra=f"set xlabel '{args.param}'",
-        ),
-    )
+    _write_csv(_out(cfg, "sweep.csv"), _SWEEP_HEADER, rows)
+    _write_text(_out(cfg, "sweep.gp"), _sweep_script("sweep", f"set xlabel '{args.param}'"))
     failures = sum(1 for row in rows if row[3])
     print(f"wrote {_out(cfg, 'sweep.csv')} ({len(rows)} points, {failures} failures)")
     return EXIT_OK
@@ -341,13 +338,13 @@ def cmd_short_cycle(args) -> int:
     base = cfg.cavity_config()
     r = abs(base.x2 - base.x1)
     cfg = replace(cfg, cycle_time=args.tf_r * r)
+    cav = cfg.cavity_config()
     if cfg.modes < 128:
         print(
             f"warning: modes={cfg.modes} is below the recommended floor of 128; "
             "short cycles excite high modes",
             file=sys.stderr,
         )
-    cav = cfg.cavity_config()
     rows = _cycle_rows(cfg, [(cav, _initial_field(cfg, cav))], "log_negativity")
     _write_csv(_out(cfg, "short_cycle.csv"), ("cycle", "log_negativity"), rows)
     _write_text(
@@ -407,32 +404,25 @@ def _fig_ultralong(cfg):
     )
 
 
-def _sweep_rows(cfg, spec):
-    return sorted(
-        (_sweep_point(cfg, spec, float(v)) for v in spec.grid()), key=lambda r: r[0]
-    )
+# figures of critical cycles over a parameter sweep:
+# name -> (sweep, cycle time it runs at or None for the configured one,
+# gnuplot lines before the plot)
+_SWEEP_FIGURES = {
+    "eigcoupling": (
+        SweepSpec("lambda", 0.005, 0.04, 7, "log"),
+        21.0,
+        "set xlabel 'coupling'\nset logscale x 10",
+    ),
+    "eigtime": (SweepSpec("t_f", 1.0, 33.0, 33, "linear"), None, "set xlabel 'cycle time'"),
+}
 
 
-def _fig_eigcoupling(cfg):
-    spec = SweepSpec("lambda", 0.005, 0.04, 7, "log")
-    rows = _sweep_rows(replace(cfg, cycle_time=21.0), spec)
-    plots = [
-        "'eigcoupling.csv' skip 1 using 1:3 with linespoints title 'critical cycles'"
-    ]
-    extra = "set xlabel 'coupling'\nset logscale x 10"
-    return ("parameter", "max_modulus", "log10_critical_cycles", "failure"), rows, _gnuplot(
-        "eigcoupling", "log10 critical cycles", plots, extra=extra
-    )
-
-
-def _fig_eigtime(cfg):
-    spec = SweepSpec("t_f", 1.0, 33.0, 33, "linear")
-    rows = _sweep_rows(cfg, spec)
-    plots = ["'eigtime.csv' skip 1 using 1:3 with linespoints title 'critical cycles'"]
-    extra = "set xlabel 'cycle time'"
-    return ("parameter", "max_modulus", "log10_critical_cycles", "failure"), rows, _gnuplot(
-        "eigtime", "log10 critical cycles", plots, extra=extra
-    )
+def _fig_sweep(name: str, cfg: ExperimentConfig):
+    spec, cycle_time, extra = _SWEEP_FIGURES[name]
+    if cycle_time is not None:
+        cfg = replace(cfg, cycle_time=cycle_time)
+    rows = sorted((_sweep_point(cfg, spec, float(v)) for v in spec.grid()), key=lambda r: r[0])
+    return _SWEEP_HEADER, rows, _sweep_script(name, extra)
 
 
 def _fig_extinction(cfg):
@@ -453,8 +443,7 @@ def _fig_extinction(cfg):
 _FIG_BUILDERS = {
     **{name: partial(_fig_starts, name) for name in _START_FIGURES},
     "ultralong": _fig_ultralong,
-    "eigcoupling": _fig_eigcoupling,
-    "eigtime": _fig_eigtime,
+    **{name: partial(_fig_sweep, name) for name in _SWEEP_FIGURES},
     "extinction": _fig_extinction,
 }
 
@@ -486,19 +475,12 @@ def cmd_verify(args) -> int:
         checks.append((name, ok, detail))
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
 
+    cavs = {n: replace(cfg, modes=n, window="").cavity_config() for n in (1, 2)}
     for n_modes, cutoff in ((1, 8), (2, 6)):
-        cav = cavity.standard_config(
-            n_modes,
-            length=cfg.length,
-            coupling=cfg.coupling,
-            detector_frequency=cfg.detector_frequency,
-            x1=cfg.x1,
-            x2=cfg.x2,
-            cycle_time=cfg.cycle_time,
-        )
-        sigma_g = dynamics.evolve(
-            gaussian.vacuum_state(2 + n_modes), dynamics.propagator_for(cav)
-        )
+        cav = cavs[n_modes]
+        s = dynamics.propagator_for(cav)
+        sigma_g = s @ s.T  # the evolved vacuum, S I S^T
+        sigma_g = (sigma_g + sigma_g.T) / 2.0
         sigma_f = fock.evolve_and_covariance(fock.FockConfig(cav, cutoff), cav.cycle_time)
         err = float(np.max(np.abs(sigma_f - sigma_g)))
         record(
@@ -521,14 +503,7 @@ def cmd_verify(args) -> int:
                 f"min symplectic eigenvalue {float(nus.min())!r}",
             )
     try:
-        cav1 = cavity.standard_config(
-            1,
-            length=cfg.length,
-            coupling=cfg.coupling,
-            detector_frequency=cfg.detector_frequency,
-            cycle_time=cfg.cycle_time,
-        )
-        fock.evolve_and_covariance(fock.FockConfig(cav1, 2), cav1.cycle_time)
+        fock.evolve_and_covariance(fock.FockConfig(cavs[1], 2), cavs[1].cycle_time)
         record("truncation leakage gate", False, "cutoff 2 was not rejected")
     except fock.CutoffTooSmallError:
         record("truncation leakage gate", True, "cutoff 2 rejected as expected")

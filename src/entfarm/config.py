@@ -106,15 +106,18 @@ class ExperimentConfig:
                 )
 
     def cavity_config(self) -> cavity.CavityConfig:
-        base = cavity.standard_config(
-            self.modes,
-            length=self.length,
-            coupling=self.coupling,
-            detector_frequency=self.detector_frequency,
-            x1=self.x1,
-            x2=self.x2,
-            cycle_time=self.cycle_time,
-        )
+        try:
+            base = cavity.standard_config(
+                self.modes,
+                length=self.length,
+                coupling=self.coupling,
+                detector_frequency=self.detector_frequency,
+                x1=self.x1,
+                x2=self.x2,
+                cycle_time=self.cycle_time,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"[cavity] {exc}")
         if not self.window:
             return base
         width = None if self.window == "default" else float(self.window)

@@ -2,7 +2,8 @@
 
 The equation of motion for the phase-space propagator is
 dS/dt = Omega F_sym S, solved exactly by S(t) = exp(Omega F_sym t) for
-time-independent couplings.
+time-independent couplings.  The propagator is returned as the matrix S
+itself, marked read-only; a state evolves as S sigma S^T.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -51,21 +51,13 @@ class PropagatorAccuracyError(RuntimeError):
     """The computed propagator failed its symplectic self-check."""
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """One-shot symplectic evolution matrix with its generation metadata."""
-
-    s: np.ndarray
-    t: float
-    fingerprint: str = ""
-
-
-def propagator(f_sym: np.ndarray, t: float, fingerprint: str = "") -> Propagator:
+def propagator(f_sym: np.ndarray, t: float) -> np.ndarray:
     """exp(Omega F_sym t) via scaling-and-squaring Pade approximation.
 
     The result is verified to be symplectic to 1e-9 in max norm; a failure
     indicates the exponential lost accuracy (ill-scaled input) and raises
-    PropagatorAccuracyError rather than returning a drifting matrix.
+    PropagatorAccuracyError rather than returning a drifting matrix.  The
+    matrix is returned read-only, so that no caller can alter a cached one.
     """
     f_sym = np.asarray(f_sym, dtype=float)
     if f_sym.ndim != 2 or f_sym.shape[0] != f_sym.shape[1] or f_sym.shape[0] % 2:
@@ -80,23 +72,11 @@ def propagator(f_sym: np.ndarray, t: float, fingerprint: str = "") -> Propagator
         raise PropagatorAccuracyError(
             f"propagator violates the symplectic condition by {drift:.3e}"
         )
-    return Propagator(s=s, t=float(t), fingerprint=fingerprint)
+    s.flags.writeable = False
+    return s
 
 
 @lru_cache(maxsize=64)
-def propagator_for(config: cavity.CavityConfig) -> Propagator:
+def propagator_for(config: cavity.CavityConfig) -> np.ndarray:
     """One-cycle propagator for a cavity setup; cached, configs are frozen."""
-    return propagator(
-        cavity.hamiltonian_matrix(config), config.cycle_time, config.fingerprint()
-    )
-
-
-def evolve(sigma: np.ndarray, prop: Propagator) -> np.ndarray:
-    """sigma(t) = S sigma S^T; symmetrized to absorb rounding."""
-    sigma = np.asarray(sigma, dtype=float)
-    s = prop.s
-    if sigma.shape != s.shape:
-        raise ValueError(f"state shape {sigma.shape} does not match propagator {s.shape}")
-    out = s @ sigma @ s.T
-    return (out + out.T) / 2.0
-
+    return propagator(cavity.hamiltonian_matrix(config), config.cycle_time)

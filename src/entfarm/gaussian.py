@@ -16,6 +16,12 @@ import math
 import numpy as np
 
 
+# relative spread allowed within a pair of eigenvalues of K^T K
+PAIR_TOL = 1e-8
+# how far a symplectic eigenvalue may fall below 1 and still count as 1
+PHYSICAL_TOL = 1e-9
+
+
 class InvalidStateError(ValueError):
     """A matrix fails the physicality conditions for a covariance matrix."""
 
@@ -135,7 +141,7 @@ def _factor_form(t: np.ndarray) -> np.ndarray:
     return (k - k.T) / 2.0
 
 
-def _symplectic_spectrum(t: np.ndarray, pair_tol: float) -> np.ndarray:
+def _symplectic_spectrum(t: np.ndarray) -> np.ndarray:
     k = _factor_form(t)
     # K^T K = -K^2 is real symmetric with eigenvalues nu^2, each one twice
     gram = k.T @ k
@@ -145,7 +151,7 @@ def _symplectic_spectrum(t: np.ndarray, pair_tol: float) -> np.ndarray:
     moduli = np.sqrt(np.maximum(squares, 0.0))
     first, second = moduli[0::2], moduli[1::2]
     scale = max(1.0, moduli[0])
-    if np.max(np.abs(first - second)) > pair_tol * scale:
+    if np.max(np.abs(first - second)) > PAIR_TOL * scale:
         raise DecompositionError(
             "eigenvalues of K^T K did not pair up; "
             "matrix is too far from a valid covariance matrix"
@@ -153,7 +159,7 @@ def _symplectic_spectrum(t: np.ndarray, pair_tol: float) -> np.ndarray:
     return (first + second) / 2.0
 
 
-def symplectic_eigenvalues(sigma: np.ndarray, pair_tol: float = 1e-8) -> np.ndarray:
+def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a covariance matrix, sorted descending.
 
     Cholesky route: with sigma = T T^T the antisymmetric K = T^T Omega T
@@ -163,16 +169,16 @@ def symplectic_eigenvalues(sigma: np.ndarray, pair_tol: float = 1e-8) -> np.ndar
     bound is checked here, so that slightly unphysical matrices produced
     by long evolutions (some nu a little below 1) can still be examined.
     """
-    return _symplectic_spectrum(_cholesky(_as_covariance(sigma)), pair_tol)
+    return _symplectic_spectrum(_cholesky(_as_covariance(sigma)))
 
 
-def assert_physical(sigma: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def assert_physical(sigma: np.ndarray) -> np.ndarray:
     """Check sigma >= 1 in the symplectic sense; returns the eigenvalues.
 
     Raises InvalidStateError if sigma is not positive definite or any
-    symplectic eigenvalue falls below 1 - tol.  Definiteness is tested by
-    the Cholesky factorization the eigenvalues are computed from; only
-    when it fails is the least eigenvalue computed, for the message.
+    symplectic eigenvalue falls below 1 - PHYSICAL_TOL.  Definiteness is
+    tested by the Cholesky factorization the eigenvalues are computed from;
+    only when it fails is the least eigenvalue computed, for the message.
     """
     sigma = _as_covariance(sigma)
     try:
@@ -182,8 +188,8 @@ def assert_physical(sigma: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         raise InvalidStateError(
             f"covariance is not positive definite (eigenvalue {low:.6g})"
         ) from None
-    nus = _symplectic_spectrum(t, pair_tol=1e-8)
-    if np.any(nus < 1.0 - tol):
+    nus = _symplectic_spectrum(t)
+    if np.any(nus < 1.0 - PHYSICAL_TOL):
         raise InvalidStateError(
             f"symplectic eigenvalue {nus.min():.12g} violates the uncertainty bound"
         )
@@ -267,13 +273,13 @@ def entropy_of_spectrum(nus) -> float:
     return float(np.sum(hi * np.log(hi) - lo_log_lo))
 
 
-def von_neumann_entropy(sigma: np.ndarray, tol: float = 1e-9) -> float:
+def von_neumann_entropy(sigma: np.ndarray) -> float:
     """Entropy of a Gaussian state in nats.
 
-    Eigenvalues within tol below 1 are clamped to 1; anything lower is a
-    physicality violation and raises InvalidStateError.
+    Eigenvalues within PHYSICAL_TOL below 1 are clamped to 1; anything lower
+    is a physicality violation and raises InvalidStateError.
     """
-    return entropy_of_spectrum(assert_physical(sigma, tol=tol))
+    return entropy_of_spectrum(assert_physical(sigma))
 
 
 def energy(

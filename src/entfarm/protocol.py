@@ -135,19 +135,23 @@ class Trajectory:
     final_field_sigma: np.ndarray | None = None
 
 
-def block_decompose(s: np.ndarray, detector_dim: int = 4) -> CycleBlocks:
+# phase-space rows of the detector pair, which come first in a propagator
+DETECTOR_DIM = 4
+
+
+def block_decompose(s: np.ndarray) -> CycleBlocks:
     """Partition a propagator into detector and field blocks."""
     s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < detector_dim + 2:
+    k = DETECTOR_DIM
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < k + 2:
         raise ValueError("propagator must be square and include at least one field mode")
-    k = detector_dim
     return CycleBlocks(
         a=s[:k, :k].copy(), b=s[:k, k:].copy(), c=s[k:, :k].copy(), d=s[k:, k:].copy()
     )
 
 
 def blocks_for(config: cavity.CavityConfig) -> CycleBlocks:
-    return block_decompose(dynamics.propagator_for(config).s)
+    return block_decompose(dynamics.propagator_for(config))
 
 
 def full_cycle(

@@ -19,6 +19,12 @@ from entfarm import cavity, gaussian, protocol
 from entfarm.protocol import AffineMap, CycleBlocks
 
 
+# |d1| within this of 1 has neither a convergence nor an instability time
+UNIT_CIRCLE_TOL = 1e-12
+# eigenvalue products d_i d_j within this of 1 make the fixed point degenerate
+CONTRACTION_TOL = 1e-10
+
+
 class SpectralFailureError(RuntimeError):
     """The eigenvalue solver did not converge on the field map."""
 
@@ -50,6 +56,12 @@ class FieldSpectrum:
         return float(np.abs(self.eigenvalues[0]))
 
 
+def _kept_indices(n_phase: int, exclude_positions) -> list[int]:
+    """Phase-space rows of the field modes whose positions are not excluded."""
+    dead = set(exclude_positions)
+    return [i for p in range(n_phase // 2) if p not in dead for i in (2 * p, 2 * p + 1)]
+
+
 def field_spectrum(blocks: CycleBlocks, exclude_positions=()) -> FieldSpectrum:
     """Spectrum of D, optionally restricted to the coupled field modes.
 
@@ -57,38 +69,29 @@ def field_spectrum(blocks: CycleBlocks, exclude_positions=()) -> FieldSpectrum:
     typically the decoupled modes whose exact unit-modulus rotations would
     mask the contraction or growth of everything else.
     """
-    d = _restrict(blocks.d, exclude_positions)
+    keep = _kept_indices(blocks.d.shape[0], exclude_positions)
     try:
-        ev = np.linalg.eigvals(d)
+        ev = np.linalg.eigvals(blocks.d[np.ix_(keep, keep)])
     except np.linalg.LinAlgError as exc:
         raise SpectralFailureError(f"eigenvalue computation failed: {exc}")
     order = np.argsort(-np.abs(ev))
     return FieldSpectrum(eigenvalues=ev[order])
 
 
-def timescales(spectrum: FieldSpectrum, tol: float = 1e-12) -> tuple[float | None, float | None]:
+def timescales(spectrum: FieldSpectrum) -> tuple[float | None, float | None]:
     """(convergence_n, instability_n) in cycles, from the leading modulus.
 
     Contractive maps converge over n = -1 / log|d1| cycles; expanding maps
-    blow up over n = 1 / log|d1|.  Within tol of the unit circle neither
-    notion applies and both entries are None.  Natural log: these are
-    physical cycle counts, independent of the entropy unit.
+    blow up over n = 1 / log|d1|.  Within UNIT_CIRCLE_TOL of the unit circle
+    neither notion applies and both entries are None.  Natural log: these
+    are physical cycle counts, independent of the entropy unit.
     """
     m = spectrum.max_modulus
-    if abs(m - 1.0) <= tol:
+    if abs(m - 1.0) <= UNIT_CIRCLE_TOL:
         return None, None
     if m < 1.0:
         return -1.0 / math.log(m), None
     return None, 1.0 / math.log(m)
-
-
-def _restrict(matrix: np.ndarray, exclude_positions) -> np.ndarray:
-    if not len(tuple(exclude_positions)):
-        return matrix
-    m = matrix.shape[0] // 2
-    dead = set(exclude_positions)
-    keep = [i for p in range(m) if p not in dead for i in (2 * p, 2 * p + 1)]
-    return matrix[np.ix_(keep, keep)]
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +116,9 @@ class FixedPointResult:
     method: str
 
 
-def _sym_basis(m: int):
-    iu = np.triu_indices(m)
-    return iu
-
-
 def _sym_map_matrix(d: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Matrix of sigma -> D sigma D^T on the sigma_{ij} (i <= j) coordinates."""
-    m = d.shape[0]
-    iu = _sym_basis(m)
+    iu = np.triu_indices(d.shape[0])
     i, j = iu
     k, l = iu
     a = d[np.ix_(i, k)] * d[np.ix_(j, l)] + d[np.ix_(i, l)] * d[np.ix_(j, k)]
@@ -138,16 +135,15 @@ def _fixed_point_kronecker(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fixed_point_stein(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _fixed_point_stein(t: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Solve sigma = D sigma D^T + Q by Schur back-substitution.
 
-    With D = U T U^H (complex Schur, T upper triangular) and Z = U^H X
-    conj(U), the equation becomes Z = T Z T^T + Q_z and solves entrywise
-    from the bottom-right corner: Z_ij (1 - T_ii T_jj) = Q_ij + tail terms.
-    Unlike a bilinear-transform route, no (D + I) inverse appears, so
-    eigenvalues near -1 cost nothing in accuracy.
+    With D = U T U^H (complex Schur form (T, U), T upper triangular) and
+    Z = U^H X conj(U), the equation becomes Z = T Z T^T + Q_z and solves
+    entrywise from the bottom-right corner: Z_ij (1 - T_ii T_jj) = Q_ij +
+    tail terms.  Unlike a bilinear-transform route, no (D + I) inverse
+    appears, so eigenvalues near -1 cost nothing in accuracy.
     """
-    t, u = schur(d.astype(complex), output="complex")
     qz = u.conj().T @ q.astype(complex) @ u.conj()
     m = t.shape[0]
     z = np.zeros((m, m), dtype=complex)
@@ -165,7 +161,6 @@ def fixed_point(
     method: str = "auto",
     decoupled_positions=(),
     initial_sigma: np.ndarray | None = None,
-    contraction_tol: float = 1e-10,
 ) -> FixedPointResult:
     """Unique fixed point of sigma -> D sigma D^T + C C^T.
 
@@ -173,21 +168,22 @@ def fixed_point(
     linear system on symmetric-matrix coordinates (dimension M(2M+1)) and
     solves it densely; "stein" does Schur back-substitution; "auto" picks
     kronecker up to 8 coupled modes and stein above.  Uniqueness requires
-    every product d_i d_j of coupled eigenvalues to stay contraction_tol
-    away from the unit circle; decoupled rotations are exempt because their
-    blocks are frozen at the initial state (vacuum when unspecified).
+    every product t_ii t_jj of the diagonal of the coupled map's complex
+    Schur form T, the denominators of the Stein solve, to stay
+    CONTRACTION_TOL away from 1; decoupled rotations are exempt because
+    their blocks are frozen at the initial state (vacuum when unspecified).
     """
     field_map = blocks.field_map
     d_full, q_full = field_map.d, field_map.q
     n_phase = d_full.shape[0]
-    dead = sorted(set(int(p) for p in decoupled_positions))
-    keep = [i for p in range(n_phase // 2) if p not in dead for i in (2 * p, 2 * p + 1)]
+    keep = _kept_indices(n_phase, decoupled_positions)
     dcc = d_full[np.ix_(keep, keep)]
     qcc = q_full[np.ix_(keep, keep)]
 
-    ev = np.linalg.eigvals(dcc)
+    t, u = schur(dcc.astype(complex), output="complex")
+    ev = np.diag(t)
     prod_dist = np.abs(np.outer(ev, ev) - 1.0)
-    if prod_dist.min() < contraction_tol:
+    if prod_dist.min() < CONTRACTION_TOL:
         raise NoUniqueFixedPointError(
             "an eigenvalue product of the coupled field map sits on the unit "
             f"circle (distance {prod_dist.min():.3e}); the fixed point is degenerate"
@@ -198,7 +194,7 @@ def fixed_point(
     if method == "kronecker":
         sigma_cc = _fixed_point_kronecker(dcc, qcc)
     elif method == "stein":
-        sigma_cc = _fixed_point_stein(dcc, qcc)
+        sigma_cc = _fixed_point_stein(t, u, qcc)
     else:
         raise ValueError(f"unknown fixed-point method {method!r}")
 
@@ -209,7 +205,7 @@ def fixed_point(
     )
     sigma_star[np.ix_(keep, keep)] = sigma_cc
     # correlations between frozen and coupled sectors vanish at the fixed point
-    dead_idx = [i for p in dead for i in (2 * p, 2 * p + 1)]
+    dead_idx = np.setdiff1d(np.arange(n_phase), keep)
     sigma_star[np.ix_(dead_idx, keep)] = 0.0
     sigma_star[np.ix_(keep, dead_idx)] = 0.0
     return FixedPointResult(

@@ -16,6 +16,12 @@ import numpy as np
 from entfarm import gaussian
 
 
+# a symplectic eigenvalue within this of 1 is a pure direction
+PURE_TOL = 1e-9
+# relative precision at which effective_temperature stops refining beta
+BETA_TOL = 1e-12
+
+
 class DivergentLogDensityError(ValueError):
     """The reference state has a pure direction, so its log-density diverges."""
 
@@ -49,18 +55,18 @@ class ThermalFit:
         return 1.0 / self.beta
 
 
-def log_density(sigma_b: np.ndarray, pure_tol: float = 1e-9) -> QuadraticLogDensity:
+def log_density(sigma_b: np.ndarray) -> QuadraticLogDensity:
     """Quadratic log-density coefficients (c, H) of a mixed Gaussian state.
 
     With sigma_B = S D S^T (Williamson) the diagonal form has per-mode
     coefficients H_k = (1/2) log((nu_k - 1)/(nu_k + 1)) and the constant is
     c = sum_k (1/2) log(4 / (nu_k^2 - 1)).  Transforming back gives
-    H = S^{-T} H_diag S^{-1}.  A symplectic eigenvalue within pure_tol of 1
+    H = S^{-T} H_diag S^{-1}.  A symplectic eigenvalue within PURE_TOL of 1
     makes the coefficients diverge and raises DivergentLogDensityError.
     """
     s, d = gaussian.williamson_normal_form(sigma_b)
     nus = np.diag(d)[0::2]
-    if np.any(nus <= 1.0 + pure_tol):
+    if np.any(nus <= 1.0 + PURE_TOL):
         raise DivergentLogDensityError(
             f"symplectic eigenvalue {nus.min():.12g} is too close to 1; "
             "log-density coefficients diverge for pure directions"
@@ -109,9 +115,7 @@ def _thermal_excitation_energy(frequencies: np.ndarray, beta: float) -> tuple[fl
     return energy_above, slope
 
 
-def effective_temperature(
-    sigma: np.ndarray, frequencies: np.ndarray, rel_tol: float = 1e-12
-) -> ThermalFit:
+def effective_temperature(sigma: np.ndarray, frequencies: np.ndarray) -> ThermalFit:
     """Thermal state of the same free Hamiltonian with the same energy.
 
     That state is the closest thermal state in relative entropy, since the
@@ -158,7 +162,7 @@ def effective_temperature(
         new = beta - step
         if not beta_lo <= new <= beta_hi:
             new = math.sqrt(beta_lo * beta_hi)
-        converged = abs(new - beta) <= rel_tol * new or beta_hi - beta_lo <= rel_tol * beta_lo
+        converged = abs(new - beta) <= BETA_TOL * new or beta_hi - beta_lo <= BETA_TOL * beta_lo
         beta = new
         if converged:
             break

@@ -27,10 +27,19 @@ def random_covariance(
     return s @ d @ s.T, nus
 
 
+def evolve(sigma: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sigma(t) = S sigma S^T for a propagator matrix S; symmetrized to absorb rounding."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != s.shape:
+        raise ValueError(f"state shape {sigma.shape} does not match propagator {s.shape}")
+    out = s @ sigma @ s.T
+    return (out + out.T) / 2.0
+
+
 def total_energy(sigma: np.ndarray, f_sym: np.ndarray) -> float:
     """Mean of the full quadratic Hamiltonian, <H> = Tr(F_sym sigma) / 4.
 
-    Conserved exactly along dynamics.evolve() with the same generator,
+    Conserved exactly along evolve() with the same generator,
     interaction term included, so it doubles as an integration sanity check.
     """
     return float(np.trace(np.asarray(f_sym) @ np.asarray(sigma)) / 4.0)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from entfarm import cli
+from entfarm import cli, fock
 
 
 def run(argv, monkeypatch, tmp_path, n_cycles=12, modes=4):
@@ -267,6 +267,41 @@ def test_bad_config_file_exits_2(monkeypatch, tmp_path, capsys):
     cfgfile.write_text("[cavity]\ncoupling = banana\n")
     assert run(["run-cycles", "--config", str(cfgfile)], monkeypatch, tmp_path) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "ini, argv",
+    [
+        ("[cavity]\ncycle_time = -1\n", ["run-cycles"]),
+        ("[cavity]\nx1 = 9\n", ["run-cycles"]),
+        ("[cavity]\nlength = 0\n", ["run-cycles"]),
+        ("", ["short-cycle", "--tf-r", "-1"]),
+    ],
+    ids=["cycle_time", "x1", "length", "tf_r"],
+)
+def test_out_of_range_cavity_values_exit_2(ini, argv, monkeypatch, tmp_path, capsys):
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text(ini)
+    assert run(argv + ["--config", str(cfgfile)], monkeypatch, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [cavity] ")
+    assert "Traceback" not in err
+
+
+def test_verify_builds_every_cavity_from_the_config(monkeypatch, tmp_path):
+    cfgfile = tmp_path / "exp.ini"
+    cfgfile.write_text("[cavity]\nx1 = 2.0\nx2 = 5.0\n")
+    seen = []
+    original = fock.evolve_and_covariance
+
+    def recording(config, t):
+        seen.append(config)
+        return original(config, t)
+
+    monkeypatch.setattr(fock, "evolve_and_covariance", recording)
+    run(["verify", "--config", str(cfgfile)], monkeypatch, tmp_path)
+    assert len(seen) == 3
+    assert [(c.cavity_config.x1, c.cavity_config.x2) for c in seen] == [(2.0, 5.0)] * 3
 
 
 def test_verify_passes(monkeypatch, tmp_path, capsys):

@@ -18,7 +18,7 @@ import scipy
 from scipy.linalg import expm
 
 from entfarm import cavity, dynamics, gaussian
-from conftest import random_covariance, total_energy
+from conftest import evolve, random_covariance, total_energy
 
 RNG = np.random.default_rng(97)
 
@@ -30,7 +30,7 @@ def small_config(**overrides):
 def test_zero_time_is_identity():
     f = cavity.hamiltonian_matrix(small_config())
     prop = dynamics.propagator(f, 0.0)
-    assert np.allclose(prop.s, np.eye(f.shape[0]))
+    assert np.allclose(prop, np.eye(f.shape[0]))
 
 
 def test_free_single_mode_is_rotation():
@@ -38,14 +38,14 @@ def test_free_single_mode_is_rotation():
     f = np.diag([omega, omega])
     prop = dynamics.propagator(f, t)
     c, s = math.cos(omega * t), math.sin(omega * t)
-    assert np.allclose(prop.s, [[c, s], [-s, c]], atol=1e-12)
+    assert np.allclose(prop, [[c, s], [-s, c]], atol=1e-12)
 
 
 def test_propagator_is_symplectic_and_unimodular():
     cfg = small_config()
     prop = dynamics.propagator_for(cfg)
-    assert gaussian.check_symplectic(prop.s) < 1e-9
-    assert np.linalg.det(prop.s) == pytest.approx(1.0, abs=1e-9)
+    assert gaussian.check_symplectic(prop) < 1e-9
+    assert np.linalg.det(prop) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("modes", [4, 64])
@@ -54,14 +54,14 @@ def test_propagator_matches_dense_generator(modes):
     cfg = cavity.standard_config(modes)
     f = cavity.hamiltonian_matrix(cfg)
     want = expm(gaussian.symplectic_form(modes + 2) @ f * cfg.cycle_time)
-    assert np.array_equal(dynamics.propagator(f, cfg.cycle_time).s, want)
+    assert np.array_equal(dynamics.propagator(f, cfg.cycle_time), want)
 
 
 def test_propagator_composes():
     f = cavity.hamiltonian_matrix(small_config())
-    s1 = dynamics.propagator(f, 7.0).s
-    s2 = dynamics.propagator(f, 13.0).s
-    s12 = dynamics.propagator(f, 20.0).s
+    s1 = dynamics.propagator(f, 7.0)
+    s2 = dynamics.propagator(f, 13.0)
+    s12 = dynamics.propagator(f, 20.0)
     assert np.max(np.abs(s2 @ s1 - s12)) < 1e-9
 
 
@@ -80,6 +80,14 @@ def test_propagator_cache_reuses_instance():
     a = dynamics.propagator_for(small_config())
     b = dynamics.propagator_for(small_config())
     assert a is b
+
+
+def test_propagator_for_is_a_read_only_matrix():
+    s = dynamics.propagator_for(small_config())
+    assert isinstance(s, np.ndarray)
+    with pytest.raises(ValueError):
+        s[0, 0] = 0.0
+    assert dynamics.propagator_for(small_config()) is s
 
 
 # thread count of every OpenBLAS loaded once entfarm.dynamics is imported
@@ -136,7 +144,7 @@ def test_evolve_preserves_symplectic_spectrum():
     cfg = small_config()
     prop = dynamics.propagator_for(cfg)
     sigma, nus = random_covariance(cfg.n_modes, RNG)
-    evolved = dynamics.evolve(sigma, prop)
+    evolved = evolve(sigma, prop)
     assert np.allclose(gaussian.symplectic_eigenvalues(evolved), nus, atol=1e-8)
 
 
@@ -144,13 +152,13 @@ def test_evolve_keeps_vacuum_fixed_without_coupling():
     cfg = small_config(coupling=0.0)
     prop = dynamics.propagator_for(cfg)
     vac = gaussian.vacuum_state(cfg.n_modes)
-    assert np.allclose(dynamics.evolve(vac, prop), vac, atol=1e-12)
+    assert np.allclose(evolve(vac, prop), vac, atol=1e-12)
 
 
 def test_evolve_dimension_mismatch():
     prop = dynamics.propagator_for(small_config())
     with pytest.raises(ValueError):
-        dynamics.evolve(np.eye(4), prop)
+        evolve(np.eye(4), prop)
 
 
 def test_total_energy_conserved_along_evolution():
@@ -159,7 +167,7 @@ def test_total_energy_conserved_along_evolution():
     sigma, _ = random_covariance(cfg.n_modes, RNG)
     e0 = total_energy(sigma, f)
     for t in (1.0, 5.0, 20.0):
-        evolved = dynamics.evolve(sigma, dynamics.propagator(f, t))
+        evolved = evolve(sigma, dynamics.propagator(f, t))
         assert total_energy(evolved, f) == pytest.approx(e0, abs=1e-9)
 
 
@@ -171,10 +179,10 @@ def test_decoupled_mode_block_is_free_rotation():
         omega = n * math.pi / cfg.length
         c, s = math.cos(omega * cfg.cycle_time), math.sin(omega * cfg.cycle_time)
         i = 4 + 2 * pos
-        block = prop.s[i : i + 2, i : i + 2]
+        block = prop[i : i + 2, i : i + 2]
         assert np.allclose(block, [[c, s], [-s, c]], atol=1e-10)
         # and that mode's rows/columns carry no mixing with anything else
-        row = prop.s[i : i + 2].copy()
+        row = prop[i : i + 2].copy()
         row[:, i : i + 2] = 0.0
         assert np.max(np.abs(row)) < 1e-10
 
@@ -186,7 +194,7 @@ def test_detector_correlations_grow_quadratically():
     times = np.geomspace(1e-3, 1e-2, 7)
     norms = []
     for t in times:
-        evolved = dynamics.evolve(vac, dynamics.propagator(f, t))
+        evolved = evolve(vac, dynamics.propagator(f, t))
         norms.append(np.linalg.norm(evolved[0:2, 2:4]))
     slope = np.polyfit(np.log(times), np.log(norms), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
@@ -200,7 +208,7 @@ class StepTooLargeError(RuntimeError):
     """The integrator step left too much symplectic drift."""
 
 
-def integrate_propagator(f_sym_of_t, t: float, step: float) -> dynamics.Propagator:
+def integrate_propagator(f_sym_of_t, t: float, step: float) -> np.ndarray:
     """Fixed-step RK4 integration of dS/dt = Omega F_sym(t) S from S(0) = I.
 
     f_sym_of_t maps a time to the (symmetric) Hamiltonian matrix, so
@@ -234,29 +242,29 @@ def integrate_propagator(f_sym_of_t, t: float, step: float) -> dynamics.Propagat
             f"integration drifted off the symplectic manifold by {drift:.3e}; "
             "reduce the step"
         )
-    return dynamics.Propagator(s=s, t=float(t))
+    return s
 
 
 def test_integrator_zero_time():
     f = cavity.hamiltonian_matrix(small_config())
     prop = integrate_propagator(lambda t: f, 0.0, 1e-2)
-    assert np.allclose(prop.s, np.eye(f.shape[0]))
+    assert np.allclose(prop, np.eye(f.shape[0]))
 
 
 def test_integrator_matches_exponential_on_reference_config():
     cfg = cavity.standard_config(16)
     f = cavity.hamiltonian_matrix(cfg)
-    exact = dynamics.propagator(f, cfg.cycle_time).s
-    integrated = integrate_propagator(lambda t: f, cfg.cycle_time, 1e-3).s
+    exact = dynamics.propagator(f, cfg.cycle_time)
+    integrated = integrate_propagator(lambda t: f, cfg.cycle_time, 1e-3)
     assert np.max(np.abs(integrated - exact)) < 1e-8
 
 
 def test_integrator_fourth_order_convergence():
     f = cavity.hamiltonian_matrix(small_config())
-    exact = dynamics.propagator(f, 2.0).s
+    exact = dynamics.propagator(f, 2.0)
     err = []
     for step in (2e-2, 1e-2):
-        s = integrate_propagator(lambda t: f, 2.0, step).s
+        s = integrate_propagator(lambda t: f, 2.0, step)
         err.append(np.max(np.abs(s - exact)))
     ratio = err[0] / err[1]
     assert 12.0 < ratio < 20.0
@@ -280,4 +288,4 @@ def test_integrator_handles_time_dependence():
     # analytic: phase = integral of w dt = 1.25
     phase = 1.25
     expected = [[math.cos(phase), math.sin(phase)], [-math.sin(phase), math.cos(phase)]]
-    assert np.allclose(prop.s, expected, atol=1e-8)
+    assert np.allclose(prop, expected, atol=1e-8)

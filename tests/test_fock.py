@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from entfarm import cavity, dynamics, fock, gaussian
+from conftest import evolve
 
 
 def one_mode_config(**overrides):
@@ -13,7 +14,7 @@ def one_mode_config(**overrides):
 
 def gaussian_covariance(cav):
     prop = dynamics.propagator_for(cav)
-    return dynamics.evolve(gaussian.vacuum_state(2 + cav.n_field_modes), prop)
+    return evolve(gaussian.vacuum_state(2 + cav.n_field_modes), prop)
 
 
 DENSE_CAP = 8192

@@ -30,6 +30,9 @@ COMMANDS = {
     "energyfig": ["reproduce-fig", "energyfig"],
     "thermPure": ["reproduce-fig", "thermPure"],
     "thermality": ["reproduce-fig", "thermality"],
+    "eigtime": ["reproduce-fig", "eigtime"],
+    "eigcoupling": ["reproduce-fig", "eigcoupling"],
+    "ultralong": ["reproduce-fig", "ultralong"],
 }
 
 

@@ -66,7 +66,7 @@ def test_full_cycle_keeps_states_physical(n, seed, excitation, coupling, cycle_t
 def test_propagator_is_symplectic(n, coupling, cycle_time):
     cav = cavity.standard_config(n, coupling=coupling, cycle_time=cycle_time)
     prop = dynamics.propagator(cavity.hamiltonian_matrix(cav), cav.cycle_time)
-    assert gaussian.check_symplectic(prop.s) <= 1e-9
+    assert gaussian.check_symplectic(prop) <= 1e-9
 
 
 @PROPERTY

@@ -7,6 +7,7 @@ import pytest
 
 from entfarm import cavity, dynamics, gaussian, protocol, thermo
 from scipy.linalg import block_diag
+from conftest import evolve
 
 RNG = np.random.default_rng(5150)
 
@@ -51,7 +52,7 @@ def test_one_step_equals_joint_evolution():
     prop = dynamics.propagator_for(cfg)
     step = protocol.blocks_for(cfg).field_map
     vac_f = gaussian.vacuum_state(cfg.n_field_modes)
-    joint = dynamics.evolve(gaussian.vacuum_state(cfg.n_modes), prop)
+    joint = evolve(gaussian.vacuum_state(cfg.n_modes), prop)
     field_part = gaussian.reduce_modes(joint, range(2, cfg.n_modes))
     stepped = step.apply(vac_f)
     assert np.max(np.abs(stepped - field_part)) < 1e-12

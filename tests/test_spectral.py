@@ -197,6 +197,30 @@ def test_fixed_point_initial_sigma_sets_decoupled_block():
     assert np.max(np.abs(res.sigma_star[2 * p : 2 * p + 2, : 2 * p])) == 0.0
 
 
+@pytest.mark.parametrize(
+    "modes, cycle_time, method", [(64, 21.0, "stein"), (8, 20.0, "kronecker")]
+)
+def test_fixed_point_takes_one_schur_form_and_no_eigvals(modes, cycle_time, method, monkeypatch):
+    # the Schur diagonal drives the uniqueness gate and the Stein solve reuses the form
+    cfg = cavity.standard_config(modes, cycle_time=cycle_time)
+    blocks = protocol.blocks_for(cfg)
+    calls = []
+    schur = spectral.schur
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return schur(*args, **kwargs)
+
+    def no_eigvals(*args, **kwargs):
+        raise AssertionError("fixed_point called np.linalg.eigvals")
+
+    monkeypatch.setattr(spectral, "schur", counted)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    res = spectral.fixed_point(blocks, decoupled_positions=cavity.decoupled_positions(cfg))
+    assert res.method == method
+    assert len(calls) == 1
+
+
 def test_fixed_point_rejects_unknown_method():
     cfg = window_config()
     with pytest.raises(ValueError):
