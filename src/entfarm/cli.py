@@ -213,10 +213,11 @@ def cmd_fixed_point(args) -> int:
     freqs = cavity.mode_frequencies(cav)
     physical = False
     try:
-        gaussian.assert_physical(res.sigma_star)
+        star = gaussian.StateAnalysis(res.sigma_star)
+        star.physical_spectrum  # raises InvalidStateError unless physical
         physical = True
-        purity = gaussian.purity(res.sigma_star)
-        thermality = thermo.thermality_estimator(res.sigma_star, freqs)
+        purity = star.purity
+        thermality = thermo.thermality_of(star, freqs)
     except NUMERICAL_ERRORS + (ValueError,) as exc:
         _warn_blank("field_purity and thermality", exc)
         purity = math.nan

@@ -16,12 +16,16 @@ the engine's vacuum normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from entfarm import cavity
+
+if TYPE_CHECKING:
+    # scipy.sparse is imported where it is used: only verify builds a Fock
+    # space, and every other command would pay its import for nothing
+    from scipy import sparse
 
 DIMENSION_CAP = 120_000
 
@@ -70,10 +74,14 @@ class FockConfig:
 
 
 def _ladder(cutoff: int) -> sparse.csr_matrix:
+    from scipy import sparse
+
     return sparse.diags(np.sqrt(np.arange(1.0, cutoff)), 1, format="csr")
 
 
 def _embed(op: sparse.spmatrix, site: int, n_sites: int, cutoff: int) -> sparse.csr_matrix:
+    from scipy import sparse
+
     out = None
     for k in range(n_sites):
         factor = op if k == site else sparse.identity(cutoff, format="csr")
@@ -100,6 +108,8 @@ def oscillator_hamiltonian(
 
     Zero-point energy is dropped; it shifts nothing observable here.
     """
+    from scipy import sparse
+
     freqs = [float(w) for w in frequencies]
     n_sites = len(freqs)
     if cutoff**n_sites > DIMENSION_CAP:
@@ -157,6 +167,8 @@ def evolve_ground_state(config: FockConfig, t: float) -> np.ndarray:
     oscillator carries more than 1e-6 probability the simulation is lying
     and CutoffTooSmallError says so.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     freqs, couplings = _system_couplings(config)
     h = oscillator_hamiltonian(freqs, couplings, config.cutoff)
     psi = expm_multiply(-1j * t * h.tocsc(), _ground_state(config.dimension))

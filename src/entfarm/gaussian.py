@@ -12,6 +12,7 @@ wants bits divides by log 2 where it writes them.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -176,24 +177,10 @@ def assert_physical(sigma: np.ndarray) -> np.ndarray:
     """Check sigma >= 1 in the symplectic sense; returns the eigenvalues.
 
     Raises InvalidStateError if sigma is not positive definite or any
-    symplectic eigenvalue falls below 1 - PHYSICAL_TOL.  Definiteness is
-    tested by the Cholesky factorization the eigenvalues are computed from;
-    only when it fails is the least eigenvalue computed, for the message.
+    symplectic eigenvalue falls below 1 - PHYSICAL_TOL; eigenvalues within
+    that tolerance below 1 are clamped to 1.
     """
-    sigma = _as_covariance(sigma)
-    try:
-        t = _cholesky(sigma)
-    except DecompositionError:
-        low = float(np.min(np.linalg.eigvalsh(sigma)))
-        raise InvalidStateError(
-            f"covariance is not positive definite (eigenvalue {low:.6g})"
-        ) from None
-    nus = _symplectic_spectrum(t)
-    if np.any(nus < 1.0 - PHYSICAL_TOL):
-        raise InvalidStateError(
-            f"symplectic eigenvalue {nus.min():.12g} violates the uncertainty bound"
-        )
-    return np.maximum(nus, 1.0)
+    return StateAnalysis(sigma).physical_spectrum
 
 
 def williamson_normal_form(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,12 +237,11 @@ def check_symplectic(s: np.ndarray) -> float:
 
 
 def purity(sigma: np.ndarray) -> float:
-    """Tr rho^2 = 1 / sqrt(det sigma); uses slogdet for wide dynamic range."""
-    sigma = _as_covariance(sigma)
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
-        raise InvalidStateError("covariance matrix must have positive determinant")
-    return float(np.exp(-0.5 * logdet))
+    """Tr rho^2 = 1 / sqrt(det sigma), from the log-determinant of the Cholesky factor.
+
+    Raises InvalidStateError if sigma is not positive definite.
+    """
+    return StateAnalysis(sigma).purity
 
 
 def entropy_of_spectrum(nus) -> float:
@@ -279,7 +265,27 @@ def von_neumann_entropy(sigma: np.ndarray) -> float:
     Eigenvalues within PHYSICAL_TOL below 1 are clamped to 1; anything lower
     is a physicality violation and raises InvalidStateError.
     """
-    return entropy_of_spectrum(assert_physical(sigma))
+    return StateAnalysis(sigma).entropy
+
+
+def block_traces(sigma: np.ndarray) -> np.ndarray:
+    """Trace of each mode's 2x2 block; reads the diagonal and checks nothing."""
+    diag = np.diagonal(sigma)
+    return diag[0::2] + diag[1::2]
+
+
+def energy_from_traces(
+    traces: np.ndarray, frequencies: np.ndarray, convention: str = "paper"
+) -> float:
+    """energy() of a state given by its block_traces."""
+    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
+    if freqs.shape != traces.shape:
+        raise ValueError(f"need {traces.size} frequencies, got {freqs.shape}")
+    if convention == "paper":
+        return float(np.sum(freqs / 2.0 * traces))
+    if convention == "normal_ordered":
+        return float(np.sum(freqs * (traces - 2.0) / 4.0))
+    raise ValueError(f"unknown energy convention {convention!r}")
 
 
 def energy(
@@ -291,18 +297,68 @@ def energy(
     the vacuum a zero-point energy of sum_i w_i; "normal_ordered" subtracts
     it, giving sum_i w_i <n_i>.
     """
-    sigma = _as_covariance(sigma)
-    freqs = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    n = mode_count(sigma)
-    if freqs.shape != (n,):
-        raise ValueError(f"need {n} frequencies, got {freqs.shape}")
-    diag = np.diagonal(sigma)
-    block_traces = diag[0::2] + diag[1::2]
-    if convention == "paper":
-        return float(np.sum(freqs / 2.0 * block_traces))
-    if convention == "normal_ordered":
-        return float(np.sum(freqs * (block_traces - 2.0) / 4.0))
-    raise ValueError(f"unknown energy convention {convention!r}")
+    return energy_from_traces(block_traces(_as_covariance(sigma)), frequencies, convention)
+
+
+# ---------------------------------------------------------------------------
+# one state, factored once
+
+
+class StateAnalysis:
+    """A validated covariance matrix and the factorization its diagnostics share.
+
+    Construction runs the shape and symmetry checks once.  The Cholesky
+    factor T of sigma = T T^T, the log-determinant 2 sum log T_ii, the
+    physical symplectic spectrum and the block traces are each computed on
+    first use and then kept.  purity, assert_physical and
+    von_neumann_entropy are this class applied to a bare matrix, and the
+    thermo estimators read it too.
+    """
+
+    def __init__(self, sigma: np.ndarray):
+        self.sigma = _as_covariance(sigma)
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor T; InvalidStateError if sigma is not positive definite.
+
+        Only when the factorization fails is the least eigenvalue computed,
+        for the message.
+        """
+        try:
+            return _cholesky(self.sigma)
+        except DecompositionError:
+            low = float(np.min(np.linalg.eigvalsh(self.sigma)))
+            raise InvalidStateError(
+                f"covariance is not positive definite (eigenvalue {low:.6g})"
+            ) from None
+
+    @cached_property
+    def log_det(self) -> float:
+        return 2.0 * float(np.sum(np.log(np.diagonal(self.factor))))
+
+    @cached_property
+    def physical_spectrum(self) -> np.ndarray:
+        """Descending and clamped up to 1; InvalidStateError below 1 - PHYSICAL_TOL."""
+        nus = _symplectic_spectrum(self.factor)
+        if np.any(nus < 1.0 - PHYSICAL_TOL):
+            raise InvalidStateError(
+                f"symplectic eigenvalue {nus.min():.12g} violates the uncertainty bound"
+            )
+        return np.maximum(nus, 1.0)
+
+    @cached_property
+    def block_traces(self) -> np.ndarray:
+        return block_traces(self.sigma)
+
+    @property
+    def purity(self) -> float:
+        return float(np.exp(-0.5 * self.log_det))
+
+    @property
+    def entropy(self) -> float:
+        """Von Neumann entropy in nats."""
+        return entropy_of_spectrum(self.physical_spectrum)
 
 
 # ---------------------------------------------------------------------------

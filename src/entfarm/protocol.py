@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -68,7 +69,12 @@ class CycleBlocks:
 
 @dataclass(frozen=True)
 class CycleStates:
-    """The states around one cycle: the argument of every observable."""
+    """The states around one cycle: the argument of every observable.
+
+    run_cycles validates the states it is given once, on entry, and
+    full_cycle returns exactly symmetric states, so observables may read
+    them without re-validating.
+    """
 
     detector_in: np.ndarray
     field_in: np.ndarray
@@ -77,20 +83,25 @@ class CycleStates:
     detector_freqs: np.ndarray
     field_freqs: np.ndarray
 
+    @cached_property
+    def field_analysis(self) -> gaussian.StateAnalysis:
+        """field_out validated and factored once, on first use, for every observable."""
+        return gaussian.StateAnalysis(self.field_out)
+
+
+def _energy(sigma: np.ndarray, freqs: np.ndarray) -> float:
+    return gaussian.energy_from_traces(gaussian.block_traces(sigma), freqs, "paper")
+
 
 def _energy_input(s: CycleStates) -> float:
-    e_start = gaussian.energy(s.detector_in, s.detector_freqs, "paper") + gaussian.energy(
-        s.field_in, s.field_freqs, "paper"
-    )
-    e_end = gaussian.energy(s.detector_out, s.detector_freqs, "paper") + gaussian.energy(
-        s.field_out, s.field_freqs, "paper"
-    )
+    e_start = _energy(s.detector_in, s.detector_freqs) + _energy(s.field_in, s.field_freqs)
+    e_end = _energy(s.detector_out, s.detector_freqs) + _energy(s.field_out, s.field_freqs)
     return e_end - e_start
 
 
 def _field_thermality(s: CycleStates) -> float:
     try:
-        return thermo.thermality_estimator(s.field_out, s.field_freqs)
+        return thermo.thermality_of(s.field_analysis, s.field_freqs)
     except thermo.UndefinedEstimatorError:
         return math.nan
 
@@ -100,7 +111,7 @@ DIAGNOSTICS = MappingProxyType(
     {
         "log_negativity": lambda s: gaussian.log_negativity(s.detector_out),
         "energy_input": _energy_input,
-        "field_purity": lambda s: gaussian.purity(s.field_out),
+        "field_purity": lambda s: s.field_analysis.purity,
         "field_thermality": _field_thermality,
     }
 )
@@ -207,8 +218,11 @@ def run_cycles(
     if sigma_f0 is None:
         sigma_f = gaussian.vacuum_state(config.n_field_modes)
     else:
-        sigma_f = np.asarray(sigma_f0, dtype=float).copy()
-    sigma_d0 = gaussian.vacuum_state(2) if sigma_d0 is None else np.asarray(sigma_d0, float)
+        sigma_f = gaussian.StateAnalysis(sigma_f0).sigma.copy()
+    if sigma_d0 is None:
+        sigma_d0 = gaussian.vacuum_state(2)
+    else:
+        sigma_d0 = gaussian.StateAnalysis(sigma_d0).sigma
     blocks = blocks_for(config)
     detector_freqs = cavity.joint_frequencies(config)[:2]
     field_freqs = cavity.mode_frequencies(config)

@@ -98,11 +98,6 @@ def relative_entropy(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
     return float(-entropy_a - ref.c - 0.5 * np.sum(sigma_a * ref.h))
 
 
-def _excitation_energy(sigma: np.ndarray, frequencies: np.ndarray) -> float:
-    # energy above the vacuum; convention-free quantity
-    return gaussian.energy(sigma, frequencies, "normal_ordered")
-
-
 def _thermal_excitation_energy(frequencies: np.ndarray, beta: float) -> tuple[float, float]:
     # excitation energy E(beta) = sum w nbar of the thermal state and its
     # slope dE/dbeta = -sum w^2 nbar (nbar + 1), from the occupations
@@ -127,8 +122,13 @@ def effective_temperature(sigma: np.ndarray, frequencies: np.ndarray) -> Thermal
     positive-temperature match; the beta -> infinity limit is reported
     through NoThermalMatchError.
     """
+    return _thermal_fit(gaussian.StateAnalysis(sigma), frequencies)
+
+
+def _thermal_fit(state: gaussian.StateAnalysis, frequencies: np.ndarray) -> ThermalFit:
     frequencies = np.atleast_1d(np.asarray(frequencies, dtype=float))
-    target = _excitation_energy(sigma, frequencies)
+    # energy above the vacuum; convention-free quantity
+    target = gaussian.energy_from_traces(state.block_traces, frequencies, "normal_ordered")
     scale = float(np.sum(frequencies))
     # the floor absorbs trace rounding of a vacuum-up-to-eps state
     if target <= 1e-12 * scale:
@@ -180,13 +180,18 @@ def thermality_estimator(sigma: np.ndarray, frequencies: np.ndarray) -> float:
     1 means exactly thermal, 0 means pure.  Vacuum-energy states have a
     zero-entropy reference and raise UndefinedEstimatorError.
     """
+    return thermality_of(gaussian.StateAnalysis(sigma), frequencies)
+
+
+def thermality_of(state: gaussian.StateAnalysis, frequencies: np.ndarray) -> float:
+    """thermality_estimator of an analysed state, reusing its factorization."""
     try:
-        fit = effective_temperature(sigma, frequencies)
+        fit = _thermal_fit(state, frequencies)
     except NoThermalMatchError:
         raise UndefinedEstimatorError(
             "thermality is ill-defined at vacuum energy (0/0 entropy ratio)"
         )
     if fit.thermal_entropy <= 0.0:
         raise UndefinedEstimatorError("matched thermal state has zero entropy")
-    return gaussian.von_neumann_entropy(sigma) / fit.thermal_entropy
+    return state.entropy / fit.thermal_entropy
 

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,3 +313,24 @@ def test_verify_passes(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+
+
+# import the CLI, run a tiny trajectory, report whether scipy.sparse got loaded
+SPARSE_SCRIPT = """
+import sys, tempfile
+from entfarm import cli
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(["run-cycles", "--modes", "2", "--out", out])
+print(code, "scipy.sparse" in sys.modules)
+"""
+
+
+def test_only_verify_imports_scipy_sparse():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ENTFARM_")}
+    env.update(PYTHONPATH=str(src), ENTFARM_RUN_N_CYCLES="2")
+    out = subprocess.run(
+        [sys.executable, "-c", SPARSE_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.splitlines()[-1] == "0 False"

@@ -199,6 +199,30 @@ def test_purity_is_inverse_product_of_eigenvalues():
     assert gaussian.purity(sigma) == pytest.approx(1.0 / np.prod(nus), rel=1e-9)
 
 
+def test_purity_rejects_non_positive_definite_state():
+    # det = +1 here, so a determinant-sign test alone would let it through
+    with pytest.raises(gaussian.InvalidStateError,
+                       match=r"^covariance is not positive definite \(eigenvalue -1\)$"):
+        gaussian.purity(np.diag([-1.0, -1.0, 1.0, 1.0]))
+
+
+def test_state_analysis_factors_once(monkeypatch):
+    # every diagnostic of one analysis reads one Cholesky factor and equals
+    # the public function of the bare matrix
+    sigma, nus = random_covariance(3, RNG)
+    purity = gaussian.purity(sigma)
+    spectrum = gaussian.assert_physical(sigma)
+    entropy = gaussian.von_neumann_entropy(sigma)
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    state = gaussian.StateAnalysis(sigma)
+    assert (state.purity, state.entropy) == (purity, entropy)
+    assert np.array_equal(state.physical_spectrum, spectrum)
+    assert state.log_det == pytest.approx(2.0 * np.sum(np.log(nus)), rel=1e-12)
+    assert len(calls) == 1
+
+
 def test_entropy_rejects_unphysical_state():
     with pytest.raises(gaussian.InvalidStateError):
         gaussian.von_neumann_entropy(0.5 * np.eye(2))

@@ -1,6 +1,7 @@
 """Tests for the extraction cycle protocol."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -187,8 +188,9 @@ def test_run_cycles_computes_only_requested_diagnostics(monkeypatch):
     def unrequested(*args, **kwargs):
         raise AssertionError("an unrequested diagnostic was computed")
 
-    monkeypatch.setattr(thermo, "thermality_estimator", unrequested)
-    monkeypatch.setattr(gaussian, "purity", unrequested)
+    # purity and thermality read the field analysis, energy_input the traces
+    monkeypatch.setattr(gaussian, "StateAnalysis", unrequested)
+    monkeypatch.setattr(gaussian, "energy_from_traces", unrequested)
     only = {"log_negativity": protocol.DIAGNOSTICS["log_negativity"]}
     traj = protocol.run_cycles(small_config(), n_cycles=3, observables=only)
     for r in traj.records:
@@ -197,6 +199,33 @@ def test_run_cycles_computes_only_requested_diagnostics(monkeypatch):
         assert r.field_purity is None
         assert r.field_thermality is None
         assert list(r.values) == ["log_negativity"]
+
+
+def test_run_cycles_validates_and_factors_each_field_state_once(monkeypatch):
+    cfg, n_cycles = small_config(), 5
+    field_dim = 2 * cfg.n_field_modes
+    calls = Counter()
+
+    def count(owner, name, field_sized_only=False):
+        original = getattr(owner, name)
+
+        def counted(a, *args, **kwargs):
+            if not field_sized_only or np.shape(a)[0] == field_dim:
+                calls[name] += 1
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(np.linalg, "cholesky")
+    count(np.linalg, "slogdet")
+    count(gaussian, "_as_covariance", field_sized_only=True)
+    sigma0 = gaussian.thermal_state(cavity.mode_frequencies(cfg), 0.1)
+    traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=n_cycles)
+    assert all(list(r.values) == list(protocol.DIAGNOSTICS) for r in traj.records)
+    assert calls["cholesky"] == n_cycles
+    assert calls["slogdet"] == 0
+    # one per cycle's field_out, plus the entry check of sigma_f0
+    assert calls["_as_covariance"] <= n_cycles + 1
 
 
 def test_run_cycles_diagnostics_need_no_nonsymmetric_eigensolve(monkeypatch):
