@@ -15,7 +15,6 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -119,7 +118,9 @@ _REL_ENTROPY = "relative_entropy_to_fixed_point"
 
 
 def _coupled_fixed_point(cav, sigma0):
-    """Fixed point reduced to the coupled modes, or None when not computable.
+    """Log-density of the fixed point on the coupled modes, and those modes.
+
+    Both are None when the fixed point is not computable.
 
     The decoupled modes sit at their initial state forever on both sides of
     the comparison, so they contribute nothing to the distance; dropping
@@ -136,8 +137,7 @@ def _coupled_fixed_point(cav, sigma0):
         )
         star = gaussian.reduce_modes(res.sigma_star, coupled)
         gaussian.assert_physical(star)
-        thermo.log_density(star)
-        return star, coupled
+        return thermo.log_density(star), coupled
     except NUMERICAL_ERRORS + (ValueError,) as exc:
         _warn_blank(_REL_ENTROPY, exc)
         return None, None
@@ -147,11 +147,11 @@ def cmd_run_cycles(args) -> int:
     cfg = _load(args)
     cav = cfg.cavity_config()
     sigma0 = _initial_field(cfg, cav)
-    star, coupled = _coupled_fixed_point(cav, sigma0)
+    ref, coupled = _coupled_fixed_point(cav, sigma0)
     observables = dict(protocol.DIAGNOSTICS)
-    if star is not None:
-        observables[_REL_ENTROPY] = lambda s: thermo.relative_entropy(
-            gaussian.reduce_modes(s.field_out, coupled), star
+    if ref is not None:
+        observables[_REL_ENTROPY] = lambda s: ref.relative_entropy(
+            gaussian.reduce_modes(s.field_out, coupled)
         )
     traj = protocol.run_cycles(
         cav,
@@ -248,26 +248,28 @@ def cmd_fixed_point(args) -> int:
 # spectrum
 
 
+def _coupled_spectrum(cav: cavity.CavityConfig, blocks: protocol.CycleBlocks):
+    """Spectrum of the cycle map without the decoupled modes, and its timescales."""
+    spec = spectral.field_spectrum(blocks, exclude_positions=cavity.decoupled_positions(cav))
+    return spec, spectral.timescales(spec)
+
+
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
     cav = cfg.cavity_config()
     blocks = protocol.blocks_for(cav)
-    dead = cavity.decoupled_positions(cav)
-    rows = []
-    for label, positions in (("full", ()), ("coupled", dead)):
-        spec = spectral.field_spectrum(blocks, exclude_positions=positions)
-        for idx, ev in enumerate(spec.eigenvalues):
-            rows.append((label, idx, ev.real, ev.imag, abs(ev)))
-        if label == "coupled":
-            conv, inst = spectral.timescales(spec)
-            print(f"coupled max modulus: {spec.max_modulus!r}")
-            print(f"convergence cycles: {'-' if conv is None else repr(conv)}")
-            print(f"instability cycles: {'-' if inst is None else repr(inst)}")
-    _write_csv(
-        _out(cfg, "spectrum.csv"),
-        ("subspace", "index", "real", "imag", "modulus"),
-        rows,
-    )
+    full = spectral.field_spectrum(blocks)
+    coupled, (conv, inst) = _coupled_spectrum(cav, blocks)
+    print(f"coupled max modulus: {coupled.max_modulus!r}")
+    print(f"convergence cycles: {'-' if conv is None else repr(conv)}")
+    print(f"instability cycles: {'-' if inst is None else repr(inst)}")
+    rows = [
+        (label, idx, ev.real, ev.imag, abs(ev))
+        for label, spec in (("full", full), ("coupled", coupled))
+        for idx, ev in enumerate(spec.eigenvalues)
+    ]
+    header = ("subspace", "index", "real", "imag", "modulus")
+    _write_csv(_out(cfg, "spectrum.csv"), header, rows)
     return EXIT_OK
 
 
@@ -275,37 +277,32 @@ def cmd_spectrum(args) -> int:
 # sweep
 
 
-def _sweep_point(cfg: ExperimentConfig, spec: SweepSpec, value: float):
-    try:
-        cav = spec.apply(cfg, value).cavity_config()
-        blocks = protocol.blocks_for(cav)
-        dead = cavity.decoupled_positions(cav)
-        spectrum = spectral.field_spectrum(blocks, exclude_positions=dead)
-        _, instability = spectral.timescales(spectrum)
-        log_critical = None if instability is None else math.log10(instability)
-        return (value, spectrum.max_modulus, log_critical, "")
-    except NUMERICAL_ERRORS + (ValueError,) as exc:
-        return (value, None, None, f"{type(exc).__name__}: {exc}")
+def _sweep(cfg: ExperimentConfig, spec: SweepSpec, name: str, extra: str):
+    """Header, rows and gnuplot script of critical cycles over a sweep.
 
-
-_SWEEP_HEADER = ("parameter", "max_modulus", "log10_critical_cycles", "failure")
-
-
-def _sweep_script(name: str, extra: str) -> str:
-    """gnuplot script of critical cycles against the parameter in <name>.csv."""
+    Points are solved in grid order, which is ascending, one at a time.  A
+    point that fails records the error in its failure column.
+    """
+    rows = []
+    for value in spec.grid().tolist():
+        try:
+            cav = spec.apply(cfg, value).cavity_config()
+            spectrum, (_, instability) = _coupled_spectrum(cav, protocol.blocks_for(cav))
+            log_critical = None if instability is None else math.log10(instability)
+            rows.append((value, spectrum.max_modulus, log_critical, ""))
+        except NUMERICAL_ERRORS + (ValueError,) as exc:
+            rows.append((value, None, None, f"{type(exc).__name__}: {exc}"))
     plots = [f"'{name}.csv' skip 1 using 1:3 with linespoints title 'critical cycles'"]
-    return _gnuplot(name, "log10 critical cycles", plots, extra=extra)
+    header = ("parameter", "max_modulus", "log10_critical_cycles", "failure")
+    return header, rows, _gnuplot(name, "log10 critical cycles", plots, extra=extra)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     spec = SweepSpec(args.param, args.min, args.max, args.points, args.scale)
-    grid = spec.grid()
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        rows = list(pool.map(lambda v: _sweep_point(cfg, spec, float(v)), grid))
-    rows.sort(key=lambda row: row[0])
-    _write_csv(_out(cfg, "sweep.csv"), _SWEEP_HEADER, rows)
-    _write_text(_out(cfg, "sweep.gp"), _sweep_script("sweep", f"set xlabel '{args.param}'"))
+    header, rows, script = _sweep(cfg, spec, "sweep", f"set xlabel '{args.param}'")
+    _write_csv(_out(cfg, "sweep.csv"), header, rows)
+    _write_text(_out(cfg, "sweep.gp"), script)
     failures = sum(1 for row in rows if row[3])
     print(f"wrote {_out(cfg, 'sweep.csv')} ({len(rows)} points, {failures} failures)")
     return EXIT_OK
@@ -422,8 +419,7 @@ def _fig_sweep(name: str, cfg: ExperimentConfig):
     spec, cycle_time, extra = _SWEEP_FIGURES[name]
     if cycle_time is not None:
         cfg = replace(cfg, cycle_time=cycle_time)
-    rows = sorted((_sweep_point(cfg, spec, float(v)) for v in spec.grid()), key=lambda r: r[0])
-    return _SWEEP_HEADER, rows, _sweep_script(name, extra)
+    return _sweep(cfg, spec, name, extra)
 
 
 def _fig_extinction(cfg):
@@ -558,9 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", required=True, type=float)
     p.add_argument("--points", required=True, type=int)
     p.add_argument("--scale", default="linear", choices=("linear", "log"))
-    p.add_argument(
-        "--workers", type=int, default=4, metavar="N", help="parallel sweep workers"
-    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(

@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from entfarm import cli, fock
+from entfarm import cli, fock, thermo
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv, monkeypatch, tmp_path, n_cycles=12, modes=4):
@@ -57,6 +62,22 @@ def test_run_cycles_windowed_reports_distance_to_fixed_point(monkeypatch, tmp_pa
     assert all(math.isfinite(v) and v > 0.0 for v in values)
     # the protocol drives the field toward the fixed point
     assert values[-1] < values[0]
+
+
+def test_run_cycles_takes_the_fixed_point_log_density_once(monkeypatch, tmp_path):
+    calls = []
+    log_density = thermo.log_density
+
+    def counted(sigma):
+        calls.append(sigma.shape)
+        return log_density(sigma)
+
+    monkeypatch.setattr(thermo, "log_density", counted)
+    assert run(["run-cycles"], monkeypatch, tmp_path, n_cycles=5) == 0
+    _, rows = read_csv(tmp_path / "trajectory.csv")
+    assert len(rows) == 5
+    assert all(r[5] != "" for r in rows)
+    assert len(calls) == 1
 
 
 def test_run_cycles_warns_when_fixed_point_fails(monkeypatch, tmp_path, capsys):
@@ -177,9 +198,9 @@ def test_spectrum_output(monkeypatch, tmp_path, capsys):
 def test_sweep_ordering_and_determinism(monkeypatch, tmp_path):
     argv = ["sweep", "--param", "lambda", "--min", "0.005", "--max", "0.04",
             "--points", "5", "--scale", "log"]
-    assert run(argv + ["--workers", "1"], monkeypatch, tmp_path) == 0
+    assert run(argv, monkeypatch, tmp_path) == 0
     first = (tmp_path / "sweep.csv").read_bytes()
-    assert run(argv + ["--workers", "4"], monkeypatch, tmp_path) == 0
+    assert run(argv, monkeypatch, tmp_path) == 0
     assert (tmp_path / "sweep.csv").read_bytes() == first
     header, rows = read_csv(tmp_path / "sweep.csv")
     assert header == ["parameter", "max_modulus", "log10_critical_cycles", "failure"]
@@ -188,9 +209,11 @@ def test_sweep_ordering_and_determinism(monkeypatch, tmp_path):
     assert all(r[3] == "" for r in rows)
 
 
-def test_workers_flag_belongs_to_sweep(monkeypatch, tmp_path, capsys):
+def test_sweep_rejects_removed_workers_flag(monkeypatch, tmp_path, capsys):
+    # sweep points run serially; a script that still passes --workers fails loudly
+    argv = ["sweep", "--param", "lambda", "--min", "0.005", "--max", "0.04", "--points", "2"]
     with pytest.raises(SystemExit) as exc:
-        run(["run-cycles", "--workers", "2"], monkeypatch, tmp_path)
+        run(argv + ["--workers", "2"], monkeypatch, tmp_path)
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
 
@@ -334,3 +357,41 @@ def test_only_verify_imports_scipy_sparse():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.splitlines()[-1] == "0 False"
+
+
+def _subcommand_options() -> dict[str, set[str]]:
+    """Option strings of each subcommand, -h and --help left out."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def test_readme_names_every_cli_option():
+    readme = README.read_text()
+    missing = sorted(
+        f"{name} {opt}"
+        for name, options in _subcommand_options().items()
+        for opt in options
+        if not re.search(re.escape(opt) + r"(?![\w-])", readme)
+    )
+    assert missing == []
+
+
+def test_readme_shell_examples_use_accepted_flags():
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+        for line in block.splitlines()
+    ]
+    flags = {flag for line in lines for flag in re.findall(r"(?<![\w-])--[\w-]+", line)}
+    accepted = set().union(*_subcommand_options().values()) | {"--no-build-isolation"}
+    assert "--out" in flags
+    assert sorted(flags - accepted) == []
+    # each example command line parses as written
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("entfarm ")]
+    assert commands
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])

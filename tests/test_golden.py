@@ -21,18 +21,24 @@ from entfarm import cli
 GOLDEN = Path(__file__).parent / "golden"
 ENV = {"ENTFARM_RUN_N_CYCLES": "5", "ENTFARM_CAVITY_MODES": "4"}
 
-# output stem -> command that writes <stem>.csv and <stem>.gp
+# command -> the files it writes, each pinned as tests/golden/<file>
 COMMANDS = {
-    "trajectory": ["run-cycles"],
-    "short_cycle": ["short-cycle", "--tf-r", "1.44"],
-    "extinction": ["reproduce-fig", "extinction"],
-    "lognegplot": ["reproduce-fig", "lognegplot"],
-    "energyfig": ["reproduce-fig", "energyfig"],
-    "thermPure": ["reproduce-fig", "thermPure"],
-    "thermality": ["reproduce-fig", "thermality"],
-    "eigtime": ["reproduce-fig", "eigtime"],
-    "eigcoupling": ["reproduce-fig", "eigcoupling"],
-    "ultralong": ["reproduce-fig", "ultralong"],
+    "trajectory": (["run-cycles"], ("trajectory.csv", "trajectory.gp")),
+    "short_cycle": (["short-cycle", "--tf-r", "1.44"], ("short_cycle.csv", "short_cycle.gp")),
+    "extinction": (["reproduce-fig", "extinction"], ("extinction.csv", "extinction.gp")),
+    "lognegplot": (["reproduce-fig", "lognegplot"], ("lognegplot.csv", "lognegplot.gp")),
+    "energyfig": (["reproduce-fig", "energyfig"], ("energyfig.csv", "energyfig.gp")),
+    "thermPure": (["reproduce-fig", "thermPure"], ("thermPure.csv", "thermPure.gp")),
+    "thermality": (["reproduce-fig", "thermality"], ("thermality.csv", "thermality.gp")),
+    "eigtime": (["reproduce-fig", "eigtime"], ("eigtime.csv", "eigtime.gp")),
+    "eigcoupling": (["reproduce-fig", "eigcoupling"], ("eigcoupling.csv", "eigcoupling.gp")),
+    "ultralong": (["reproduce-fig", "ultralong"], ("ultralong.csv", "ultralong.gp")),
+    "sweep": (
+        ["sweep", "--param", "lambda", "--min", "0.005", "--max", "0.04",
+         "--points", "5", "--scale", "log"],
+        ("sweep.csv", "sweep.gp"),
+    ),
+    "spectrum": (["spectrum"], ("spectrum.csv",)),
 }
 
 
@@ -40,21 +46,22 @@ COMMANDS = {
 def test_outputs_match_golden_bytes(stem, monkeypatch, tmp_path):
     for name, value in ENV.items():
         monkeypatch.setenv(name, value)
-    assert cli.main(COMMANDS[stem] + ["--out", str(tmp_path)]) == 0
-    for suffix in (".csv", ".gp"):
-        expected = (GOLDEN / (stem + suffix)).read_bytes()
-        assert (tmp_path / (stem + suffix)).read_bytes() == expected, stem + suffix
+    argv, files = COMMANDS[stem]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    for filename in files:
+        expected = (GOLDEN / filename).read_bytes()
+        assert (tmp_path / filename).read_bytes() == expected, filename
 
 
 def regenerate() -> None:
     os.environ.update(ENV)
     GOLDEN.mkdir(exist_ok=True)
-    for stem, argv in COMMANDS.items():
+    for stem, (argv, files) in COMMANDS.items():
         with tempfile.TemporaryDirectory() as out:
             if cli.main(argv + ["--out", out]) != 0:
                 raise SystemExit(f"{stem}: command failed")
-            for suffix in (".csv", ".gp"):
-                (GOLDEN / (stem + suffix)).write_bytes((Path(out) / (stem + suffix)).read_bytes())
+            for filename in files:
+                (GOLDEN / filename).write_bytes((Path(out) / filename).read_bytes())
 
 
 if __name__ == "__main__":
