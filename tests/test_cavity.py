@@ -144,3 +144,9 @@ def test_fingerprint_distinguishes_configs():
     b = cavity.standard_config(4, coupling=0.02)
     assert a.fingerprint() != b.fingerprint()
     assert a.fingerprint() == cavity.standard_config(4).fingerprint()
+
+
+def test_fingerprint_is_pinned():
+    # a cache or record keyed by the fingerprint survives a refactor only if
+    # the hash of the reference setup stays put
+    assert cavity.standard_config(4).fingerprint() == "97b3edef279b5951"

@@ -1,7 +1,8 @@
 """Byte-identity of the emitted CSV files and gnuplot scripts.
 
 tests/golden/ holds what each command below writes at 4 field modes and 5
-cycles, in nats.  A refactor must reproduce every byte.  When an output is
+cycles, in nats, and the configuration file that dump_config writes for the
+defaults.  A refactor must reproduce every byte.  When an output is
 meant to change, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from entfarm import cli
+from entfarm import cli, config
 
 GOLDEN = Path(__file__).parent / "golden"
 ENV = {"ENTFARM_RUN_N_CYCLES": "5", "ENTFARM_CAVITY_MODES": "4"}
@@ -39,7 +40,13 @@ COMMANDS = {
         ("sweep.csv", "sweep.gp"),
     ),
     "spectrum": (["spectrum"], ("spectrum.csv",)),
+    "fixed_point": (["fixed-point"], ("fixed_point.csv", "fixed_point_sigma.csv")),
 }
+DEFAULT_CONFIG = "default_config.ini"
+
+
+def _default_config_text() -> str:
+    return config.dump_config(config.load_config(None, environ={}))
 
 
 @pytest.mark.parametrize("stem", sorted(COMMANDS))
@@ -53,6 +60,10 @@ def test_outputs_match_golden_bytes(stem, monkeypatch, tmp_path):
         assert (tmp_path / filename).read_bytes() == expected, filename
 
 
+def test_default_config_dump_matches_golden_bytes():
+    assert _default_config_text() == (GOLDEN / DEFAULT_CONFIG).read_text()
+
+
 def regenerate() -> None:
     os.environ.update(ENV)
     GOLDEN.mkdir(exist_ok=True)
@@ -62,6 +73,7 @@ def regenerate() -> None:
                 raise SystemExit(f"{stem}: command failed")
             for filename in files:
                 (GOLDEN / filename).write_bytes((Path(out) / filename).read_bytes())
+    (GOLDEN / DEFAULT_CONFIG).write_text(_default_config_text())
 
 
 if __name__ == "__main__":
