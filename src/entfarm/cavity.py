@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,10 @@ class CavityConfig:
             object.__setattr__(self, "x1", self.length / 3.0)
         if self.x2 is None:
             object.__setattr__(self, "x2", 2.0 * self.length / 3.0)
+        for name in ("length", "coupling", "detector_frequency", "x1", "x2", "cycle_time"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mode_numbers is None:
             object.__setattr__(self, "mode_numbers", tuple(range(1, DEFAULT_N_MODES + 1)))
         else:
@@ -75,17 +79,7 @@ class CavityConfig:
         return 2 + self.n_field_modes
 
     def fingerprint(self) -> str:
-        payload = repr(
-            (
-                self.length,
-                self.coupling,
-                self.detector_frequency,
-                self.x1,
-                self.x2,
-                self.cycle_time,
-                self.mode_numbers,
-            )
-        )
+        payload = repr(astuple(self))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -111,15 +105,7 @@ def resonant_window(config: CavityConfig, width: float | None = None) -> CavityC
         )
     if not kept:
         raise ValueError("resonant window is empty; widen it")
-    return CavityConfig(
-        length=config.length,
-        coupling=config.coupling,
-        detector_frequency=config.detector_frequency,
-        x1=config.x1,
-        x2=config.x2,
-        cycle_time=config.cycle_time,
-        mode_numbers=kept,
-    )
+    return replace(config, mode_numbers=kept)
 
 
 def mode_frequencies(config: CavityConfig) -> np.ndarray:

@@ -102,7 +102,10 @@ def _initial_field(cfg: ExperimentConfig, cav: cavity.CavityConfig):
 def _load(args) -> ExperimentConfig:
     cfg = config_mod.load_config(getattr(args, "config", None))
     cfg = config_mod.apply_flag_overrides(cfg, args)
-    os.makedirs(cfg.directory, exist_ok=True)
+    try:
+        os.makedirs(cfg.directory, exist_ok=True)
+    except OSError as exc:
+        raise config_mod.key_error("directory", str(exc))
     return cfg
 
 
@@ -522,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", metavar="PATH", help="INI configuration file")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument(
-        "--log-base", choices=("e", "2"), dest="log_base",
+        "--log-base", choices=config_mod.LOG_BASES, dest="log_base",
         help="unit of entropy and negativity",
     )
     shared.add_argument(
@@ -549,11 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sweep", parents=[shared], help="sweep a parameter")
-    p.add_argument("--param", required=True, choices=("lambda", "t_f", "temperature"))
+    p.add_argument("--param", required=True, choices=tuple(config_mod.SWEEP_FIELDS))
     p.add_argument("--min", required=True, type=float)
     p.add_argument("--max", required=True, type=float)
     p.add_argument("--points", required=True, type=int)
-    p.add_argument("--scale", default="linear", choices=("linear", "log"))
+    p.add_argument("--scale", default="linear", choices=config_mod.SWEEP_SCALES)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(

@@ -12,7 +12,7 @@ import configparser
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,28 +24,24 @@ class ConfigError(ValueError):
 
 
 ENV_PREFIX = "ENTFARM_"
+LOG_BASES = ("e", "2")
 
-# every known key with its default literal; blank means "derived later"
-DEFAULTS: dict[str, dict[str, str]] = {
-    "cavity": {
-        "length": "8.0",
-        "coupling": "0.01",
-        "detector_frequency": repr(math.pi / 8.0),
-        "x1": "",  # blank: length / 3
-        "x2": "",  # blank: 2 length / 3
-        "cycle_time": "20.0",
-        "modes": "128",
-        "window": "",  # blank: keep all modes; "default": five lowest; number: width
-    },
-    "run": {
-        "temperature": "0.0",
-        "n_cycles": "500",
-        "log_base": "e",
-    },
-    "output": {
-        "directory": ".",
-    },
+# the INI section of each key; a key is the name of an ExperimentConfig field,
+# which states its type and default
+SECTIONS: dict[str, tuple[str, ...]] = {
+    "cavity": (
+        "length", "coupling", "detector_frequency", "x1", "x2", "cycle_time", "modes", "window"
+    ),
+    "run": ("temperature", "n_cycles", "log_base"),
+    "output": ("directory",),
 }
+_SECTION_OF = {key: section for section, keys in SECTIONS.items() for key in keys}
+
+
+def key_error(key: str, problem: str) -> ConfigError:
+    """A ConfigError that names the key and its section: "[section] key: problem"."""
+    return ConfigError(f"[{_SECTION_OF[key]}] {key}: {problem}")
+
 
 _DOC = """\
 # Experiment configuration.  Any key may be omitted; the values below are
@@ -74,13 +70,16 @@ _DOC = """\
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    length: float = 8.0
-    coupling: float = 0.01
-    detector_frequency: float = math.pi / 8.0
-    x1: float | None = None
-    x2: float | None = None
-    cycle_time: float = 20.0
-    modes: int = 128
+    """One run's settings.  Each field is a configuration key of the same name:
+    its annotation gives the key's type and its value the key's default."""
+
+    length: float = cavity.CavityConfig.length
+    coupling: float = cavity.CavityConfig.coupling
+    detector_frequency: float = cavity.CavityConfig.detector_frequency
+    x1: float | None = cavity.CavityConfig.x1
+    x2: float | None = cavity.CavityConfig.x2
+    cycle_time: float = cavity.CavityConfig.cycle_time
+    modes: int = cavity.DEFAULT_N_MODES
     window: str = ""
     temperature: float = 0.0
     n_cycles: int = 500
@@ -89,20 +88,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.modes < 1:
-            raise ConfigError(f"[cavity] modes: need at least 1, got {self.modes}")
+            raise key_error("modes", f"need at least 1, got {self.modes}")
         if self.n_cycles < 1:
-            raise ConfigError(f"[run] n_cycles: need at least 1, got {self.n_cycles}")
-        if self.temperature < 0.0:
-            raise ConfigError(f"[run] temperature: must be >= 0, got {self.temperature}")
-        if self.log_base not in ("e", "2"):
-            raise ConfigError(f"[run] log_base: must be e or 2, got {self.log_base!r}")
+            raise key_error("n_cycles", f"need at least 1, got {self.n_cycles}")
+        if not 0.0 <= self.temperature < math.inf:
+            raise key_error("temperature", f"must be finite and >= 0, got {self.temperature}")
+        if self.log_base not in LOG_BASES:
+            raise key_error("log_base", f"must be e or 2, got {self.log_base!r}")
         if self.window not in ("", "default"):
             try:
-                float(self.window)
+                width = float(self.window)
             except ValueError:
-                raise ConfigError(
-                    "[cavity] window: must be blank, 'default', or a number, got "
-                    f"{self.window!r}"
+                width = math.nan
+            if not math.isfinite(width):
+                raise key_error(
+                    "window",
+                    f"must be blank, 'default', or a finite number, got {self.window!r}",
                 )
 
     def cavity_config(self) -> cavity.CavityConfig:
@@ -124,52 +125,26 @@ class ExperimentConfig:
         try:
             return cavity.resonant_window(base, width)
         except ValueError as exc:
-            raise ConfigError(f"[cavity] window: {exc}")
+            raise key_error("window", str(exc))
 
     @property
     def log_base_value(self) -> float:
         return math.e if self.log_base == "e" else 2.0
 
 
-_FIELD_BY_KEY = {
-    ("cavity", "length"): "length",
-    ("cavity", "coupling"): "coupling",
-    ("cavity", "detector_frequency"): "detector_frequency",
-    ("cavity", "x1"): "x1",
-    ("cavity", "x2"): "x2",
-    ("cavity", "cycle_time"): "cycle_time",
-    ("cavity", "modes"): "modes",
-    ("cavity", "window"): "window",
-    ("run", "temperature"): "temperature",
-    ("run", "n_cycles"): "n_cycles",
-    ("run", "log_base"): "log_base",
-    ("output", "directory"): "directory",
-}
-
-_FLOAT_KEYS = {"length", "coupling", "detector_frequency", "cycle_time", "temperature"}
-_OPTIONAL_FLOAT_KEYS = {"x1", "x2"}
-_INT_KEYS = {"modes", "n_cycles"}
+def _optional_float(raw: str) -> float | None:
+    return None if raw == "" else float(raw)
 
 
-def _convert(section: str, key: str, raw: str):
-    field = _FIELD_BY_KEY[(section, key)]
-    raw = raw.strip()
-    try:
-        if field in _FLOAT_KEYS:
-            return field, float(raw)
-        if field in _OPTIONAL_FLOAT_KEYS:
-            return field, (None if raw == "" else float(raw))
-        if field in _INT_KEYS:
-            return field, int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}")
-    return field, raw
+# the parser of each key, from its field's annotation
+_PARSERS = {"float": float, "float | None": _optional_float, "int": int, "str": str}
+_PARSER_OF = {field.name: _PARSERS[field.type] for field in fields(ExperimentConfig)}
 
 
 def load_config(path: str | None = None, environ=None) -> ExperimentConfig:
     """Read configuration from a file (optional) plus environment overrides."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read_dict(DEFAULTS)
+    parser.read_dict({section: {} for section in SECTIONS})
     if path is not None:
         try:
             with open(path) as fh:
@@ -179,73 +154,72 @@ def load_config(path: str | None = None, environ=None) -> ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"config parse failure: {exc}")
     for section in parser.sections():
-        if section not in DEFAULTS:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in DEFAULTS[section]:
+            if key not in SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     environ = os.environ if environ is None else environ
     for name, value in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
-        rest = name[len(ENV_PREFIX) :].lower()
-        section, _, key = rest.partition("_")
-        if (section, key) not in _FIELD_BY_KEY:
+        section, _, key = name[len(ENV_PREFIX) :].lower().partition("_")
+        if key not in SECTIONS.get(section, ()):
             raise ConfigError(f"unrecognized environment override {name}")
         parser[section][key] = value
-    fields = {}
-    for (section, key), _field in _FIELD_BY_KEY.items():
-        field, value = _convert(section, key, parser[section][key])
-        fields[field] = value
-    return ExperimentConfig(**fields)
+    values = {}
+    for key, section in _SECTION_OF.items():
+        if key in parser[section]:
+            raw = parser[section][key].strip()
+            try:
+                values[key] = _PARSER_OF[key](raw)
+            except ValueError:
+                raise key_error(key, f"cannot parse {raw!r}")
+    return ExperimentConfig(**values)
+
+
+def _render(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def dump_config(config: ExperimentConfig) -> str:
     """Serialize to INI text that load_config parses back identically."""
     parser = configparser.ConfigParser(interpolation=None)
-    rendered: dict[str, dict[str, str]] = {s: {} for s in DEFAULTS}
-    for (section, key), field in _FIELD_BY_KEY.items():
-        value = getattr(config, field)
-        if value is None:
-            text = ""
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        rendered[section][key] = text
-    parser.read_dict(rendered)
+    parser.read_dict(
+        {
+            section: {key: _render(getattr(config, key)) for key in keys}
+            for section, keys in SECTIONS.items()
+        }
+    )
     out = io.StringIO()
     out.write(_DOC)
     parser.write(out)
     return out.getvalue()
 
 
+# command-line flag (argparse dest) -> the key it sets
+_FLAG_KEYS = {"modes": "modes", "window": "window", "log_base": "log_base", "out": "directory"}
+
+
 def apply_flag_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     """Fold recognized command-line flags into the config (highest precedence)."""
-    updates = {}
-    if getattr(args, "modes", None) is not None:
-        updates["modes"] = args.modes
-    if getattr(args, "window", None) is not None:
-        updates["window"] = args.window
-    if getattr(args, "log_base", None) is not None:
-        updates["log_base"] = args.log_base
-    if getattr(args, "out", None) is not None:
-        updates["directory"] = args.out
-    if not updates:
-        return config
-    try:
-        return replace(config, **updates)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    updates = {
+        key: getattr(args, flag)
+        for flag, key in _FLAG_KEYS.items()
+        if getattr(args, flag, None) is not None
+    }
+    return replace(config, **updates)
 
 
 # ---------------------------------------------------------------------------
 # parameter sweeps
 
 
-_SWEEP_FIELDS = {"lambda": "coupling", "t_f": "cycle_time", "temperature": "temperature"}
+# sweep parameter name -> the key it sets
+SWEEP_FIELDS = {"lambda": "coupling", "t_f": "cycle_time", "temperature": "temperature"}
+SWEEP_SCALES = ("linear", "log")
 
 
 @dataclass(frozen=True)
@@ -257,16 +231,18 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        if self.parameter not in _SWEEP_FIELDS:
+        if self.parameter not in SWEEP_FIELDS:
             raise ConfigError(
-                f"sweep parameter must be one of {sorted(_SWEEP_FIELDS)}, got "
+                f"sweep parameter must be one of {sorted(SWEEP_FIELDS)}, got "
                 f"{self.parameter!r}"
             )
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError(f"sweep bounds must be finite: [{self.lo}, {self.hi}]")
         if self.points < 1:
             raise ConfigError(f"sweep needs at least one point, got {self.points}")
         if self.hi < self.lo:
             raise ConfigError(f"sweep grid is not monotone: [{self.lo}, {self.hi}]")
-        if self.scale not in ("linear", "log"):
+        if self.scale not in SWEEP_SCALES:
             raise ConfigError(f"sweep scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and self.lo <= 0.0:
             raise ConfigError("log-scale sweep requires a positive lower bound")
@@ -279,4 +255,4 @@ class SweepSpec:
         return np.linspace(self.lo, self.hi, self.points)
 
     def apply(self, config: ExperimentConfig, value: float) -> ExperimentConfig:
-        return replace(config, **{_SWEEP_FIELDS[self.parameter]: float(value)})
+        return replace(config, **{SWEEP_FIELDS[self.parameter]: float(value)})

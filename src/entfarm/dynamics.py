@@ -56,19 +56,22 @@ def propagator(f_sym: np.ndarray, t: float) -> np.ndarray:
 
     The result is verified to be symplectic to 1e-9 in max norm; a failure
     indicates the exponential lost accuracy (ill-scaled input) and raises
-    PropagatorAccuracyError rather than returning a drifting matrix.  The
-    matrix is returned read-only, so that no caller can alter a cached one.
+    PropagatorAccuracyError rather than returning a drifting matrix.  A
+    non-finite F_sym or t raises ValueError.  The matrix is returned
+    read-only, so that no caller can alter a cached one.
     """
     f_sym = np.asarray(f_sym, dtype=float)
     if f_sym.ndim != 2 or f_sym.shape[0] != f_sym.shape[1] or f_sym.shape[0] % 2:
         raise ValueError("F_sym must be square with even dimension")
+    if not (np.isfinite(f_sym).all() and np.isfinite(t)):
+        raise ValueError("F_sym and the evolution time must be finite")
     if not np.allclose(f_sym, f_sym.T, atol=1e-12 * max(1.0, np.abs(f_sym).max())):
         raise ValueError("F_sym must be symmetric")
     if t < 0:
         raise ValueError("evolution time must be non-negative")
     s = expm(gaussian.apply_symplectic_form(f_sym) * t)
     drift = gaussian.check_symplectic(s)
-    if drift > 1e-9:
+    if not drift <= 1e-9:  # a NaN drift fails too
         raise PropagatorAccuracyError(
             f"propagator violates the symplectic condition by {drift:.3e}"
         )

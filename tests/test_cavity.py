@@ -39,6 +39,10 @@ def test_config_validation():
         cavity.CavityConfig(mode_numbers=(0, 1))
     with pytest.raises(ValueError):
         cavity.CavityConfig(cycle_time=0.0)
+    for name in ("length", "coupling", "detector_frequency", "x1", "x2", "cycle_time"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                cavity.CavityConfig(**{name: value})
 
 
 def test_coupling_matrix_entries():

@@ -303,8 +303,19 @@ def test_bad_config_file_exits_2(monkeypatch, tmp_path, capsys):
         ("[cavity]\nx1 = 9\n", ["run-cycles"]),
         ("[cavity]\nlength = 0\n", ["run-cycles"]),
         ("", ["short-cycle", "--tf-r", "-1"]),
+        ("[cavity]\ncoupling = nan\n", ["run-cycles"]),
+        ("[cavity]\ncoupling = inf\n", ["run-cycles"]),
+        ("[cavity]\ndetector_frequency = nan\n", ["run-cycles"]),
+        ("[cavity]\ndetector_frequency = inf\n", ["run-cycles"]),
+        ("[cavity]\ncycle_time = nan\n", ["run-cycles"]),
+        ("[cavity]\ncycle_time = inf\n", ["run-cycles"]),
+        ("", ["short-cycle", "--tf-r", "nan"]),
     ],
-    ids=["cycle_time", "x1", "length", "tf_r"],
+    ids=[
+        "cycle_time", "x1", "length", "tf_r", "coupling_nan", "coupling_inf",
+        "detector_frequency_nan", "detector_frequency_inf", "cycle_time_nan",
+        "cycle_time_inf", "tf_r_nan",
+    ],
 )
 def test_out_of_range_cavity_values_exit_2(ini, argv, monkeypatch, tmp_path, capsys):
     cfgfile = tmp_path / "exp.ini"
@@ -312,6 +323,28 @@ def test_out_of_range_cavity_values_exit_2(ini, argv, monkeypatch, tmp_path, cap
     assert run(argv + ["--config", str(cfgfile)], monkeypatch, tmp_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [cavity] ")
+    assert "Traceback" not in err
+
+
+def test_non_finite_sweep_bounds_exit_2(monkeypatch, tmp_path, capsys):
+    argv = ["sweep", "--param", "lambda", "--min", "nan", "--max", "nan", "--points", "2"]
+    assert run(argv, monkeypatch, tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: sweep bounds must be finite")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["empty", "file"])
+def test_unusable_output_directory_exits_2(kind, monkeypatch, tmp_path, capsys):
+    if kind == "empty":
+        out = ""
+    else:
+        out = tmp_path / "taken"
+        out.write_text("")
+    monkeypatch.setenv("ENTFARM_RUN_N_CYCLES", "2")
+    monkeypatch.setenv("ENTFARM_CAVITY_MODES", "4")
+    assert cli.main(["run-cycles", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [output] directory: ")
     assert "Traceback" not in err
 
 

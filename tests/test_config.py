@@ -1,6 +1,9 @@
 """Tests for configuration parsing, defaults, overrides, and sweeps."""
 
+import configparser
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -107,13 +110,56 @@ def test_unrecognized_env_override_rejected():
         ("n_cycles", 0),
         ("modes", 0),
         ("temperature", -0.1),
+        ("temperature", math.nan),
+        ("temperature", math.inf),
         ("log_base", "10"),
         ("window", "wide"),
+        ("window", "nan"),
+        ("window", "inf"),
     ],
 )
 def test_validation_rejects_bad_fields(field, value):
     with pytest.raises(ConfigError):
         ExperimentConfig(**{field: value})
+
+
+def test_every_field_is_a_key_in_exactly_one_section():
+    keys = [key for keys in config_mod.SECTIONS.values() for key in keys]
+    assert sorted(keys) == sorted(field.name for field in fields(ExperimentConfig))
+
+
+def test_every_key_is_documented_and_dumped():
+    dumped = config_mod.dump_config(ExperimentConfig())
+    for field in fields(ExperimentConfig):
+        assert re.search(rf"^#.*\b{field.name}\b", config_mod._DOC, re.M), field.name
+        assert re.search(rf"^{field.name} = ", dumped, re.M), field.name
+
+
+def test_every_key_has_an_environment_override():
+    cfg = ExperimentConfig(
+        length=6.0,
+        coupling=0.02,
+        detector_frequency=0.5,
+        x1=1.5,
+        x2=4.5,
+        cycle_time=21.0,
+        modes=16,
+        window="default",
+        temperature=0.5,
+        n_cycles=42,
+        log_base="2",
+        directory="out",
+    )
+    assert all(getattr(cfg, field.name) != field.default for field in fields(cfg))
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(config_mod.dump_config(cfg))
+    environ = {
+        f"ENTFARM_{section.upper()}_{key.upper()}": value
+        for section in ini.sections()
+        for key, value in ini[section].items()
+    }
+    assert len(environ) == len(fields(cfg))
+    assert config_mod.load_config(None, environ=environ) == cfg
 
 
 def test_cavity_config_mode_policies():
@@ -148,6 +194,9 @@ def test_sweep_validation():
         SweepSpec("lambda", 0.0, 1.0, 2, "log")
     with pytest.raises(ConfigError):
         SweepSpec("lambda", 0.1, 1.0, 0)
+    for lo, hi in ((math.nan, math.nan), (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            SweepSpec("lambda", lo, hi, 2)
 
 
 def test_sweep_apply_targets_right_field():

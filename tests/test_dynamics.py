@@ -90,6 +90,17 @@ def test_propagator_input_validation():
         dynamics.propagator(f, 1.0)
     with pytest.raises(ValueError):
         dynamics.propagator(np.eye(2), -1.0)
+    f_sym = cavity.hamiltonian_matrix(cavity.standard_config(2))
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.propagator(f_sym, t)
+    nan_f = f_sym.copy()
+    nan_f[0, 0] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        dynamics.propagator(nan_f, 1.0)
+    # the exponential overflows; a NaN symplectic drift must not pass the check
+    with pytest.raises(dynamics.PropagatorAccuracyError):
+        dynamics.propagator(f_sym, 1e200)
 
 
 def test_propagator_cache_reuses_instance():
