@@ -121,41 +121,37 @@ _REL_ENTROPY = "relative_entropy_to_fixed_point"
 
 
 def _coupled_fixed_point(cav, sigma0):
-    """Log-density of the fixed point on the coupled modes, and those modes.
-
-    Both are None when the fixed point is not computable.
+    """Log-density of the fixed point on the coupled modes; None when not computable.
 
     The decoupled modes sit at their initial state forever on both sides of
     the comparison, so they contribute nothing to the distance; dropping
     them also keeps the reference state mixed (a frozen vacuum mode would
-    make its log-density divergent).
+    make its log-density divergent).  Each cycle's field_analysis.coupled
+    is the field state on the same modes.
     """
     try:
-        dead = set(cavity.decoupled_positions(cav))
-        coupled = tuple(p for p in range(cav.n_field_modes) if p not in dead)
+        dead = cavity.decoupled_positions(cav)
         res = spectral.fixed_point(
-            protocol.blocks_for(cav),
-            decoupled_positions=sorted(dead),
-            initial_sigma=sigma0,
+            protocol.blocks_for(cav), decoupled_positions=dead, initial_sigma=sigma0
         )
-        star = gaussian.reduce_modes(res.sigma_star, coupled)
+        star = gaussian.reduce_modes(
+            res.sigma_star, [p for p in range(cav.n_field_modes) if p not in dead]
+        )
         gaussian.assert_physical(star)
-        return thermo.log_density(star), coupled
+        return thermo.log_density(star)
     except NUMERICAL_ERRORS + (ValueError,) as exc:
         _warn_blank(_REL_ENTROPY, exc)
-        return None, None
+        return None
 
 
 def cmd_run_cycles(args) -> int:
     cfg = _load(args)
     cav = cfg.cavity_config()
     sigma0 = _initial_field(cfg, cav)
-    ref, coupled = _coupled_fixed_point(cav, sigma0)
+    ref = _coupled_fixed_point(cav, sigma0)
     observables = dict(protocol.DIAGNOSTICS)
     if ref is not None:
-        observables[_REL_ENTROPY] = lambda s: ref.relative_entropy(
-            gaussian.reduce_modes(s.field_out, coupled)
-        )
+        observables[_REL_ENTROPY] = lambda s: ref.relative_entropy(s.field_analysis.coupled)
     traj = protocol.run_cycles(
         cav,
         sigma_f0=sigma0,

@@ -217,8 +217,9 @@ def apply_flag_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 # parameter sweeps
 
 
-# sweep parameter name -> the key it sets
-SWEEP_FIELDS = {"lambda": "coupling", "t_f": "cycle_time", "temperature": "temperature"}
+# sweep parameter name -> the key it sets; there is no temperature sweep,
+# since the cycle map's spectrum does not depend on the start temperature
+SWEEP_FIELDS = {"lambda": "coupling", "t_f": "cycle_time"}
 SWEEP_SCALES = ("linear", "log")
 
 

@@ -21,6 +21,9 @@ import numpy as np
 PAIR_TOL = 1e-8
 # how far a symplectic eigenvalue may fall below 1 and still count as 1
 PHYSICAL_TOL = 1e-9
+# covariance an isolated mode may have with the other modes, relative to
+# the largest diagonal entry (or 1); 500 cycles at 128 modes leave 1.3e-17
+ISOLATION_TOL = 1e-12
 
 
 class InvalidStateError(ValueError):
@@ -304,43 +307,130 @@ def energy(
 # one state, factored once
 
 
+def _cross_covariance(sigma: np.ndarray, modes) -> np.ndarray:
+    """Largest |covariance| of each given mode with all the other modes."""
+    pairs = 2 * np.asarray(modes, dtype=int)[:, None] + np.array([0, 1])
+    rows = sigma[pairs.ravel()]
+    rows[np.arange(rows.shape[0])[:, None], np.repeat(pairs, 2, axis=0)] = 0.0
+    return np.abs(rows).reshape(len(pairs), -1).max(axis=1)
+
+
+def _isolation_bound(sigma: np.ndarray) -> float:
+    return ISOLATION_TOL * max(1.0, float(np.abs(np.diagonal(sigma)).max()))
+
+
+def isolated_modes(sigma: np.ndarray, candidates) -> tuple[int, ...]:
+    """The candidate modes that sigma leaves uncorrelated with every other mode.
+
+    A mode counts as uncorrelated when its covariance with each other mode
+    is at most ISOLATION_TOL times the largest diagonal entry (or 1), the
+    bound that StateAnalysis checks.  sigma is read as given, not validated.
+    """
+    candidates = tuple(candidates)
+    if not candidates:
+        return ()
+    sigma = np.asarray(sigma, dtype=float)
+    cross = _cross_covariance(sigma, candidates)
+    return tuple(m for m, c in zip(candidates, cross) if c <= _isolation_bound(sigma))
+
+
 class StateAnalysis:
     """A validated covariance matrix and the factorization its diagnostics share.
 
-    Construction runs the shape and symmetry checks once.  The Cholesky
-    factor T of sigma = T T^T, the log-determinant 2 sum log T_ii, the
-    physical symplectic spectrum and the block traces are each computed on
-    first use and then kept.  purity, assert_physical and
+    Construction runs the shape and symmetry checks once.  The log-determinant,
+    the physical symplectic spectrum and the block traces are each computed
+    on first use and then kept.  purity, assert_physical and
     von_neumann_entropy are this class applied to a bare matrix, and the
     thermo estimators read it too.
+
+    isolated lists modes (0-based positions) that the caller knows to be
+    single-mode blocks with no correlation to the rest, such as cavity modes
+    with a node at both detectors.  Only the remaining modes are factored:
+    `coupled` is the analysis of their block, with Cholesky factor T and
+    log-determinant 2 sum log T_ii.  An isolated mode with 2x2 block s_m
+    adds log det s_m to the log-determinant and nu = sqrt(det s_m) to the
+    spectrum.  An isolated mode whose covariance with any other mode
+    exceeds ISOLATION_TOL times the largest diagonal entry (or 1) raises
+    InvalidStateError.  block_traces reads the full matrix either way.
     """
 
-    def __init__(self, sigma: np.ndarray):
+    def __init__(self, sigma: np.ndarray, isolated=()):
         self.sigma = _as_covariance(sigma)
+        self.isolated = tuple(int(m) for m in isolated)
+        n = mode_count(self.sigma)
+        if len(set(self.isolated)) != len(self.isolated):
+            raise ValueError("isolated mode indices must be distinct")
+        if any(m < 0 or m >= n for m in self.isolated):
+            raise ValueError(f"isolated mode indices must lie in [0, {n})")
+
+    def _not_positive_definite(self) -> InvalidStateError:
+        # only a failed check computes the least eigenvalue, for the message
+        low = float(np.min(np.linalg.eigvalsh(self.sigma)))
+        return InvalidStateError(f"covariance is not positive definite (eigenvalue {low:.6g})")
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """Lower Cholesky factor T; InvalidStateError if sigma is not positive definite.
+        """Lower Cholesky factor T of sigma; InvalidStateError if not positive definite.
 
-        Only when the factorization fails is the least eigenvalue computed,
-        for the message.
+        An analysis with isolated modes never forms it: it reads
+        coupled.factor.
         """
         try:
             return _cholesky(self.sigma)
         except DecompositionError:
-            low = float(np.min(np.linalg.eigvalsh(self.sigma)))
+            raise self._not_positive_definite() from None
+
+    @cached_property
+    def _isolated_dets(self) -> np.ndarray:
+        """det s_m of each isolated mode, after the isolation and definiteness checks."""
+        sigma = self.sigma
+        cross = float(_cross_covariance(sigma, self.isolated).max())
+        bound = _isolation_bound(sigma)
+        if cross > bound:
             raise InvalidStateError(
-                f"covariance is not positive definite (eigenvalue {low:.6g})"
-            ) from None
+                f"an isolated mode has covariance {cross:.6g} with the other modes "
+                f"(bound {bound:.3g})"
+            )
+        q = 2 * np.array(self.isolated)
+        qq, qp, pp = sigma[q, q], sigma[q, q + 1], sigma[q + 1, q + 1]
+        dets = qq * pp - qp * qp
+        if np.any(qq <= 0.0) or np.any(dets <= 0.0):
+            raise self._not_positive_definite()
+        return dets
+
+    @property
+    def coupled(self) -> StateAnalysis | None:
+        """Analysis of the modes not listed as isolated: self if none is, None if all are."""
+        return self._coupled if self.isolated else self
+
+    @cached_property
+    def _coupled(self) -> StateAnalysis | None:
+        self._isolated_dets  # no split without the isolation check
+        dead = set(self.isolated)
+        keep = [2 * m + o for m in range(mode_count(self.sigma)) if m not in dead for o in (0, 1)]
+        return StateAnalysis(self.sigma[np.ix_(keep, keep)]) if keep else None
 
     @cached_property
     def log_det(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diagonal(self.factor))))
+        if not self.isolated:
+            return 2.0 * float(np.sum(np.log(np.diagonal(self.factor))))
+        log_det = float(np.sum(np.log(self._isolated_dets)))
+        return log_det if self._coupled is None else self._coupled.log_det + log_det
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Symplectic eigenvalues, descending, neither checked nor clamped."""
+        if not self.isolated:
+            return _symplectic_spectrum(self.factor)
+        nus = np.sqrt(self._isolated_dets)
+        if self._coupled is not None:
+            nus = np.concatenate([self._coupled._spectrum, nus])
+        return np.sort(nus)[::-1]
 
     @cached_property
     def physical_spectrum(self) -> np.ndarray:
         """Descending and clamped up to 1; InvalidStateError below 1 - PHYSICAL_TOL."""
-        nus = _symplectic_spectrum(self.factor)
+        nus = self._spectrum
         if np.any(nus < 1.0 - PHYSICAL_TOL):
             raise InvalidStateError(
                 f"symplectic eigenvalue {nus.min():.12g} violates the uncertainty bound"

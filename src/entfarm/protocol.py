@@ -73,7 +73,8 @@ class CycleStates:
 
     run_cycles validates the states it is given once, on entry, and
     full_cycle returns exactly symmetric states, so observables may read
-    them without re-validating.
+    them without re-validating.  isolated lists the field modes that no
+    detector couples to; only field_analysis reads it.
     """
 
     detector_in: np.ndarray
@@ -82,11 +83,16 @@ class CycleStates:
     field_out: np.ndarray
     detector_freqs: np.ndarray
     field_freqs: np.ndarray
+    isolated: tuple[int, ...] = ()
 
     @cached_property
     def field_analysis(self) -> gaussian.StateAnalysis:
-        """field_out validated and factored once, on first use, for every observable."""
-        return gaussian.StateAnalysis(self.field_out)
+        """field_out validated and factored once, on first use, for every observable.
+
+        The isolated modes enter in closed form; only the coupled block is
+        factored.
+        """
+        return gaussian.StateAnalysis(self.field_out, self.isolated)
 
 
 def _energy(sigma: np.ndarray, freqs: np.ndarray) -> float:
@@ -215,10 +221,14 @@ def run_cycles(
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
+    # modes with a node at both detectors keep their initial state, so they
+    # stay isolated when they start out uncorrelated with the rest
+    isolated = tuple(cavity.decoupled_positions(config))
     if sigma_f0 is None:
         sigma_f = gaussian.vacuum_state(config.n_field_modes)
     else:
         sigma_f = gaussian.StateAnalysis(sigma_f0).sigma.copy()
+        isolated = gaussian.isolated_modes(sigma_f, isolated)
     if sigma_d0 is None:
         sigma_d0 = gaussian.vacuum_state(2)
     else:
@@ -233,7 +243,7 @@ def run_cycles(
         if not np.all(np.isfinite(sigma_f_next)):
             raise InvalidStateError(f"cycle {k}: field state became non-finite")
         states = CycleStates(
-            sigma_d0, sigma_f, sigma_d_out, sigma_f_next, detector_freqs, field_freqs
+            sigma_d0, sigma_f, sigma_d_out, sigma_f_next, detector_freqs, field_freqs, isolated
         )
         try:
             values = {name: observe(states) for name, observe in observables.items()}

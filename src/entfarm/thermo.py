@@ -41,13 +41,16 @@ class QuadraticLogDensity:
     c: float
     h: np.ndarray
 
-    def relative_entropy(self, sigma_a: np.ndarray) -> float:
-        """S(rho_A || rho) in nats: -S(A) - c - (1/2) sum_ij sigma^A_ij H_ij."""
-        sigma_a = np.asarray(sigma_a, dtype=float)
-        if sigma_a.shape != self.h.shape:
+    def relative_entropy(self, state: gaussian.StateAnalysis) -> float:
+        """S(rho_A || rho) in nats: -S(A) - c - (1/2) sum_ij sigma^A_ij H_ij.
+
+        rho_A is given by its analysis, so a caller that already factored
+        it (such as a cycle's field_analysis.coupled) pays for no second
+        factorization.
+        """
+        if state.sigma.shape != self.h.shape:
             raise ValueError("states must have the same mode count")
-        entropy_a = gaussian.von_neumann_entropy(sigma_a)
-        return float(-entropy_a - self.c - 0.5 * np.sum(sigma_a * self.h))
+        return float(-state.entropy - self.c - 0.5 * np.sum(state.sigma * self.h))
 
 
 @dataclass(frozen=True)
@@ -90,18 +93,19 @@ def log_density(sigma_b: np.ndarray) -> QuadraticLogDensity:
 def relative_entropy(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
     """Quantum relative entropy S(rho_A || rho_B) between Gaussian states.
 
-    Evaluates log_density(sigma_b).relative_entropy(sigma_a) in nats.
+    Evaluates log_density(sigma_b).relative_entropy(StateAnalysis(sigma_a)) in nats.
     Returns +inf when the reference state has a pure direction.  Result is
     nonnegative up to ~1e-9 of rounding.
     """
     if np.shape(sigma_a) != np.shape(sigma_b):
         raise ValueError("states must have the same mode count")
+    state_a = gaussian.StateAnalysis(sigma_a)
     try:
         ref = log_density(sigma_b)
     except DivergentLogDensityError:
-        gaussian.von_neumann_entropy(sigma_a)  # an invalid sigma_a still raises
+        state_a.entropy  # an invalid sigma_a still raises
         return math.inf
-    return ref.relative_entropy(sigma_a)
+    return ref.relative_entropy(state_a)
 
 
 def _thermal_excitation_energy(frequencies: np.ndarray, beta: float) -> tuple[float, float]:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entfarm import cli, fock, thermo
@@ -78,6 +79,22 @@ def test_run_cycles_takes_the_fixed_point_log_density_once(monkeypatch, tmp_path
     assert len(rows) == 5
     assert all(r[5] != "" for r in rows)
     assert len(calls) == 1
+
+
+def test_run_cycles_factors_each_cycle_once_for_every_column(monkeypatch, tmp_path):
+    # purity, thermality and the relative entropy read one analysis, so each
+    # further cycle costs one Cholesky factorization, of the coupled block
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+    counts = []
+    for n_cycles in (3, 5):
+        shapes.clear()
+        assert run(["run-cycles"], monkeypatch, tmp_path, n_cycles=n_cycles) == 0
+        assert all(r[5] != "" for r in read_csv(tmp_path / "trajectory.csv")[1])
+        counts.append(len(shapes))
+    assert counts[1] - counts[0] == 2
+    assert set(shapes) == {(6, 6)}  # 4 modes, one of them at a node of both detectors
 
 
 def test_run_cycles_warns_when_fixed_point_fails(monkeypatch, tmp_path, capsys):
@@ -216,6 +233,16 @@ def test_sweep_rejects_removed_workers_flag(monkeypatch, tmp_path, capsys):
         run(argv + ["--workers", "2"], monkeypatch, tmp_path)
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_sweep_rejects_temperature(monkeypatch, tmp_path, capsys):
+    # the cycle map does not depend on the start temperature: no column could move
+    argv = ["sweep", "--param", "temperature", "--min", "0", "--max", "2", "--points", "3"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv, monkeypatch, tmp_path)
+    assert exc.value.code == 2
+    assert "--param" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_short_cycle_warns_below_mode_floor(monkeypatch, tmp_path, capsys):

@@ -203,4 +203,5 @@ def test_sweep_apply_targets_right_field():
     cfg = ExperimentConfig()
     assert SweepSpec("lambda", 0.0, 1.0, 2).apply(cfg, 0.02).coupling == 0.02
     assert SweepSpec("t_f", 1.0, 2.0, 2).apply(cfg, 21.0).cycle_time == 21.0
-    assert SweepSpec("temperature", 0.0, 1.0, 2).apply(cfg, 0.5).temperature == 0.5
+    with pytest.raises(ConfigError, match="sweep parameter"):
+        SweepSpec("temperature", 0.0, 1.0, 2)

@@ -8,6 +8,7 @@ spectrum.
 
 import math
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -257,6 +258,73 @@ def test_entropy_matches_high_precision_oracle():
         sigma = traj.records[cycle - 1].values["field"]
         want = mpmath_entropy(sigma)
         assert gaussian.von_neumann_entropy(sigma) == pytest.approx(want, rel=1e-11, abs=0)
+
+
+def test_split_entropy_matches_high_precision_oracle():
+    # the same near-vacuum states, with the nodal modes in closed form
+    cfg = cavity.standard_config(8)
+    states = {"field": lambda s: s.field_out}
+    traj = protocol.run_cycles(cfg, n_cycles=20, observables=states)
+    isolated = cavity.decoupled_positions(cfg)
+    for cycle in (1, 5, 20):
+        sigma = traj.records[cycle - 1].values["field"]
+        got = gaussian.StateAnalysis(sigma, isolated).entropy
+        assert got == pytest.approx(mpmath_entropy(sigma), rel=1e-11, abs=0)
+
+
+def test_split_analysis_factors_only_the_coupled_block(monkeypatch):
+    from scipy.linalg import block_diag
+
+    coupled, nus = random_covariance(2, RNG)
+    single, (nu,) = random_covariance(1, RNG)
+    sigma = block_diag(coupled[:2, :2], single, coupled[2:, 2:])
+    sigma[:2, 4:] = coupled[:2, 2:]
+    sigma[4:, :2] = coupled[2:, :2]
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+    state = gaussian.StateAnalysis(sigma, isolated=[1])
+    assert np.array_equal(state.coupled.sigma, coupled)
+    np.testing.assert_allclose(state.physical_spectrum, sorted([*nus, nu], reverse=True),
+                               rtol=1e-12, atol=0)
+    assert state.log_det == pytest.approx(2.0 * np.sum(np.log([*nus, nu])), rel=1e-12)
+    assert state.entropy == pytest.approx(gaussian.entropy_of_spectrum([*nus, nu]), rel=1e-12)
+    assert np.array_equal(state.block_traces, gaussian.block_traces(sigma))
+    assert shapes == [(4, 4)]
+
+
+def test_state_analysis_is_freed_without_the_cycle_collector():
+    # every cycle builds one analysis; a reference cycle through it would
+    # keep its matrices alive until a collection, so a run's memory grew
+    from scipy.linalg import block_diag
+
+    coupled, _ = random_covariance(2, RNG)
+    single, _ = random_covariance(1, RNG)
+    for sigma, isolated in ((coupled, ()), (block_diag(coupled, single), (2,))):
+        state = gaussian.StateAnalysis(sigma, isolated)
+        state.purity, state.entropy, state.coupled.entropy, state.coupled.coupled.purity
+        alive = weakref.ref(state.coupled)
+        del state
+        assert alive() is None
+
+
+def test_split_analysis_of_isolated_modes_only_factors_nothing(monkeypatch):
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    nus = np.array([3.0, 1.5])
+    state = gaussian.StateAnalysis(np.diag(np.repeat(nus, 2)), isolated=(0, 1))
+    assert state.coupled is None
+    assert np.array_equal(state.physical_spectrum, nus)
+    assert state.purity == pytest.approx(1.0 / np.prod(nus), rel=1e-15)
+
+
+def test_split_analysis_rejects_bad_positions_and_indefinite_modes():
+    with pytest.raises(ValueError, match="distinct"):
+        gaussian.StateAnalysis(np.eye(4), isolated=(1, 1))
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        gaussian.StateAnalysis(np.eye(4), isolated=(2,))
+    with pytest.raises(gaussian.InvalidStateError,
+                       match=r"^covariance is not positive definite \(eigenvalue -1\)$"):
+        gaussian.StateAnalysis(np.diag([-1.0, -1.0, 1.0, 1.0]), isolated=(0,)).purity
 
 
 def test_energy_convention_validation():

@@ -5,6 +5,8 @@ each example is a physical state of 1 to 4 modes with a known symplectic
 spectrum.  Examples are derandomized: every run checks the same states.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,3 +121,90 @@ def test_product_state_has_no_log_negativity(seed, excitation):
     sigma_a, _ = random_covariance(1, rng, excitation)
     sigma_b, _ = random_covariance(1, rng, excitation)
     assert gaussian.log_negativity(block_diag(sigma_a, sigma_b)) == 0.0
+
+
+def split_state(n_coupled, n_isolated, seed, excitation, cross=1e-18):
+    """A random coupled block and isolated single-mode states, modes shuffled.
+
+    Every covariance between an isolated mode and any other mode is +/-cross,
+    the size propagation rounding leaves at nodal modes.  Returns the state
+    and the isolated positions.
+    """
+    rng = np.random.default_rng(seed)
+    coupled, _ = random_covariance(n_coupled, rng, excitation)
+    singles = [random_covariance(1, rng, excitation)[0] for _ in range(n_isolated)]
+    sigma = block_diag(coupled, *singles)
+    n = n_coupled + n_isolated
+    order = rng.permutation(n)
+    idx = np.array([2 * m + o for m in order for o in (0, 1)])
+    sigma = sigma[np.ix_(idx, idx)]
+    isolated = sorted(int(np.flatnonzero(order == n_coupled + j)[0]) for j in range(n_isolated))
+    for m in isolated:
+        for o in (0, 1):
+            row = 2 * m + o
+            others = [j for j in range(2 * n) if j // 2 != m]
+            signs = rng.choice([-1.0, 1.0], size=len(others))
+            sigma[row, others] = signs * cross
+            sigma[others, row] = signs * cross
+    return sigma, isolated
+
+
+split_shapes = dict(
+    n_coupled=st.integers(min_value=1, max_value=3),
+    n_isolated=st.integers(min_value=1, max_value=3),
+    seed=seeds,
+    excitation=excitations,
+)
+
+
+@PROPERTY
+@given(**split_shapes)
+def test_split_analysis_matches_the_whole_matrix(n_coupled, n_isolated, seed, excitation):
+    sigma, isolated = split_state(n_coupled, n_isolated, seed, excitation)
+    freqs = np.random.default_rng(seed).uniform(0.1, 3.0, size=n_coupled + n_isolated)
+    whole = gaussian.StateAnalysis(sigma)
+    split = gaussian.StateAnalysis(sigma, isolated)
+    assert split.coupled.sigma.shape == (2 * n_coupled, 2 * n_coupled)
+    assert split.purity == pytest.approx(whole.purity, rel=1e-12, abs=0)
+    assert split.entropy == pytest.approx(whole.entropy, rel=1e-12, abs=0)
+    np.testing.assert_allclose(
+        split.physical_spectrum, whole.physical_spectrum, rtol=1e-12, atol=0
+    )
+    assert thermo.thermality_of(split, freqs) == pytest.approx(
+        thermo.thermality_of(whole, freqs), rel=1e-12, abs=0
+    )
+
+
+@PROPERTY
+@given(**split_shapes)
+def test_split_analysis_rejects_a_correlated_isolated_mode(
+    n_coupled, n_isolated, seed, excitation
+):
+    sigma, isolated = split_state(n_coupled, n_isolated, seed, excitation)
+    bound = gaussian.ISOLATION_TOL * max(1.0, np.abs(np.diagonal(sigma)).max())
+    m = isolated[-1]
+    other = 0 if m else 1
+    sigma[2 * m, 2 * other] = sigma[2 * other, 2 * m] = 2.0 * bound
+    gaussian.StateAnalysis(sigma).purity  # still a physical state
+    with pytest.raises(gaussian.InvalidStateError, match="isolated mode"):
+        gaussian.StateAnalysis(sigma, isolated).purity
+
+
+@PROPERTY
+@given(**split_shapes)
+def test_split_analysis_rejects_an_unphysical_isolated_mode(
+    n_coupled, n_isolated, seed, excitation
+):
+    sigma, isolated = split_state(n_coupled, n_isolated, seed, excitation)
+    m = isolated[0]
+    block = slice(2 * m, 2 * m + 2)
+    nu = np.sqrt(np.linalg.det(sigma[block, block]))
+    sigma[block, block] *= (1.0 - 1e-6) / nu  # symplectic eigenvalue 1 - 1e-6
+    with pytest.raises(gaussian.InvalidStateError) as whole:
+        gaussian.StateAnalysis(sigma).physical_spectrum
+    with pytest.raises(gaussian.InvalidStateError) as split:
+        gaussian.StateAnalysis(sigma, isolated).physical_spectrum
+    pattern = r"^symplectic eigenvalue (\S+) violates the uncertainty bound$"
+    (want,) = re.fullmatch(pattern, str(whole.value)).groups()
+    (got,) = re.fullmatch(pattern, str(split.value)).groups()
+    assert float(got) == pytest.approx(float(want), rel=1e-10, abs=0)

@@ -1,5 +1,6 @@
 """Tests for the extraction cycle protocol."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -226,6 +227,67 @@ def test_run_cycles_validates_and_factors_each_field_state_once(monkeypatch):
     assert calls["slogdet"] == 0
     # one per cycle's field_out, plus the entry check of sigma_f0
     assert calls["_as_covariance"] <= n_cycles + 1
+
+
+def whole_matrix_diagnostics(states):
+    """The built-in diagnostics of one cycle with its field state factored whole."""
+    whole = dataclasses.replace(states, isolated=())
+    return {name: observe(whole) for name, observe in protocol.DIAGNOSTICS.items()}
+
+
+@pytest.mark.parametrize("n_modes", [4, 16, 128])
+@pytest.mark.parametrize("temperature", [0.0, 0.5])
+def test_run_cycles_split_analysis_matches_the_whole_field(n_modes, temperature):
+    cfg = cavity.standard_config(n_modes)
+    sigma0 = None
+    if temperature:
+        sigma0 = gaussian.thermal_state(cavity.mode_frequencies(cfg), temperature)
+    observables = dict(protocol.DIAGNOSTICS, states=lambda s: s)
+    traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=3, observables=observables)
+    for r in traj.records:
+        states = r.values["states"]
+        assert states.isolated == tuple(cavity.decoupled_positions(cfg))
+        assert len(states.isolated) == n_modes // 3
+        want = whole_matrix_diagnostics(states)
+        assert r.log_negativity == want["log_negativity"]
+        assert r.energy_input == want["energy_input"]
+        assert r.field_purity == pytest.approx(want["field_purity"], rel=1e-12, abs=0)
+        # near the vacuum the entropy carries ~1e-12 of eigenvalue rounding
+        # in either route (test_gaussian's 40-digit oracle bounds both at 1e-11)
+        rel = 1e-11 if temperature == 0.0 else 1e-12
+        assert r.field_thermality == pytest.approx(want["field_thermality"], rel=rel, abs=0)
+
+
+def test_run_cycles_without_decoupled_modes_keeps_the_whole_field_route():
+    cfg = cavity.standard_config(8, x1=2.9, x2=5.3)
+    assert cavity.decoupled_positions(cfg) == []
+    sigma0 = gaussian.thermal_state(cavity.mode_frequencies(cfg), 0.5)
+    observables = dict(protocol.DIAGNOSTICS, states=lambda s: s)
+    traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=3, observables=observables)
+    for r in traj.records:
+        states = r.values["states"]
+        assert states.isolated == ()
+        assert states.field_analysis.coupled is states.field_analysis
+        want = whole_matrix_diagnostics(states)
+        assert {name: r.values[name] for name in want} == want
+
+
+def test_run_cycles_keeps_a_correlated_nodal_mode_in_the_factored_block():
+    # mode 3 has a node at both detectors; a start that entangles it with
+    # mode 1 (two-mode squeezed) keeps that correlation, so it is factored
+    # with the coupled modes
+    cfg = cavity.standard_config(4)
+    assert cavity.decoupled_positions(cfg) == [2]
+    c = 1.2
+    sigma0 = np.eye(8)
+    sigma0[[0, 1, 4, 5], [0, 1, 4, 5]] = c
+    sigma0[[0, 1], [4, 5]] = sigma0[[4, 5], [0, 1]] = np.sqrt(c * c - 1.0) * np.array([1.0, -1.0])
+    observables = dict(protocol.DIAGNOSTICS, states=lambda s: s)
+    traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=2, observables=observables)
+    for r in traj.records:
+        states = r.values["states"]
+        assert states.isolated == ()
+        assert r.field_purity == whole_matrix_diagnostics(states)["field_purity"]
 
 
 def test_run_cycles_diagnostics_need_no_nonsymmetric_eigensolve(monkeypatch):
