@@ -155,22 +155,15 @@ def hamiltonian_matrix(config: CavityConfig) -> np.ndarray:
     return f_sym
 
 
-def decoupled_modes(config: CavityConfig) -> list[int]:
-    """Retained mode numbers whose profile has a node at both detectors.
+def decoupled_positions(config: CavityConfig) -> list[int]:
+    """Positions (0-based within the field block) of the modes with a node at both detectors.
 
     These modes never talk to the detectors: their propagator block is an
     exact free rotation no matter the coupling.
     """
-    out = []
-    for n in config.mode_numbers:
-        a1 = math.sin(n * math.pi * config.x1 / config.length)
-        a2 = math.sin(n * math.pi * config.x2 / config.length)
-        if abs(a1) < NODE_TOL and abs(a2) < NODE_TOL:
-            out.append(n)
-    return out
-
-
-def decoupled_positions(config: CavityConfig) -> list[int]:
-    """Storage positions (0-based within the field block) of decoupled modes."""
-    dead = set(decoupled_modes(config))
-    return [j for j, n in enumerate(config.mode_numbers) if n in dead]
+    return [
+        j
+        for j, n in enumerate(config.mode_numbers)
+        if abs(math.sin(n * math.pi * config.x1 / config.length)) < NODE_TOL
+        and abs(math.sin(n * math.pi * config.x2 / config.length)) < NODE_TOL
+    ]

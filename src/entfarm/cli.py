@@ -120,7 +120,7 @@ def _out(cfg: ExperimentConfig, filename: str) -> str:
 _REL_ENTROPY = "relative_entropy_to_fixed_point"
 
 
-def _coupled_fixed_point(cav, sigma0):
+def _coupled_fixed_point(cav):
     """Log-density of the fixed point on the coupled modes; None when not computable.
 
     The decoupled modes sit at their initial state forever on both sides of
@@ -130,13 +130,7 @@ def _coupled_fixed_point(cav, sigma0):
     is the field state on the same modes.
     """
     try:
-        dead = cavity.decoupled_positions(cav)
-        res = spectral.fixed_point(
-            protocol.blocks_for(cav), decoupled_positions=dead, initial_sigma=sigma0
-        )
-        star = gaussian.reduce_modes(
-            res.sigma_star, [p for p in range(cav.n_field_modes) if p not in dead]
-        )
+        star = spectral.fixed_point(protocol.blocks_for(cav).coupled_map).sigma_star
         gaussian.assert_physical(star)
         return thermo.log_density(star)
     except NUMERICAL_ERRORS + (ValueError,) as exc:
@@ -148,7 +142,7 @@ def cmd_run_cycles(args) -> int:
     cfg = _load(args)
     cav = cfg.cavity_config()
     sigma0 = _initial_field(cfg, cav)
-    ref = _coupled_fixed_point(cav, sigma0)
+    ref = _coupled_fixed_point(cav)
     observables = dict(protocol.DIAGNOSTICS)
     if ref is not None:
         observables[_REL_ENTROPY] = lambda s: ref.relative_entropy(s.field_analysis.coupled)
@@ -202,17 +196,16 @@ def cmd_fixed_point(args) -> int:
     cav = cfg.cavity_config()
     sigma0 = _initial_field(cfg, cav)
     blocks = protocol.blocks_for(cav)
-    res = spectral.fixed_point(
-        blocks,
-        decoupled_positions=cavity.decoupled_positions(cav),
-        initial_sigma=sigma0,
-    )
-    sigma_d, _, _ = protocol.full_cycle(res.sigma_star, gaussian.vacuum_state(2), blocks)
+    res = spectral.fixed_point(blocks.coupled_map)
+    # the decoupled modes keep their initial state
+    frozen = gaussian.vacuum_state(cav.n_field_modes) if sigma0 is None else sigma0
+    sigma_star = blocks.whole_field(res.sigma_star, frozen)
+    sigma_d, _, _ = protocol.full_cycle(sigma_star, gaussian.vacuum_state(2), blocks)
     neg = _in_unit(cfg, gaussian.log_negativity(sigma_d))
     freqs = cavity.mode_frequencies(cav)
     physical = False
     try:
-        star = gaussian.StateAnalysis(res.sigma_star)
+        star = gaussian.StateAnalysis(sigma_star)
         star.physical_spectrum  # raises InvalidStateError unless physical
         physical = True
         purity = star.purity
@@ -229,12 +222,12 @@ def cmd_fixed_point(args) -> int:
     _write_csv(
         _out(cfg, "fixed_point.csv"),
         ("method", "coupled_dim", "residual", "log_negativity", "field_purity", "thermality"),
-        [(res.method, res.coupled_dim, res.residual, neg, purity, thermality)],
+        [(res.method, res.sigma_star.shape[0], res.residual, neg, purity, thermality)],
     )
     _write_csv(
         _out(cfg, "fixed_point_sigma.csv"),
-        [f"c{j}" for j in range(res.sigma_star.shape[1])],
-        [tuple(row) for row in res.sigma_star],
+        [f"c{j}" for j in range(sigma_star.shape[1])],
+        [tuple(row) for row in sigma_star],
     )
     print(
         f"fixed point via {res.method}: residual {res.residual:.3e}, "
@@ -247,18 +240,17 @@ def cmd_fixed_point(args) -> int:
 # spectrum
 
 
-def _coupled_spectrum(cav: cavity.CavityConfig, blocks: protocol.CycleBlocks):
+def _coupled_spectrum(blocks: protocol.CycleBlocks):
     """Spectrum of the cycle map without the decoupled modes, and its timescales."""
-    spec = spectral.field_spectrum(blocks, exclude_positions=cavity.decoupled_positions(cav))
+    spec = spectral.field_spectrum(blocks.coupled_map)
     return spec, spectral.timescales(spec)
 
 
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
-    cav = cfg.cavity_config()
-    blocks = protocol.blocks_for(cav)
-    full = spectral.field_spectrum(blocks)
-    coupled, (conv, inst) = _coupled_spectrum(cav, blocks)
+    blocks = protocol.blocks_for(cfg.cavity_config())
+    full = spectral.field_spectrum(blocks.field_map)
+    coupled, (conv, inst) = _coupled_spectrum(blocks)
     print(f"coupled max modulus: {coupled.max_modulus!r}")
     print(f"convergence cycles: {'-' if conv is None else repr(conv)}")
     print(f"instability cycles: {'-' if inst is None else repr(inst)}")
@@ -285,8 +277,8 @@ def _sweep(cfg: ExperimentConfig, spec: SweepSpec, name: str, extra: str):
     rows = []
     for value in spec.grid().tolist():
         try:
-            cav = spec.apply(cfg, value).cavity_config()
-            spectrum, (_, instability) = _coupled_spectrum(cav, protocol.blocks_for(cav))
+            blocks = protocol.blocks_for(spec.apply(cfg, value).cavity_config())
+            spectrum, (_, instability) = _coupled_spectrum(blocks)
             log_critical = None if instability is None else math.log10(instability)
             rows.append((value, spectrum.max_modulus, log_critical, ""))
         except NUMERICAL_ERRORS + (ValueError,) as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -54,17 +54,52 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class CycleBlocks:
-    """Propagator blocks: detector rows first, field rows second."""
+    """Propagator blocks: detector rows first, field rows second.
+
+    decoupled lists the field modes (0-based positions) with a node at both
+    detectors.  They only rotate freely, so they take no part in the
+    fixed point or the spectrum of the cycle map; coupled_map leaves them
+    out and whole_field puts them back.
+    """
 
     a: np.ndarray  # 4 x 4, detector -> detector
     b: np.ndarray  # 4 x 2M, field -> detector
     c: np.ndarray  # 2M x 4, detector -> field
     d: np.ndarray  # 2M x 2M, field -> field
+    decoupled: tuple[int, ...] = ()
 
     @property
     def field_map(self) -> AffineMap:
         """One cycle's field update with ground-state detectors."""
         return AffineMap(self.d, self.c @ self.c.T, 1)
+
+    @cached_property
+    def _coupled_rows(self) -> np.ndarray:
+        """Phase-space rows of the field modes not listed in decoupled."""
+        modes = np.setdiff1d(np.arange(self.d.shape[0] // 2), self.decoupled)
+        return (2 * modes[:, None] + np.array([0, 1])).ravel()
+
+    @property
+    def coupled_map(self) -> AffineMap:
+        """field_map on the coupled modes: decoupled rows and columns sliced out."""
+        whole = self.field_map
+        keep = np.ix_(self._coupled_rows, self._coupled_rows)
+        return AffineMap(whole.d[keep], whole.q[keep], 1)
+
+    def whole_field(self, coupled: np.ndarray, frozen: np.ndarray) -> np.ndarray:
+        """The field state with coupled block `coupled` and decoupled modes as in `frozen`.
+
+        The inverse of restricting to coupled_map: the decoupled blocks keep
+        their state in frozen, and the correlations between the two sectors
+        are zero (they vanish at a fixed point of the coupled map).
+        """
+        sigma = np.asarray(frozen, dtype=float).copy()
+        keep = self._coupled_rows
+        dead = np.setdiff1d(np.arange(sigma.shape[0]), keep)
+        sigma[np.ix_(keep, keep)] = coupled
+        sigma[np.ix_(dead, keep)] = 0.0
+        sigma[np.ix_(keep, dead)] = 0.0
+        return sigma
 
 
 @dataclass(frozen=True)
@@ -168,7 +203,9 @@ def block_decompose(s: np.ndarray) -> CycleBlocks:
 
 
 def blocks_for(config: cavity.CavityConfig) -> CycleBlocks:
-    return block_decompose(dynamics.propagator_for(config))
+    """The blocks of config's propagator, with its decoupled modes named."""
+    blocks = block_decompose(dynamics.propagator_for(config))
+    return replace(blocks, decoupled=tuple(cavity.decoupled_positions(config)))
 
 
 def full_cycle(
@@ -221,9 +258,10 @@ def run_cycles(
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
+    blocks = blocks_for(config)
     # modes with a node at both detectors keep their initial state, so they
     # stay isolated when they start out uncorrelated with the rest
-    isolated = tuple(cavity.decoupled_positions(config))
+    isolated = blocks.decoupled
     if sigma_f0 is None:
         sigma_f = gaussian.vacuum_state(config.n_field_modes)
     else:
@@ -233,7 +271,6 @@ def run_cycles(
         sigma_d0 = gaussian.vacuum_state(2)
     else:
         sigma_d0 = gaussian.StateAnalysis(sigma_d0).sigma
-    blocks = blocks_for(config)
     detector_freqs = cavity.joint_frequencies(config)[:2]
     field_freqs = cavity.mode_frequencies(config)
 

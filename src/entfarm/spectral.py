@@ -56,22 +56,15 @@ class FieldSpectrum:
         return float(np.abs(self.eigenvalues[0]))
 
 
-def _kept_indices(n_phase: int, exclude_positions) -> list[int]:
-    """Phase-space rows of the field modes whose positions are not excluded."""
-    dead = set(exclude_positions)
-    return [i for p in range(n_phase // 2) if p not in dead for i in (2 * p, 2 * p + 1)]
+def field_spectrum(field_map: AffineMap) -> FieldSpectrum:
+    """Spectrum of the homogeneous part of a field map.
 
-
-def field_spectrum(blocks: CycleBlocks, exclude_positions=()) -> FieldSpectrum:
-    """Spectrum of D, optionally restricted to the coupled field modes.
-
-    exclude_positions lists field-mode storage positions (0-based) to drop,
-    typically the decoupled modes whose exact unit-modulus rotations would
-    mask the contraction or growth of everything else.
+    Pass a CycleBlocks' coupled_map to leave out the decoupled modes, whose
+    exact unit-modulus rotations would mask the contraction or growth of
+    everything else, or its field_map for the whole field.
     """
-    keep = _kept_indices(blocks.d.shape[0], exclude_positions)
     try:
-        ev = np.linalg.eigvals(blocks.d[np.ix_(keep, keep)])
+        ev = np.linalg.eigvals(field_map.d)
     except np.linalg.LinAlgError as exc:
         raise SpectralFailureError(f"eigenvalue computation failed: {exc}")
     order = np.argsort(-np.abs(ev))
@@ -83,9 +76,12 @@ def timescales(spectrum: FieldSpectrum) -> tuple[float | None, float | None]:
 
     Contractive maps converge over n = -1 / log|d1| cycles; expanding maps
     blow up over n = 1 / log|d1|.  Within UNIT_CIRCLE_TOL of the unit circle
-    neither notion applies and both entries are None.  Natural log: these
-    are physical cycle counts, independent of the entropy unit.
+    neither notion applies and both entries are None, as they are for the
+    empty spectrum of a map with no coupled mode.  Natural log: these are
+    physical cycle counts, independent of the entropy unit.
     """
+    if not spectrum.eigenvalues.size:
+        return None, None
     m = spectrum.max_modulus
     if abs(m - 1.0) <= UNIT_CIRCLE_TOL:
         return None, None
@@ -100,19 +96,17 @@ def timescales(spectrum: FieldSpectrum) -> tuple[float | None, float | None]:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Fixed point of the cycle map plus how trustworthy it is.
+    """Fixed point of a field map plus how trustworthy it is.
 
-    sigma_star solves sigma = D sigma D^T + C C^T on the coupled subspace;
-    decoupled-mode blocks are frozen at the initial-state convention (they
-    are genuinely stationary for rotation-invariant initial states).  The
-    residual is the max-abs defect of the Stein equation on the coupled
-    subspace.  An unstable map still has a unique fixed point, but it need
-    not be a physical state; validity is the caller's check.
+    sigma_star solves sigma = d sigma d^T + q for the map it was given, and
+    the residual is the max-abs defect of that Stein equation.  For a
+    CycleBlocks' coupled_map, whole_field places sigma_star into a whole
+    field state.  An unstable map still has a unique fixed point, but it
+    need not be a physical state; validity is the caller's check.
     """
 
     sigma_star: np.ndarray
     residual: float
-    coupled_dim: int
     method: str
 
 
@@ -156,31 +150,19 @@ def _fixed_point_stein(t: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarra
     return (x + x.T) / 2.0
 
 
-def fixed_point(
-    blocks: CycleBlocks,
-    method: str = "auto",
-    decoupled_positions=(),
-    initial_sigma: np.ndarray | None = None,
-) -> FixedPointResult:
-    """Unique fixed point of sigma -> D sigma D^T + C C^T.
+def fixed_point(field_map: AffineMap, method: str = "auto") -> FixedPointResult:
+    """Unique fixed point of sigma -> d sigma d^T + q.
 
-    Solved on the coupled subspace only.  Methods: "kronecker" builds the
-    linear system on symmetric-matrix coordinates (dimension M(2M+1)) and
-    solves it densely; "stein" does Schur back-substitution; "auto" picks
-    kronecker up to 8 coupled modes and stein above.  Uniqueness requires
-    every product t_ii t_jj of the diagonal of the coupled map's complex
-    Schur form T, the denominators of the Stein solve, to stay
-    CONTRACTION_TOL away from 1; decoupled rotations are exempt because
-    their blocks are frozen at the initial state (vacuum when unspecified).
+    Methods: "kronecker" builds the linear system on symmetric-matrix
+    coordinates (dimension M(2M+1)) and solves it densely; "stein" does
+    Schur back-substitution; "auto" picks kronecker up to 8 modes and stein
+    above.  Uniqueness requires every product t_ii t_jj of the diagonal of
+    d's complex Schur form T, the denominators of the Stein solve, to stay
+    CONTRACTION_TOL away from 1.  A decoupled mode's free rotation breaks
+    this, so pass a CycleBlocks' coupled_map, not its field_map.
     """
-    field_map = blocks.field_map
-    d_full, q_full = field_map.d, field_map.q
-    n_phase = d_full.shape[0]
-    keep = _kept_indices(n_phase, decoupled_positions)
-    dcc = d_full[np.ix_(keep, keep)]
-    qcc = q_full[np.ix_(keep, keep)]
-
-    t, u = schur(dcc.astype(complex), output="complex")
+    d, q = field_map.d, field_map.q
+    t, u = schur(d.astype(complex), output="complex")
     ev = np.diag(t)
     prod_dist = np.abs(np.outer(ev, ev) - 1.0)
     if prod_dist.min() < CONTRACTION_TOL:
@@ -190,27 +172,16 @@ def fixed_point(
         )
 
     if method == "auto":
-        method = "kronecker" if len(keep) <= 16 else "stein"
+        method = "kronecker" if d.shape[0] <= 16 else "stein"
     if method == "kronecker":
-        sigma_cc = _fixed_point_kronecker(dcc, qcc)
+        sigma_star = _fixed_point_kronecker(d, q)
     elif method == "stein":
-        sigma_cc = _fixed_point_stein(t, u, qcc)
+        sigma_star = _fixed_point_stein(t, u, q)
     else:
         raise ValueError(f"unknown fixed-point method {method!r}")
 
-    residual = float(np.max(np.abs(dcc @ sigma_cc @ dcc.T + qcc - sigma_cc)))
-
-    sigma_star = (
-        np.eye(n_phase) if initial_sigma is None else np.asarray(initial_sigma, float).copy()
-    )
-    sigma_star[np.ix_(keep, keep)] = sigma_cc
-    # correlations between frozen and coupled sectors vanish at the fixed point
-    dead_idx = np.setdiff1d(np.arange(n_phase), keep)
-    sigma_star[np.ix_(dead_idx, keep)] = 0.0
-    sigma_star[np.ix_(keep, dead_idx)] = 0.0
-    return FixedPointResult(
-        sigma_star=sigma_star, residual=residual, coupled_dim=len(keep), method=method
-    )
+    residual = float(np.max(np.abs(d @ sigma_star @ d.T + q - sigma_star)))
+    return FixedPointResult(sigma_star=sigma_star, residual=residual, method=method)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +278,7 @@ def extinction_scan(
     up.
     """
     blocks = protocol.blocks_for(config)
-    spectrum = field_spectrum(blocks)
-    _, instability_n = timescales(spectrum)
+    _, instability_n = timescales(field_spectrum(blocks.coupled_map))
     if k_grid is None:
         k_grid = [2**i for i in range(31)]
     k_grid = sorted(set(int(k) for k in k_grid))

@@ -52,8 +52,6 @@ def test_01_plateau_negativity(vacuum_run_64):
 def test_02_initial_state_independence():
     cfg = window_config()
     blocks = protocol.blocks_for(cfg)
-    dead = set(cavity.decoupled_positions(cfg))
-    keep = [i for p in range(cfg.n_field_modes) if p not in dead for i in (2 * p, 2 * p + 1)]
     freqs = cavity.mode_frequencies(cfg)
     power = spectral.power_map(blocks, 2**22)
     finals, plateaus = [], []
@@ -63,7 +61,8 @@ def test_02_initial_state_independence():
         else:
             sigma0 = gaussian.thermal_state(freqs, temperature)
         sigma = power.apply(sigma0)
-        finals.append(sigma[np.ix_(keep, keep)])
+        # the block of the modes blocks.coupled_map acts on
+        finals.append(gaussian.StateAnalysis(sigma, blocks.decoupled).coupled.sigma)
         sigma_d, _, _ = protocol.full_cycle(sigma, gaussian.vacuum_state(2), blocks)
         plateaus.append(gaussian.log_negativity(sigma_d))
     for a in finals:
@@ -76,23 +75,16 @@ def test_02_initial_state_independence():
 def test_03_fixed_point_solver_vs_iteration():
     cfg = window_config()
     blocks = protocol.blocks_for(cfg)
-    dead = cavity.decoupled_positions(cfg)
-    kron = spectral.fixed_point(blocks, method="kronecker", decoupled_positions=dead)
-    stein = spectral.fixed_point(blocks, method="stein", decoupled_positions=dead)
+    kron = spectral.fixed_point(blocks.coupled_map, method="kronecker")
+    stein = spectral.fixed_point(blocks.coupled_map, method="stein")
     assert np.max(np.abs(kron.sigma_star - stein.sigma_star)) < 1e-8
     iterated = spectral.power_map(blocks, 2**22).apply(
         gaussian.vacuum_state(cfg.n_field_modes)
     )
-    # compare where the map contracts; the decoupled mode is frozen by
-    # construction in the solver but collects rotation roundoff under 2^22
-    # numerical compositions
-    keep = [
-        i
-        for p in range(cfg.n_field_modes)
-        if p not in set(dead)
-        for i in (2 * p, 2 * p + 1)
-    ]
-    diff = iterated[np.ix_(keep, keep)] - kron.sigma_star[np.ix_(keep, keep)]
+    # compare where the map contracts, on the modes of blocks.coupled_map; the
+    # decoupled mode is left out of the solve but collects rotation roundoff
+    # under 2^22 numerical compositions
+    diff = gaussian.StateAnalysis(iterated, blocks.decoupled).coupled.sigma - kron.sigma_star
     assert np.max(np.abs(diff)) < 1e-8
 
 
@@ -119,10 +111,7 @@ def test_05_coupling_scaling_of_instability():
     gaps, criticals = [], []
     for lam in lams:
         cfg = cavity.standard_config(16, coupling=float(lam), cycle_time=21.0)
-        spec = spectral.field_spectrum(
-            protocol.blocks_for(cfg),
-            exclude_positions=cavity.decoupled_positions(cfg),
-        )
+        spec = spectral.field_spectrum(protocol.blocks_for(cfg).coupled_map)
         gaps.append(spec.max_modulus - 1.0)
         _, instability = spectral.timescales(spec)
         criticals.append(instability)
@@ -137,10 +126,7 @@ def test_06_cycle_time_periodicity():
     gaps = []
     for tf in tfs:
         cfg = cavity.standard_config(16, cycle_time=float(tf))
-        spec = spectral.field_spectrum(
-            protocol.blocks_for(cfg),
-            exclude_positions=cavity.decoupled_positions(cfg),
-        )
+        spec = spectral.field_spectrum(protocol.blocks_for(cfg).coupled_map)
         gaps.append(spec.max_modulus - 1.0)
     # critical cycles ~ 1/gap; marginal and stable points are clamped so the
     # log-signal stays finite

@@ -111,19 +111,26 @@ def test_hamiltonian_matrix_uncoupled():
 
 
 def test_decoupled_modes_at_thirds():
+    # modes 3, 6, 9 and 12
     cfg = cavity.standard_config(12)
-    assert cavity.decoupled_modes(cfg) == [3, 6, 9, 12]
     assert cavity.decoupled_positions(cfg) == [2, 5, 8, 11]
 
 
 def test_decoupled_modes_generic_positions_none():
     cfg = cavity.standard_config(30, x1=1.234567, x2=5.654321)
-    assert cavity.decoupled_modes(cfg) == []
+    assert cavity.decoupled_positions(cfg) == []
 
 
 def test_decoupled_modes_midpoint():
+    # modes 2, 4, 6 and 8
     cfg = cavity.CavityConfig(x1=4.0, x2=4.0, mode_numbers=tuple(range(1, 9)))
-    assert cavity.decoupled_modes(cfg) == [2, 4, 6, 8]
+    assert cavity.decoupled_positions(cfg) == [1, 3, 5, 7]
+
+
+def test_decoupled_positions_index_the_retained_modes():
+    # a window that skips modes: positions count retained modes, not n - 1
+    cfg = cavity.CavityConfig(mode_numbers=(1, 3, 4, 6, 8, 9))
+    assert cavity.decoupled_positions(cfg) == [1, 3, 5]
 
 
 def test_resonant_window_defaults_to_first_five():

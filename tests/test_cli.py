@@ -455,3 +455,17 @@ def test_readme_shell_examples_use_accepted_flags():
     assert commands
     for argv in commands:
         cli.build_parser().parse_args(argv[1:])
+
+
+def test_readme_python_examples_run(tmp_path):
+    # the blocks build on each other, so they run in order as one script
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) >= 2
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ENTFARM_")}
+    env["PYTHONPATH"] = str(src)
+    done = subprocess.run(
+        [sys.executable, "-c", "\n".join(blocks)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -30,6 +30,32 @@ def test_block_decompose_identity():
     assert not blocks.b.any() and not blocks.c.any()
 
 
+def test_coupled_map_slices_the_decoupled_modes_out_of_the_field_map():
+    cfg = cavity.standard_config(5)
+    blocks = protocol.blocks_for(cfg)
+    assert blocks.decoupled == (2,)
+    keep = [0, 1, 2, 3, 6, 7, 8, 9]
+    whole, coupled = blocks.field_map, blocks.coupled_map
+    assert np.array_equal(coupled.d, whole.d[np.ix_(keep, keep)])
+    assert np.array_equal(coupled.q, whole.q[np.ix_(keep, keep)])
+    assert coupled.k == 1
+    free = protocol.blocks_for(cavity.standard_config(5, x1=2.9, x2=5.3))
+    assert free.decoupled == ()
+    assert np.array_equal(free.coupled_map.d, free.field_map.d)
+
+
+def test_whole_field_places_the_coupled_block_and_keeps_the_frozen_modes():
+    blocks = protocol.blocks_for(cavity.standard_config(5))
+    frozen = RNG.standard_normal((10, 10))
+    coupled = RNG.standard_normal((8, 8))
+    sigma = blocks.whole_field(coupled, frozen)
+    keep, dead = [0, 1, 2, 3, 6, 7, 8, 9], [4, 5]
+    assert np.array_equal(sigma[np.ix_(keep, keep)], coupled)
+    assert np.array_equal(sigma[np.ix_(dead, dead)], frozen[np.ix_(dead, dead)])
+    assert not sigma[np.ix_(dead, keep)].any() and not sigma[np.ix_(keep, dead)].any()
+    assert not np.shares_memory(sigma, frozen)
+
+
 def test_block_decompose_reassembles_exactly():
     s = RNG.normal(size=(12, 12))
     blocks = protocol.block_decompose(s)

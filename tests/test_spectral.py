@@ -31,13 +31,13 @@ def rotation(theta):
 
 def test_uncoupled_map_has_unit_spectrum():
     cfg = window_config(coupling=0.0)
-    spec = spectral.field_spectrum(protocol.blocks_for(cfg))
+    spec = spectral.field_spectrum(protocol.blocks_for(cfg).field_map)
     np.testing.assert_allclose(np.abs(spec.eigenvalues), 1.0, atol=1e-12)
 
 
 def test_spectrum_sorted_and_conjugate_paired():
     cfg = window_config()
-    spec = spectral.field_spectrum(protocol.blocks_for(cfg))
+    spec = spectral.field_spectrum(protocol.blocks_for(cfg).field_map)
     mods = np.abs(spec.eigenvalues)
     assert np.all(np.diff(mods) <= 1e-14)
     # real matrix: spectrum closed under conjugation
@@ -46,19 +46,17 @@ def test_spectrum_sorted_and_conjugate_paired():
 
 
 def test_contractive_window_spectrum_inside_unit_circle():
-    cfg = window_config(cycle_time=20.0)
-    dead = cavity.decoupled_positions(cfg)
-    spec = spectral.field_spectrum(protocol.blocks_for(cfg), exclude_positions=dead)
+    blocks = protocol.blocks_for(window_config(cycle_time=20.0))
+    spec = spectral.field_spectrum(blocks.coupled_map)
     assert spec.max_modulus < 1.0
     # the excluded mode is a free rotation sitting exactly on the circle
-    full = spectral.field_spectrum(protocol.blocks_for(cfg))
+    full = spectral.field_spectrum(blocks.field_map)
     assert full.max_modulus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expanding_window_spectrum_outside_unit_circle():
     cfg = window_config(cycle_time=21.0)
-    dead = cavity.decoupled_positions(cfg)
-    spec = spectral.field_spectrum(protocol.blocks_for(cfg), exclude_positions=dead)
+    spec = spectral.field_spectrum(protocol.blocks_for(cfg).coupled_map)
     assert spec.max_modulus > 1.0 + 1e-7
 
 
@@ -73,7 +71,7 @@ def test_symmetric_product_eigenvalues_match_induced_map():
     rng = np.random.default_rng(3)
     d = rng.standard_normal((4, 4)) * 0.4
     products = symmetric_product_eigenvalues(
-        spectral.field_spectrum(synthetic_blocks(d))
+        spectral.field_spectrum(synthetic_blocks(d).field_map)
     )
     a, _ = spectral._sym_map_matrix(d)
     direct = np.linalg.eigvals(a)
@@ -103,7 +101,7 @@ def test_timescales_expanding():
 
 def test_timescales_marginal_is_none():
     cfg = window_config(coupling=0.0)
-    spec = spectral.field_spectrum(protocol.blocks_for(cfg))
+    spec = spectral.field_spectrum(protocol.blocks_for(cfg).field_map)
     assert spectral.timescales(spec) == (None, None)
 
 
@@ -114,14 +112,14 @@ def test_timescales_marginal_is_none():
 def test_uncoupled_map_has_no_unique_fixed_point():
     cfg = window_config(coupling=0.0)
     with pytest.raises(spectral.NoUniqueFixedPointError):
-        spectral.fixed_point(protocol.blocks_for(cfg))
+        spectral.fixed_point(protocol.blocks_for(cfg).field_map)
 
 
 def test_retained_decoupled_mode_degenerates_fixed_point():
     # mode 3 rotates freely; keeping it in the solve must be rejected
     cfg = window_config()
     with pytest.raises(spectral.NoUniqueFixedPointError):
-        spectral.fixed_point(protocol.blocks_for(cfg), decoupled_positions=())
+        spectral.fixed_point(protocol.blocks_for(cfg).field_map)
 
 
 def test_fixed_point_methods_agree_on_random_systems():
@@ -131,9 +129,9 @@ def test_fixed_point_methods_agree_on_random_systems():
         w = rng.standard_normal((m, m))
         d = w / (np.max(np.abs(np.linalg.eigvals(w))) * float(rng.uniform(1.05, 2.5)))
         c = rng.standard_normal((m, 4)) * 0.7
-        blocks = synthetic_blocks(d, c)
-        rk = spectral.fixed_point(blocks, method="kronecker")
-        rs = spectral.fixed_point(blocks, method="stein")
+        field_map = synthetic_blocks(d, c).field_map
+        rk = spectral.fixed_point(field_map, method="kronecker")
+        rs = spectral.fixed_point(field_map, method="stein")
         assert rk.residual < 1e-9
         assert rs.residual < 1e-9
         np.testing.assert_allclose(rk.sigma_star, rs.sigma_star, atol=1e-8)
@@ -141,44 +139,35 @@ def test_fixed_point_methods_agree_on_random_systems():
 
 def test_fixed_point_methods_agree_on_window_configs():
     for tf in (20.0, 21.0):
-        cfg = window_config(cycle_time=tf)
-        blocks = protocol.blocks_for(cfg)
-        dead = cavity.decoupled_positions(cfg)
-        rk = spectral.fixed_point(blocks, method="kronecker", decoupled_positions=dead)
-        rs = spectral.fixed_point(blocks, method="stein", decoupled_positions=dead)
+        coupled = protocol.blocks_for(window_config(cycle_time=tf)).coupled_map
+        rk = spectral.fixed_point(coupled, method="kronecker")
+        rs = spectral.fixed_point(coupled, method="stein")
         assert rk.method == "kronecker" and rs.method == "stein"
-        assert rk.coupled_dim == 8
+        assert rk.sigma_star.shape[0] == 8
         np.testing.assert_allclose(rk.sigma_star, rs.sigma_star, atol=1e-8)
 
 
 def test_fixed_point_satisfies_stein_equation():
-    cfg = window_config()
-    blocks = protocol.blocks_for(cfg)
-    dead = cavity.decoupled_positions(cfg)
-    res = spectral.fixed_point(blocks, decoupled_positions=dead)
+    coupled = protocol.blocks_for(window_config()).coupled_map
+    res = spectral.fixed_point(coupled)
     # applying one more cycle must leave the coupled block invariant
-    stepped = blocks.field_map.apply(res.sigma_star)
-    keep = [i for p in range(5) if p not in set(dead) for i in (2 * p, 2 * p + 1)]
-    np.testing.assert_allclose(
-        stepped[np.ix_(keep, keep)], res.sigma_star[np.ix_(keep, keep)], atol=1e-10
-    )
+    stepped = coupled.apply(res.sigma_star)
+    np.testing.assert_allclose(stepped, res.sigma_star, atol=1e-10)
 
 
 def test_fixed_point_matches_long_iteration():
     cfg = window_config(cycle_time=20.0)
     blocks = protocol.blocks_for(cfg)
-    dead = cavity.decoupled_positions(cfg)
-    res = spectral.fixed_point(blocks, decoupled_positions=dead)
+    vacuum = gaussian.vacuum_state(cfg.n_field_modes)
+    star = blocks.whole_field(spectral.fixed_point(blocks.coupled_map).sigma_star, vacuum)
     power = spectral.power_map(blocks, 2**22)
-    iterated = power.apply(gaussian.vacuum_state(cfg.n_field_modes))
-    np.testing.assert_allclose(iterated, res.sigma_star, atol=1e-8)
+    iterated = power.apply(vacuum)
+    np.testing.assert_allclose(iterated, star, atol=1e-8)
 
 
 def test_unstable_fixed_point_is_unphysical():
     cfg = window_config(cycle_time=21.0)
-    res = spectral.fixed_point(
-        protocol.blocks_for(cfg), decoupled_positions=cavity.decoupled_positions(cfg)
-    )
+    res = spectral.fixed_point(protocol.blocks_for(cfg).coupled_map)
     with pytest.raises(gaussian.InvalidStateError):
         gaussian.assert_physical(res.sigma_star)
 
@@ -186,15 +175,14 @@ def test_unstable_fixed_point_is_unphysical():
 def test_fixed_point_initial_sigma_sets_decoupled_block():
     cfg = window_config()
     blocks = protocol.blocks_for(cfg)
-    dead = cavity.decoupled_positions(cfg)
     freqs = cavity.mode_frequencies(cfg)
     sigma0 = gaussian.thermal_state(freqs, 0.5)
-    res = spectral.fixed_point(blocks, decoupled_positions=dead, initial_sigma=sigma0)
-    p = dead[0]
-    block = res.sigma_star[2 * p : 2 * p + 2, 2 * p : 2 * p + 2]
+    star = blocks.whole_field(spectral.fixed_point(blocks.coupled_map).sigma_star, sigma0)
+    p = blocks.decoupled[0]
+    block = star[2 * p : 2 * p + 2, 2 * p : 2 * p + 2]
     np.testing.assert_allclose(block, sigma0[2 * p : 2 * p + 2, 2 * p : 2 * p + 2])
     # frozen sector carries no correlations with the solved sector
-    assert np.max(np.abs(res.sigma_star[2 * p : 2 * p + 2, : 2 * p])) == 0.0
+    assert np.max(np.abs(star[2 * p : 2 * p + 2, : 2 * p])) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -216,7 +204,7 @@ def test_fixed_point_takes_one_schur_form_and_no_eigvals(modes, cycle_time, meth
 
     monkeypatch.setattr(spectral, "schur", counted)
     monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-    res = spectral.fixed_point(blocks, decoupled_positions=cavity.decoupled_positions(cfg))
+    res = spectral.fixed_point(blocks.coupled_map)
     assert res.method == method
     assert len(calls) == 1
 
@@ -224,11 +212,7 @@ def test_fixed_point_takes_one_schur_form_and_no_eigvals(modes, cycle_time, meth
 def test_fixed_point_rejects_unknown_method():
     cfg = window_config()
     with pytest.raises(ValueError):
-        spectral.fixed_point(
-            protocol.blocks_for(cfg),
-            method="newton",
-            decoupled_positions=cavity.decoupled_positions(cfg),
-        )
+        spectral.fixed_point(protocol.blocks_for(cfg).coupled_map, method="newton")
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +299,7 @@ def test_convergence_rate_follows_squared_leading_modulus():
     d = 0.9 * np.kron(np.eye(2), rotation(theta))
     c = rng.standard_normal((4, 4)) * 0.5
     blocks = synthetic_blocks(d, c)
-    star = spectral.fixed_point(blocks).sigma_star
+    star = spectral.fixed_point(blocks.field_map).sigma_star
     sigma = np.eye(4) * 3.0
     err = {
         k: np.max(np.abs(spectral.power_map(blocks, k).apply(sigma) - star))
@@ -363,12 +347,28 @@ def test_extinction_scan_stable_window_never_dies():
 def test_extinction_scan_plateau_matches_fixed_point_cycle():
     cfg = window_config(cycle_time=20.0)
     blocks = protocol.blocks_for(cfg)
-    dead = cavity.decoupled_positions(cfg)
-    star = spectral.fixed_point(blocks, decoupled_positions=dead).sigma_star
+    star = blocks.whole_field(
+        spectral.fixed_point(blocks.coupled_map).sigma_star,
+        gaussian.vacuum_state(cfg.n_field_modes),
+    )
     sigma_d, _, _ = protocol.full_cycle(star, gaussian.vacuum_state(2), blocks)
     plateau = gaussian.log_negativity(sigma_d)
     scan = spectral.extinction_scan(cfg)
     assert scan.negativities[-1] == pytest.approx(plateau, rel=1e-9)
+
+
+def test_extinction_scan_estimate_is_the_coupled_instability_time():
+    # at 12 modes and cycle time 28 the coupled map contracts; the nodal
+    # modes' expm rounding puts the whole map 2.1e-12 outside the unit circle
+    scan = spectral.extinction_scan(cavity.standard_config(12, cycle_time=28.0), k_grid=[1])
+    assert scan.spectral_estimate is None
+    cfg = cavity.standard_config(32, cycle_time=20.0)
+    coupled = spectral.field_spectrum(protocol.blocks_for(cfg).coupled_map)
+    scan = spectral.extinction_scan(cfg, k_grid=[1])
+    assert scan.spectral_estimate == spectral.timescales(coupled)[1]
+    # no mode couples to the detectors: nothing converges or grows
+    nodal = cavity.CavityConfig(mode_numbers=(3, 6))
+    assert spectral.extinction_scan(nodal, k_grid=[1]).spectral_estimate is None
 
 
 def per_k_scan(cfg, k_grid, norm_cap):
