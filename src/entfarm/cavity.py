@@ -94,6 +94,8 @@ def resonant_window(config: CavityConfig, width: float | None = None) -> CavityC
     With an explicit width, keeps modes with |omega_n - Omega| < width.
     Without one, keeps the five lowest retained modes, which is enough to
     cover the resonance and its nearest neighbors in the reference setup.
+    A window that keeps no mode, or only modes with a node at both
+    detectors (nothing left to couple to), raises ValueError.
     """
     if width is None:
         kept = config.mode_numbers[: min(5, len(config.mode_numbers))]
@@ -105,7 +107,13 @@ def resonant_window(config: CavityConfig, width: float | None = None) -> CavityC
         )
     if not kept:
         raise ValueError("resonant window is empty; widen it")
-    return replace(config, mode_numbers=kept)
+    windowed = replace(config, mode_numbers=kept)
+    if len(decoupled_positions(windowed)) == len(kept):
+        raise ValueError(
+            f"resonant window keeps only modes {list(kept)}, which have a node at "
+            "both detectors; widen it"
+        )
+    return windowed
 
 
 def mode_frequencies(config: CavityConfig) -> np.ndarray:

@@ -32,6 +32,7 @@ NUMERICAL_ERRORS = (
     gaussian.InvalidStateError,
     gaussian.DecompositionError,
     dynamics.PropagatorAccuracyError,
+    dynamics.UnboundedHamiltonianError,
     spectral.SpectralFailureError,
     spectral.NoUniqueFixedPointError,
     spectral.GrowthOverflowError,
@@ -120,7 +121,7 @@ def _out(cfg: ExperimentConfig, filename: str) -> str:
 _REL_ENTROPY = "relative_entropy_to_fixed_point"
 
 
-def _coupled_fixed_point(cav):
+def _coupled_fixed_point(blocks: protocol.CycleBlocks):
     """Log-density of the fixed point on the coupled modes; None when not computable.
 
     The decoupled modes sit at their initial state forever on both sides of
@@ -130,7 +131,7 @@ def _coupled_fixed_point(cav):
     is the field state on the same modes.
     """
     try:
-        star = spectral.fixed_point(protocol.blocks_for(cav).coupled_map).sigma_star
+        star = spectral.fixed_point(blocks.coupled_map).sigma_star
         gaussian.assert_physical(star)
         return thermo.log_density(star)
     except NUMERICAL_ERRORS + (ValueError,) as exc:
@@ -142,7 +143,8 @@ def cmd_run_cycles(args) -> int:
     cfg = _load(args)
     cav = cfg.cavity_config()
     sigma0 = _initial_field(cfg, cav)
-    ref = _coupled_fixed_point(cav)
+    # an unusable Hamiltonian fails here, before any cycle or warning
+    ref = _coupled_fixed_point(protocol.blocks_for(cav))
     observables = dict(protocol.DIAGNOSTICS)
     if ref is not None:
         observables[_REL_ENTROPY] = lambda s: ref.relative_entropy(s.field_analysis.coupled)

@@ -51,6 +51,10 @@ class PropagatorAccuracyError(RuntimeError):
     """The computed propagator failed its symplectic self-check."""
 
 
+class UnboundedHamiltonianError(ValueError):
+    """The coupling makes the Hamiltonian unbounded below, so no state is stable."""
+
+
 def propagator(f_sym: np.ndarray, t: float) -> np.ndarray:
     """exp(Omega F_sym t) via scaling-and-squaring Pade approximation.
 
@@ -79,7 +83,41 @@ def propagator(f_sym: np.ndarray, t: float) -> np.ndarray:
     return s
 
 
-@lru_cache(maxsize=64)
+def _check_bounded_below(config: cavity.CavityConfig) -> None:
+    """Raise UnboundedHamiltonianError unless F_sym is positive definite.
+
+    The field block diag(omega) is positive, so F_sym > 0 exactly when its
+    4 x 4 Schur complement Omega I - 4 lambda^2 X diag(omega)^-1 X^T is, with
+    X the detector-field coupling block: an O(M) test.  Beyond a coupling of
+    about 0.27 in the reference cavity it fails, and evolution would run
+    into unphysical states some cycles later.
+    """
+    x = cavity.coupling_matrix(config)
+    inv_omega = 1.0 / np.repeat(cavity.mode_frequencies(config), 2)
+    schur = config.detector_frequency * np.eye(4) - 4.0 * config.coupling**2 * (
+        (x * inv_omega) @ x.T
+    )
+    try:
+        np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        # eigvalsh only here: its first call pages in LAPACK code that the
+        # commands' own work may never touch (0.6 MiB of peak RSS)
+        least = float(np.linalg.eigvalsh(schur)[0])
+        raise UnboundedHamiltonianError(
+            f"coupling {config.coupling!r} makes the Hamiltonian unbounded below "
+            f"(least eigenvalue of its detector Schur complement {least:.6g})"
+        ) from None
+
+
+# Sweeps and figures finish with one config before they move to the next, so
+# only the last config's propagator is kept; holding more keeps unused
+# 2M x 2M matrices alive for the rest of a sweep.
+@lru_cache(maxsize=1)
 def propagator_for(config: cavity.CavityConfig) -> np.ndarray:
-    """One-cycle propagator for a cavity setup; cached, configs are frozen."""
+    """One-cycle propagator for a cavity setup; the last config's is cached.
+
+    Raises UnboundedHamiltonianError before any evolution when the coupling
+    leaves the Hamiltonian unbounded below.
+    """
+    _check_bounded_below(config)
     return propagator(cavity.hamiltonian_matrix(config), config.cycle_time)

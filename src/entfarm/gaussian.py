@@ -72,7 +72,15 @@ def vacuum_state(n_modes: int) -> np.ndarray:
 def thermal_state(frequencies: np.ndarray, temperature: float) -> np.ndarray:
     """Thermal (Gibbs) covariance matrix for uncoupled modes.
 
-    Each mode of frequency w contributes a 2x2 block coth(w / 2T) * I.
+    Each mode of frequency w contributes a 2x2 block nu * I, with nu from
+    thermal_symplectic_eigenvalues.
+    """
+    return np.diag(np.repeat(thermal_symplectic_eigenvalues(frequencies, temperature), 2))
+
+
+def thermal_symplectic_eigenvalues(frequencies: np.ndarray, temperature: float) -> np.ndarray:
+    """Per-mode symplectic eigenvalues nu = coth(w / 2T) of a thermal state.
+
     T = 0 reproduces the vacuum exactly instead of evaluating the
     divergent exponential form.
     """
@@ -84,10 +92,8 @@ def thermal_state(frequencies: np.ndarray, temperature: float) -> np.ndarray:
     if temperature < 0:
         raise ValueError("temperature must be non-negative")
     if temperature == 0:
-        nus = np.ones_like(freqs)
-    else:
-        nus = 1.0 / np.tanh(freqs / (2.0 * temperature))
-    return np.diag(np.repeat(nus, 2))
+        return np.ones_like(freqs)
+    return 1.0 / np.tanh(freqs / (2.0 * temperature))
 
 
 def _as_covariance(sigma: np.ndarray) -> np.ndarray:

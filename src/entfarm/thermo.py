@@ -59,11 +59,16 @@ class ThermalFit:
 
     beta: float
     thermal_entropy: float
-    thermal_sigma: np.ndarray
+    frequencies: np.ndarray
 
     @property
     def temperature(self) -> float:
         return 1.0 / self.beta
+
+    @property
+    def thermal_sigma(self) -> np.ndarray:
+        """The matched thermal covariance, built on each access."""
+        return gaussian.thermal_state(self.frequencies, self.temperature)
 
 
 def log_density(sigma_b: np.ndarray) -> QuadraticLogDensity:
@@ -176,11 +181,9 @@ def _thermal_fit(state: gaussian.StateAnalysis, frequencies: np.ndarray) -> Ther
         beta = new
         if converged:
             break
-    thermal_sigma = gaussian.thermal_state(frequencies, 1.0 / beta)
+    nus = gaussian.thermal_symplectic_eigenvalues(frequencies, 1.0 / beta)
     return ThermalFit(
-        beta=beta,
-        thermal_entropy=gaussian.entropy_of_spectrum(np.diag(thermal_sigma)[0::2]),
-        thermal_sigma=thermal_sigma,
+        beta=beta, thermal_entropy=gaussian.entropy_of_spectrum(nus), frequencies=frequencies
     )
 
 

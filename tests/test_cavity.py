@@ -150,6 +150,16 @@ def test_resonant_window_explicit_width():
         cavity.resonant_window(off_resonance, width=1e-6)
 
 
+def test_resonant_window_rejects_nodal_modes_only():
+    # at 3 pi / 8 a width of 0.1 keeps mode 3 alone, a node at both detectors
+    cfg = cavity.standard_config(8, detector_frequency=3.0 * math.pi / 8.0)
+    with pytest.raises(ValueError, match=r"keeps only modes \[3\], which have a node"):
+        cavity.resonant_window(cfg, width=0.1)
+    assert cavity.resonant_window(cfg, width=0.5).mode_numbers == (2, 3, 4)
+    # a config built directly may still hold nodal modes only
+    assert cavity.decoupled_positions(cavity.CavityConfig(mode_numbers=(3, 6))) == [0, 1]
+
+
 def test_fingerprint_distinguishes_configs():
     a = cavity.standard_config(4)
     b = cavity.standard_config(4, coupling=0.02)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entfarm import cli, fock, thermo
+from entfarm import cli, dynamics, fock, thermo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -200,6 +200,49 @@ def test_fixed_point_uncoupled_exits_3(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_unbounded_hamiltonian_exits_3_before_any_cycle(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("ENTFARM_CAVITY_COUPLING", "0.3")
+    assert run(["run-cycles", "--modes", "8"], monkeypatch, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: coupling 0.3 makes the Hamiltonian unbounded below")
+    assert "least eigenvalue" in err
+    assert "warning" not in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_coupling_below_the_bound_still_runs(monkeypatch, tmp_path):
+    monkeypatch.setenv("ENTFARM_CAVITY_COUPLING", "0.25")
+    assert run(["run-cycles", "--modes", "8"], monkeypatch, tmp_path, n_cycles=3) == 0
+    assert len(read_csv(tmp_path / "trajectory.csv")[1]) == 3
+
+
+# detector frequency 3 pi / 8 with window 0.1 keeps mode 3 alone, which has a
+# node at both detectors (L/3 and 2L/3)
+NODAL_WINDOW = "[cavity]\ndetector_frequency = 1.1780972450961724\nwindow = 0.1\n"
+NODAL_ERROR = "[cavity] window: resonant window keeps only modes [3]"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sweep", "--param", "t_f", "--min", "10", "--max", "20", "--points", "3"], "sweep"),
+        (["reproduce-fig", "eigtime"], "eigtime"),
+        (["reproduce-fig", "eigcoupling"], "eigcoupling"),
+    ],
+    ids=["sweep", "eigtime", "eigcoupling"],
+)
+def test_sweeps_over_a_window_of_nodal_modes_only_record_the_error(
+    argv, name, monkeypatch, tmp_path
+):
+    cfgfile = tmp_path / "nodal.ini"
+    cfgfile.write_text(NODAL_WINDOW)
+    assert run(argv + ["--config", str(cfgfile)], monkeypatch, tmp_path) == 0
+    _, rows = read_csv(tmp_path / f"{name}.csv")
+    assert rows
+    assert all(r[1] == r[2] == "" for r in rows)
+    assert all(r[3].startswith(f"ConfigError: {NODAL_ERROR}") for r in rows)
+
+
 def test_spectrum_output(monkeypatch, tmp_path, capsys):
     assert run(["spectrum", "--modes", "8", "--window", "default"],
                monkeypatch, tmp_path) == 0
@@ -337,11 +380,13 @@ def test_bad_config_file_exits_2(monkeypatch, tmp_path, capsys):
         ("[cavity]\ncycle_time = nan\n", ["run-cycles"]),
         ("[cavity]\ncycle_time = inf\n", ["run-cycles"]),
         ("", ["short-cycle", "--tf-r", "nan"]),
+        (NODAL_WINDOW, ["fixed-point"]),
+        (NODAL_WINDOW, ["spectrum"]),
     ],
     ids=[
         "cycle_time", "x1", "length", "tf_r", "coupling_nan", "coupling_inf",
         "detector_frequency_nan", "detector_frequency_inf", "cycle_time_nan",
-        "cycle_time_inf", "tf_r_nan",
+        "cycle_time_inf", "tf_r_nan", "nodal_window_fixed_point", "nodal_window_spectrum",
     ],
 )
 def test_out_of_range_cavity_values_exit_2(ini, argv, monkeypatch, tmp_path, capsys):
@@ -396,6 +441,35 @@ def test_verify_passes(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+
+
+# no command looks a config up again once it has moved on to the next, so one
+# cached propagator gives every command the hits a larger cache would
+PROPAGATOR_LOOKUPS = [
+    (["run-cycles"], 1, 1),
+    (["run-cycles", "--window", "default"], 1, 1),
+    (["reproduce-fig", "lognegplot"], 2, 1),
+    (["reproduce-fig", "eigtime"], 0, 33),
+    (["reproduce-fig", "eigcoupling"], 0, 7),
+    (["sweep", "--param", "lambda", "--min", "0.01", "--max", "0.03", "--points", "3"], 0, 3),
+    (["reproduce-fig", "extinction"], 0, 3),
+    (["verify"], 0, 2),
+    (["fixed-point"], 0, 1),
+    (["spectrum"], 0, 1),
+    (["reproduce-fig", "ultralong"], 0, 1),
+    (["short-cycle", "--tf-r", "1.48"], 0, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, hits, misses", PROPAGATOR_LOOKUPS, ids=[" ".join(c[0]) for c in PROPAGATOR_LOOKUPS]
+)
+def test_propagator_cache_holds_the_last_config_only(argv, hits, misses, monkeypatch, tmp_path):
+    dynamics.propagator_for.cache_clear()
+    assert run(argv, monkeypatch, tmp_path, n_cycles=3) == 0
+    info = dynamics.propagator_for.cache_info()
+    assert (info.hits, info.misses) == (hits, misses)
+    assert info.currsize == 1
 
 
 # import the CLI, run a tiny trajectory, report whether scipy.sparse got loaded

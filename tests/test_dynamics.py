@@ -109,6 +109,18 @@ def test_propagator_cache_reuses_instance():
     assert a is b
 
 
+@pytest.mark.parametrize("coupling", [0.1, 0.25, 0.27, 0.28, 0.3])
+@pytest.mark.parametrize("modes", [4, 8, 128])
+def test_propagator_for_rejects_a_hamiltonian_unbounded_below(modes, coupling):
+    # the 4 x 4 Schur-complement test has the verdict of F_sym's own spectrum
+    cfg = cavity.standard_config(modes, coupling=coupling)
+    if np.linalg.eigvalsh(cavity.hamiltonian_matrix(cfg))[0] > 0.0:
+        dynamics.propagator_for(cfg)
+    else:
+        with pytest.raises(dynamics.UnboundedHamiltonianError, match=f"coupling {coupling!r}"):
+            dynamics.propagator_for(cfg)
+
+
 def test_propagator_for_is_a_read_only_matrix():
     s = dynamics.propagator_for(small_config())
     assert isinstance(s, np.ndarray)

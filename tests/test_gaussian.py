@@ -68,6 +68,13 @@ def test_thermal_state_zero_temperature_is_vacuum():
     assert np.array_equal(sigma, np.eye(4))
 
 
+@pytest.mark.parametrize("temperature", [0.0, 0.7, 30.0])
+def test_thermal_symplectic_eigenvalues_are_the_thermal_state_diagonal(temperature):
+    freqs = [0.3, 1.7, 4.0]
+    nus = gaussian.thermal_symplectic_eigenvalues(freqs, temperature)
+    assert np.array_equal(np.diag(gaussian.thermal_state(freqs, temperature))[0::2], nus)
+
+
 def test_thermal_state_rejects_bad_input():
     with pytest.raises(ValueError):
         gaussian.thermal_state([1.0], -0.1)

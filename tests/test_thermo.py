@@ -116,6 +116,17 @@ def test_effective_temperature_round_trip():
     assert np.allclose(fit.thermal_sigma, sigma, rtol=1e-8)
 
 
+def test_thermal_fit_builds_no_dense_thermal_state(monkeypatch):
+    freqs = np.array([0.5, 1.0, 1.7])
+    state = gaussian.StateAnalysis(gaussian.thermal_state(freqs, 0.7))
+
+    def dense(frequencies, temperature):
+        raise AssertionError("the 2M x 2M thermal state was built")
+
+    monkeypatch.setattr(gaussian, "thermal_state", dense)
+    assert thermo.thermality_of(state, freqs) == pytest.approx(1.0, rel=1e-8)
+
+
 def test_effective_temperature_of_vacuum_has_no_match():
     with pytest.raises(thermo.NoThermalMatchError):
         thermo.effective_temperature(gaussian.vacuum_state(2), [1.0, 2.0])
