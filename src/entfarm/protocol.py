@@ -1,7 +1,7 @@
 """The repeated extraction cycle.
 
-Each cycle injects a fresh detector pair (ground state by default), evolves
-the joint system for the cycle time, reads the detector diagnostics, and
+Each cycle injects a fresh detector pair in its ground state, evolves the
+joint system for the cycle time, reads the detector diagnostics, and
 discards the detector-field correlations.  The surviving field state obeys
 the affine update sigma_f -> D sigma_f D^T + C C^T, where (C, D) are blocks
 of the one-cycle propagator.
@@ -20,6 +20,22 @@ import numpy as np
 from entfarm import cavity, dynamics, gaussian, thermo
 from entfarm.gaussian import InvalidStateError
 
+# largest covariance entry a cycle or a composed map may reach: past it the
+# cycle map is expanding, and double precision can no longer resolve the
+# uncertainty bound of the state it drives
+GROWTH_CAP = 1e12
+
+
+class GrowthOverflowError(RuntimeError):
+    """A field state or a composed cycle map passed GROWTH_CAP.
+
+    k_reached is the largest number of cycles completed under the cap.
+    """
+
+    def __init__(self, message: str, k_reached: int):
+        super().__init__(message)
+        self.k_reached = k_reached
+
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -35,13 +51,11 @@ class AffineMap:
     k: int
 
     def apply(self, sigma: np.ndarray) -> np.ndarray:
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = gaussian._as_covariance(sigma)
         if sigma.shape != self.d.shape:
             raise ValueError(
                 f"field state shape {sigma.shape} does not match D block {self.d.shape}"
             )
-        if not np.allclose(sigma, sigma.T, atol=1e-9 * max(1.0, np.abs(sigma).max())):
-            raise InvalidStateError("field covariance must be symmetric")
         out = self.d @ sigma @ self.d.T + self.q
         return (out + out.T) / 2.0
 
@@ -241,20 +255,22 @@ def full_cycle(
 def run_cycles(
     config: cavity.CavityConfig,
     sigma_f0: np.ndarray | None = None,
-    sigma_d0: np.ndarray | None = None,
     n_cycles: int = 1,
     observables: Mapping[str, Callable[[CycleStates], object]] = DIAGNOSTICS,
 ) -> Trajectory:
     """Run the extraction protocol for n_cycles and record observables.
 
-    Defaults: vacuum field, ground-state detector pair.  observables maps a
+    Each cycle injects a ground-state detector pair; the field starts in
+    sigma_f0, the vacuum by default.  observables maps a
     name to a function of one cycle's CycleStates; each is evaluated every
     cycle and nothing else is.  The default, DIAGNOSTICS, gives the
     detector log-negativity, the energy the cycle pumped into the system
     (free-Hamiltonian convention including zero-point terms), and the
     purity / thermality of the surviving field.  Only the final field state
     is kept; an observable such as {"field": lambda s: s.field_out} records
-    the state of every cycle.
+    the state of every cycle.  A field state with an entry past GROWTH_CAP
+    (or a non-finite one) raises GrowthOverflowError: the cycle map is
+    expanding.
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
@@ -267,18 +283,20 @@ def run_cycles(
     else:
         sigma_f = gaussian.StateAnalysis(sigma_f0).sigma.copy()
         isolated = gaussian.isolated_modes(sigma_f, isolated)
-    if sigma_d0 is None:
-        sigma_d0 = gaussian.vacuum_state(2)
-    else:
-        sigma_d0 = gaussian.StateAnalysis(sigma_d0).sigma
+    sigma_d0 = gaussian.vacuum_state(2)
     detector_freqs = cavity.joint_frequencies(config)[:2]
     field_freqs = cavity.mode_frequencies(config)
 
     traj = Trajectory()
     for k in range(1, n_cycles + 1):
         sigma_d_out, _, sigma_f_next = full_cycle(sigma_f, sigma_d0, blocks)
-        if not np.all(np.isfinite(sigma_f_next)):
-            raise InvalidStateError(f"cycle {k}: field state became non-finite")
+        largest = np.abs(sigma_f_next).max()
+        if not largest <= GROWTH_CAP:
+            raise GrowthOverflowError(
+                f"cycle {k}: largest field covariance entry {largest:.3g} passed the "
+                f"growth cap {GROWTH_CAP:g}; the cycle map is expanding",
+                k_reached=k - 1,
+            )
         states = CycleStates(
             sigma_d0, sigma_f, sigma_d_out, sigma_f_next, detector_freqs, field_freqs, isolated
         )

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from entfarm import cavity, gaussian, protocol
-from entfarm.protocol import AffineMap, CycleBlocks
+from entfarm.protocol import AffineMap, CycleBlocks, GrowthOverflowError
 
 
 # |d1| within this of 1 has neither a convergence nor an instability time
@@ -31,14 +31,6 @@ class SpectralFailureError(RuntimeError):
 
 class NoUniqueFixedPointError(RuntimeError):
     """The coupled field map has (near-)unit spectrum; no unique fixed point."""
-
-
-class GrowthOverflowError(RuntimeError):
-    """Composed cycle maps exceeded the norm cap in the unstable regime."""
-
-    def __init__(self, message: str, k_reached: int):
-        super().__init__(message)
-        self.k_reached = k_reached
 
 
 # ---------------------------------------------------------------------------
@@ -150,14 +142,15 @@ def _fixed_point_stein(t: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarra
     return (x + x.T) / 2.0
 
 
-def fixed_point(field_map: AffineMap, method: str = "auto") -> FixedPointResult:
+def fixed_point(field_map: AffineMap) -> FixedPointResult:
     """Unique fixed point of sigma -> d sigma d^T + q.
 
-    Methods: "kronecker" builds the linear system on symmetric-matrix
-    coordinates (dimension M(2M+1)) and solves it densely; "stein" does
-    Schur back-substitution; "auto" picks kronecker up to 8 modes and stein
-    above.  Uniqueness requires every product t_ii t_jj of the diagonal of
-    d's complex Schur form T, the denominators of the Stein solve, to stay
+    The solver follows the size of d: up to 16 rows (8 modes) "kronecker"
+    builds the linear system on symmetric-matrix coordinates (dimension
+    M(2M+1)) and solves it densely; above that "stein" does Schur
+    back-substitution.  The result's method names the one used.
+    Uniqueness requires every product t_ii t_jj of the diagonal of d's
+    complex Schur form T, the denominators of the Stein solve, to stay
     CONTRACTION_TOL away from 1.  A decoupled mode's free rotation breaks
     this, so pass a CycleBlocks' coupled_map, not its field_map.
     """
@@ -171,14 +164,10 @@ def fixed_point(field_map: AffineMap, method: str = "auto") -> FixedPointResult:
             f"circle (distance {prod_dist.min():.3e}); the fixed point is degenerate"
         )
 
-    if method == "auto":
-        method = "kronecker" if d.shape[0] <= 16 else "stein"
-    if method == "kronecker":
-        sigma_star = _fixed_point_kronecker(d, q)
-    elif method == "stein":
-        sigma_star = _fixed_point_stein(t, u, q)
+    if d.shape[0] <= 16:
+        method, sigma_star = "kronecker", _fixed_point_kronecker(d, q)
     else:
-        raise ValueError(f"unknown fixed-point method {method!r}")
+        method, sigma_star = "stein", _fixed_point_stein(t, u, q)
 
     residual = float(np.max(np.abs(d @ sigma_star @ d.T + q - sigma_star)))
     return FixedPointResult(sigma_star=sigma_star, residual=residual, method=method)
@@ -188,38 +177,40 @@ def fixed_point(field_map: AffineMap, method: str = "auto") -> FixedPointResult:
 # k-fold composition in O(log k)
 
 
-def _square(power: AffineMap, norm_cap: float, k: int, k_done: int) -> AffineMap:
-    """power composed with itself, checked against norm_cap.
+def _square(power: AffineMap, k: int, k_done: int) -> AffineMap:
+    """power composed with itself, checked against protocol.GROWTH_CAP.
 
     k is the composition being assembled and k_done the largest one already
     completed besides power; both only word the GrowthOverflowError.
     """
+    cap = protocol.GROWTH_CAP
     square = power.then(power)
-    if np.max(np.abs(square.q)) > norm_cap:
+    if np.max(np.abs(square.q)) > cap:
         raise GrowthOverflowError(
-            f"composed map norm exceeded {norm_cap:g} at 2^{int(math.log2(square.k))} "
+            f"composed map norm exceeded {cap:g} at 2^{int(math.log2(square.k))} "
             f"cycles while assembling k={k}",
             k_reached=max(k_done, power.k),
         )
     return square
 
 
-def power_map(blocks: CycleBlocks, k: int, norm_cap: float = 1e12) -> AffineMap:
+def power_map(blocks: CycleBlocks, k: int) -> AffineMap:
     """Compose the cycle map with itself k times by binary doubling.
 
     Cost O(log k) matrix products, exact up to rounding.  In the unstable
     regime the inhomogeneous part grows without bound; when its max norm
-    passes norm_cap the computation aborts with GrowthOverflowError whose
-    k_reached attribute reports the largest completed composition, 0 when
-    the one-cycle map itself is over the cap.  For k = 2^j the result is
-    the j-th squaring of the one-cycle map.
+    passes protocol.GROWTH_CAP the computation aborts with
+    GrowthOverflowError whose k_reached attribute reports the largest
+    completed composition, 0 when the one-cycle map itself is over the cap.
+    For k = 2^j the result is the j-th squaring of the one-cycle map.
     """
     if k < 1:
         raise ValueError("cycle count must be >= 1")
+    cap = protocol.GROWTH_CAP
     power = blocks.field_map
-    if np.max(np.abs(power.q)) > norm_cap:
+    if np.max(np.abs(power.q)) > cap:
         raise GrowthOverflowError(
-            f"cycle map norm exceeded {norm_cap:g} at 1 cycle while assembling k={k}",
+            f"cycle map norm exceeded {cap:g} at 1 cycle while assembling k={k}",
             k_reached=0,
         )
     acc = None
@@ -227,20 +218,24 @@ def power_map(blocks: CycleBlocks, k: int, norm_cap: float = 1e12) -> AffineMap:
     while True:
         if kk & 1:
             acc = power if acc is None else acc.then(power)
-            if np.max(np.abs(acc.q)) > norm_cap:
+            if np.max(np.abs(acc.q)) > cap:
                 raise GrowthOverflowError(
-                    f"composed map norm exceeded {norm_cap:g} while assembling k={k}",
+                    f"composed map norm exceeded {cap:g} while assembling k={k}",
                     k_reached=max(acc.k - power.k, power.k),
                 )
         kk >>= 1
         if not kk:
             break
-        power = _square(power, norm_cap, k, 0 if acc is None else acc.k)
+        power = _square(power, k, 0 if acc is None else acc.k)
     return acc
 
 
 # ---------------------------------------------------------------------------
 # extinction scan
+
+
+# the scan samples k = 2^0 ... 2^SCAN_DOUBLINGS cycles
+SCAN_DOUBLINGS = 30
 
 
 @dataclass
@@ -250,8 +245,8 @@ class ExtinctionScan:
     negativities[i] is E_N of the detector pair after cycle k_i + 1 with the
     field in its k_i-cycle state.  extinction_k is the smallest sampled k
     whose E_N is zero after an earlier positive value, None if extraction
-    never died (or never lived).  complete is False when the norm cap ended
-    the scan before the grid did.
+    never died (or never lived).  complete is False when the growth cap
+    ended the scan before 2^SCAN_DOUBLINGS cycles.
     """
 
     ks: list[int]
@@ -262,28 +257,18 @@ class ExtinctionScan:
 
 
 def extinction_scan(
-    config: cavity.CavityConfig,
-    k_grid=None,
-    sigma_f0: np.ndarray | None = None,
-    norm_cap: float = 1e12,
+    config: cavity.CavityConfig, sigma_f0: np.ndarray | None = None
 ) -> ExtinctionScan:
-    """Sample extraction quality on a geometric cycle grid of composed maps.
+    """Sample extraction quality at k = 1, 2, 4, ..., 2^SCAN_DOUBLINGS cycles.
 
-    Default grid: powers of two up to 2^30, matching how ultralong runs are
-    usually plotted.  Powers of two walk one doubling chain, each squaring
-    the last, so a grid reaching 2^j costs j squarings and keeps only the
-    latest doubling; any other k goes through power_map.  If the
-    unstable growth overflows the norm cap while extraction is still live,
-    the scan refines between the last good point and the cap before giving
+    The samples walk one doubling chain, each squaring the last, so the
+    scan costs SCAN_DOUBLINGS squarings.  If the unstable growth passes
+    protocol.GROWTH_CAP while extraction is still live, the scan refines
+    between the last good point and the cap with power_map before giving
     up.
     """
     blocks = protocol.blocks_for(config)
     _, instability_n = timescales(field_spectrum(blocks.coupled_map))
-    if k_grid is None:
-        k_grid = [2**i for i in range(31)]
-    k_grid = sorted(set(int(k) for k in k_grid))
-    if k_grid[0] < 1:
-        raise ValueError("cycle counts must be >= 1")
     if sigma_f0 is None:
         sigma_f0 = gaussian.vacuum_state(config.n_field_modes)
 
@@ -297,22 +282,14 @@ def extinction_scan(
     ks: list[int] = []
     negs: list[float] = []
     complete = True
-    doubling = None  # field_map^(2^j) at the largest power of two sampled so far
-    for k in k_grid:
-        is_doubling = k & (k - 1) == 0
+    power = None
+    for _ in range(SCAN_DOUBLINGS + 1):
         try:
-            if is_doubling and doubling is not None:
-                power = doubling
-                while power.k < k:
-                    power = _square(power, norm_cap, k, 0)
-            else:
-                power = power_map(blocks, k, norm_cap=norm_cap)
+            power = power_map(blocks, 1) if power is None else _square(power, 2 * power.k, 0)
         except GrowthOverflowError:
             complete = False
             break
-        if is_doubling:
-            doubling = power
-        ks.append(k)
+        ks.append(power.k)
         negs.append(negativity_after(power))
 
     if not complete and ks and negs[-1] > 0.0:
@@ -321,7 +298,7 @@ def extinction_scan(
         for _ in range(6):
             k = int(k * 1.3) + 1
             try:
-                power = power_map(blocks, k, norm_cap=norm_cap)
+                power = power_map(blocks, k)
             except GrowthOverflowError:
                 break
             ks.append(k)

@@ -1,9 +1,9 @@
 """Shared test helpers."""
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
-from entfarm import gaussian, thermo
+from entfarm import gaussian, spectral, thermo
 
 
 def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
@@ -74,3 +74,14 @@ def eigvals_symplectic_eigenvalues(sigma: np.ndarray, pair_tol: float = 1e-8) ->
     if np.max(np.abs(first - second)) > pair_tol * max(1.0, moduli[0]):
         raise gaussian.DecompositionError("eigenvalue moduli of Omega @ sigma did not pair up")
     return (first + second) / 2.0
+
+
+def both_fixed_point_solvers(field_map) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed point of field_map by the Kronecker and by the Stein solver.
+
+    spectral.fixed_point picks one of the two by size; each is the other's
+    oracle on the same map.
+    """
+    d, q = field_map.d, field_map.q
+    t, u = schur(d.astype(complex), output="complex")
+    return spectral._fixed_point_kronecker(d, q), spectral._fixed_point_stein(t, u, q)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from entfarm import cavity, dynamics, fock, gaussian, protocol, spectral, thermo
-from conftest import entropy_difference_check, evolve, total_energy
+from conftest import both_fixed_point_solvers, entropy_difference_check, evolve, total_energy
 
 
 @pytest.fixture(scope="module")
@@ -75,16 +75,15 @@ def test_02_initial_state_independence():
 def test_03_fixed_point_solver_vs_iteration():
     cfg = window_config()
     blocks = protocol.blocks_for(cfg)
-    kron = spectral.fixed_point(blocks.coupled_map, method="kronecker")
-    stein = spectral.fixed_point(blocks.coupled_map, method="stein")
-    assert np.max(np.abs(kron.sigma_star - stein.sigma_star)) < 1e-8
+    kron, stein = both_fixed_point_solvers(blocks.coupled_map)
+    assert np.max(np.abs(kron - stein)) < 1e-8
     iterated = spectral.power_map(blocks, 2**22).apply(
         gaussian.vacuum_state(cfg.n_field_modes)
     )
     # compare where the map contracts, on the modes of blocks.coupled_map; the
     # decoupled mode is left out of the solve but collects rotation roundoff
     # under 2^22 numerical compositions
-    diff = gaussian.StateAnalysis(iterated, blocks.decoupled).coupled.sigma - kron.sigma_star
+    diff = gaussian.StateAnalysis(iterated, blocks.decoupled).coupled.sigma - kron
     assert np.max(np.abs(diff)) < 1e-8
 
 

@@ -216,6 +216,17 @@ def test_coupling_below_the_bound_still_runs(monkeypatch, tmp_path):
     assert len(read_csv(tmp_path / "trajectory.csv")[1]) == 3
 
 
+def test_expanding_cycle_map_exits_3_at_the_growth_cap(monkeypatch, tmp_path, capsys):
+    # at coupling 0.25 the 8-mode cycle map is bounded but expanding (coupled
+    # max modulus 1.13); the field passes the cap long before the state's
+    # uncertainty bound drowns in rounding
+    monkeypatch.setenv("ENTFARM_CAVITY_COUPLING", "0.25")
+    assert run(["run-cycles", "--modes", "8"], monkeypatch, tmp_path, n_cycles=200) == 3
+    err = capsys.readouterr().err
+    assert "error: cycle 110: largest field covariance entry" in err
+    assert "passed the growth cap 1e+12; the cycle map is expanding" in err
+
+
 # detector frequency 3 pi / 8 with window 0.1 keeps mode 3 alone, which has a
 # node at both detectors (L/3 and 2L/3)
 NODAL_WINDOW = "[cavity]\ndetector_frequency = 1.1780972450961724\nwindow = 0.1\n"

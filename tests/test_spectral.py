@@ -7,6 +7,7 @@ import pytest
 
 from entfarm import cavity, gaussian, protocol, spectral
 from entfarm.protocol import AffineMap, CycleBlocks
+from conftest import both_fixed_point_solvers
 
 
 def window_config(cycle_time=20.0, **overrides):
@@ -130,21 +131,19 @@ def test_fixed_point_methods_agree_on_random_systems():
         d = w / (np.max(np.abs(np.linalg.eigvals(w))) * float(rng.uniform(1.05, 2.5)))
         c = rng.standard_normal((m, 4)) * 0.7
         field_map = synthetic_blocks(d, c).field_map
-        rk = spectral.fixed_point(field_map, method="kronecker")
-        rs = spectral.fixed_point(field_map, method="stein")
-        assert rk.residual < 1e-9
-        assert rs.residual < 1e-9
-        np.testing.assert_allclose(rk.sigma_star, rs.sigma_star, atol=1e-8)
+        kron, stein = both_fixed_point_solvers(field_map)
+        for sigma_star in (kron, stein):
+            residual = d @ sigma_star @ d.T + field_map.q - sigma_star
+            assert np.max(np.abs(residual)) < 1e-9
+        np.testing.assert_allclose(kron, stein, atol=1e-8)
 
 
 def test_fixed_point_methods_agree_on_window_configs():
     for tf in (20.0, 21.0):
         coupled = protocol.blocks_for(window_config(cycle_time=tf)).coupled_map
-        rk = spectral.fixed_point(coupled, method="kronecker")
-        rs = spectral.fixed_point(coupled, method="stein")
-        assert rk.method == "kronecker" and rs.method == "stein"
-        assert rk.sigma_star.shape[0] == 8
-        np.testing.assert_allclose(rk.sigma_star, rs.sigma_star, atol=1e-8)
+        kron, stein = both_fixed_point_solvers(coupled)
+        assert kron.shape[0] == 8
+        np.testing.assert_allclose(kron, stein, atol=1e-8)
 
 
 def test_fixed_point_satisfies_stein_equation():
@@ -209,12 +208,6 @@ def test_fixed_point_takes_one_schur_form_and_no_eigvals(modes, cycle_time, meth
     assert len(calls) == 1
 
 
-def test_fixed_point_rejects_unknown_method():
-    cfg = window_config()
-    with pytest.raises(ValueError):
-        spectral.fixed_point(protocol.blocks_for(cfg).coupled_map, method="newton")
-
-
 # ---------------------------------------------------------------------------
 # powers of the cycle map
 
@@ -276,11 +269,12 @@ def test_power_map_overflow_names_largest_completed_composition(k, k_reached, wh
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_power_map_one_cycle_map_over_cap_completes_nothing(k):
+def test_power_map_one_cycle_map_over_cap_completes_nothing(k, monkeypatch):
     # max|C C^T| = 1 already exceeds the cap, so no composition completes
+    monkeypatch.setattr(protocol, "GROWTH_CAP", 0.5)
     blocks = synthetic_blocks(np.eye(4) * 1.5, np.eye(4))
     with pytest.raises(spectral.GrowthOverflowError) as exc:
-        spectral.power_map(blocks, k, norm_cap=0.5)
+        spectral.power_map(blocks, k)
     assert exc.value.k_reached == 0
 
 
@@ -326,7 +320,7 @@ def _random_field_state(n_modes, rng):
 
 def test_extinction_scan_uncoupled_never_lives():
     cfg = window_config(coupling=0.0)
-    scan = spectral.extinction_scan(cfg, k_grid=[1, 2, 4, 8])
+    scan = spectral.extinction_scan(cfg)
     assert scan.complete
     assert scan.extinction_k is None
     assert scan.spectral_estimate is None
@@ -360,25 +354,25 @@ def test_extinction_scan_plateau_matches_fixed_point_cycle():
 def test_extinction_scan_estimate_is_the_coupled_instability_time():
     # at 12 modes and cycle time 28 the coupled map contracts; the nodal
     # modes' expm rounding puts the whole map 2.1e-12 outside the unit circle
-    scan = spectral.extinction_scan(cavity.standard_config(12, cycle_time=28.0), k_grid=[1])
+    scan = spectral.extinction_scan(cavity.standard_config(12, cycle_time=28.0))
     assert scan.spectral_estimate is None
     cfg = cavity.standard_config(32, cycle_time=20.0)
     coupled = spectral.field_spectrum(protocol.blocks_for(cfg).coupled_map)
-    scan = spectral.extinction_scan(cfg, k_grid=[1])
+    scan = spectral.extinction_scan(cfg)
     assert scan.spectral_estimate == spectral.timescales(coupled)[1]
     # no mode couples to the detectors: nothing converges or grows
     nodal = cavity.CavityConfig(mode_numbers=(3, 6))
-    assert spectral.extinction_scan(nodal, k_grid=[1]).spectral_estimate is None
+    assert spectral.extinction_scan(nodal).spectral_estimate is None
 
 
-def per_k_scan(cfg, k_grid, norm_cap):
+def per_k_scan(cfg, k_grid):
     """(ks, negativities) of the scan with every k composed afresh by power_map."""
     blocks = protocol.blocks_for(cfg)
     vacuum, sigma_d0 = gaussian.vacuum_state(cfg.n_field_modes), gaussian.vacuum_state(2)
     ks, negs = [], []
 
     def sample(k):
-        power = spectral.power_map(blocks, k, norm_cap=norm_cap)
+        power = spectral.power_map(blocks, k)
         sigma_d, _, _ = protocol.full_cycle(power.apply(vacuum), sigma_d0, blocks)
         ks.append(k)
         negs.append(gaussian.log_negativity(sigma_d))
@@ -409,17 +403,10 @@ def test_extinction_scan_walks_one_doubling_chain(modes, monkeypatch):
     assert scan.ks == [2**j for j in range(31)]
     # one squaring per doubling; composing each grid point afresh took 465
     assert len(calls) <= len(scan.ks)
-    assert (scan.ks, scan.negativities) == per_k_scan(cfg, scan.ks, 1e12)
+    assert (scan.ks, scan.negativities) == per_k_scan(cfg, scan.ks)
 
 
-def test_extinction_scan_mixed_grid_matches_power_map():
-    cfg = cavity.standard_config(8)
-    grid = [1, 3, 4, 5, 8, 64, 100, 2**20, 2**20 + 1, 2**22]
-    scan = spectral.extinction_scan(cfg, k_grid=grid)
-    assert (scan.ks, scan.negativities) == per_k_scan(cfg, grid, 1e12)
-
-
-def test_extinction_scan_overflow_matches_power_map():
+def test_extinction_scan_overflow_matches_power_map(monkeypatch):
     # a cap between max|q| at 2^10 and 2^11 cycles ends the chain there
     cfg = cavity.standard_config(8)
     blocks = protocol.blocks_for(cfg)
@@ -427,7 +414,8 @@ def test_extinction_scan_overflow_matches_power_map():
     assert q_max[0] < q_max[1]
     cap = float(np.mean(q_max))
     grid = [2**j for j in range(31)]
-    scan = spectral.extinction_scan(cfg, norm_cap=cap)
+    monkeypatch.setattr(protocol, "GROWTH_CAP", cap)
+    scan = spectral.extinction_scan(cfg)
     assert not scan.complete
     assert scan.ks[:11] == grid[:11] and max(scan.ks) < 2**11
-    assert (scan.ks, scan.negativities) == per_k_scan(cfg, grid, cap)
+    assert (scan.ks, scan.negativities) == per_k_scan(cfg, grid)
