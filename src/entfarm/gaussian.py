@@ -103,15 +103,14 @@ def _as_covariance(sigma: np.ndarray) -> np.ndarray:
     if sigma.shape[0] % 2 != 0 or sigma.shape[0] == 0:
         raise ValueError(f"covariance matrix must be 2N x 2N, got {sigma.shape[0]}")
     largest = np.abs(sigma).max()
+    if not np.isfinite(largest):
+        raise InvalidStateError("covariance matrix must be finite")
     atol = 1e-10 * max(1.0, largest)
-    # a finite matrix within atol of its transpose passes np.allclose's
-    # elementwise |s - s^T| <= atol + 1e-5 |s^T| outright; anything else
-    # gets that test in full, including its inf and nan cases
-    if not (np.isfinite(largest) and np.abs(sigma - sigma.T).max() <= atol):
+    # a matrix within atol of its transpose passes np.allclose's elementwise
+    # |s - s^T| <= atol + 1e-5 |s^T| outright; anything else gets that test in full
+    if np.abs(sigma - sigma.T).max() > atol:
         st = sigma.T
-        with np.errstate(invalid="ignore"):
-            close = (np.abs(sigma - st) <= atol + 1e-5 * np.abs(st)) & np.isfinite(st)
-        if not np.all(close | (sigma == st)):
+        if not np.all(np.abs(sigma - st) <= atol + 1e-5 * np.abs(st)):
             raise InvalidStateError("covariance matrix must be symmetric")
     return sigma
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -132,7 +132,7 @@ class CycleStates:
     field_out: np.ndarray
     detector_freqs: np.ndarray
     field_freqs: np.ndarray
-    isolated: tuple[int, ...] = ()
+    isolated: tuple[int, ...]
 
     @cached_property
     def field_analysis(self) -> gaussian.StateAnalysis:
@@ -197,8 +197,8 @@ class CycleRecord:
 
 @dataclass
 class Trajectory:
-    records: list[CycleRecord] = field(default_factory=list)
-    final_field_sigma: np.ndarray | None = None
+    records: list[CycleRecord]
+    final_field_sigma: np.ndarray
 
 
 # phase-space rows of the detector pair, which come first in a propagator
@@ -287,7 +287,7 @@ def run_cycles(
     detector_freqs = cavity.joint_frequencies(config)[:2]
     field_freqs = cavity.mode_frequencies(config)
 
-    traj = Trajectory()
+    records = []
     for k in range(1, n_cycles + 1):
         sigma_d_out, _, sigma_f_next = full_cycle(sigma_f, sigma_d0, blocks)
         largest = np.abs(sigma_f_next).max()
@@ -304,7 +304,6 @@ def run_cycles(
             values = {name: observe(states) for name, observe in observables.items()}
         except InvalidStateError as exc:
             raise InvalidStateError(f"cycle {k}: {exc}") from exc
-        traj.records.append(CycleRecord(cycle=k, values=values))
+        records.append(CycleRecord(cycle=k, values=values))
         sigma_f = sigma_f_next
-    traj.final_field_sigma = sigma_f
-    return traj
+    return Trajectory(records, sigma_f)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from entfarm import cavity, gaussian, protocol
 from entfarm.protocol import AffineMap, CycleBlocks, GrowthOverflowError
@@ -23,10 +22,16 @@ from entfarm.protocol import AffineMap, CycleBlocks, GrowthOverflowError
 UNIT_CIRCLE_TOL = 1e-12
 # eigenvalue products d_i d_j within this of 1 make the fixed point degenerate
 CONTRACTION_TOL = 1e-10
+# largest eigenvector condition |E|_1 |E^-1|_1 the eigenbasis solve takes:
+# physical coupled maps reach 47 and random contracting maps solve cleanly to
+# 781, while a nearly defective map loses digits as the condition grows (8e-10
+# residual at 6e3) and a defective one reaches 1e200 and a NaN fixed point
+EIGENBASIS_COND_MAX = 1e3
 
 
 class SpectralFailureError(RuntimeError):
-    """The eigenvalue solver did not converge on the field map."""
+    """The eigensolver failed on the field map, or its eigenvectors are
+    singular or conditioned past EIGENBASIS_COND_MAX (a defective map)."""
 
 
 class NoUniqueFixedPointError(RuntimeError):
@@ -91,7 +96,8 @@ class FixedPointResult:
     """Fixed point of a field map plus how trustworthy it is.
 
     sigma_star solves sigma = d sigma d^T + q for the map it was given, and
-    the residual is the max-abs defect of that Stein equation.  For a
+    the residual is the max-abs defect of that Stein equation; method names
+    the route, "kronecker" or "stein" (the eigenbasis solve).  For a
     CycleBlocks' coupled_map, whole_field places sigma_star into a whole
     field state.  An unstable map still has a unique fixed point, but it
     need not be a physical state; validity is the caller's check.
@@ -121,54 +127,49 @@ def _fixed_point_kronecker(d: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fixed_point_stein(t: np.ndarray, u: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve sigma = D sigma D^T + Q by Schur back-substitution.
-
-    With D = U T U^H (complex Schur form (T, U), T upper triangular) and
-    Z = U^H X conj(U), the equation becomes Z = T Z T^T + Q_z and solves
-    entrywise from the bottom-right corner: Z_ij (1 - T_ii T_jj) = Q_ij +
-    tail terms.  Unlike a bilinear-transform route, no (D + I) inverse
-    appears, so eigenvalues near -1 cost nothing in accuracy.
-    """
-    qz = u.conj().T @ q.astype(complex) @ u.conj()
-    m = t.shape[0]
-    z = np.zeros((m, m), dtype=complex)
-    for i in range(m - 1, -1, -1):
-        for j in range(m - 1, i - 1, -1):
-            tail = t[i, i:] @ z[i:, j:] @ t[j, j:]
-            z[i, j] = (qz[i, j] + tail) / (1.0 - t[i, i] * t[j, j])
-            z[j, i] = z[i, j]
-    x = (u @ z @ u.T).real
+def _fixed_point_eigenbasis(e: np.ndarray, denominators: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sigma = Re(E Z E^T), Z = E^-1 Q E^-T / denominators, for D = E diag(lambda) E^-1."""
+    try:
+        e_inv = np.linalg.inv(e)
+        kappa = np.linalg.norm(e, 1) * np.linalg.norm(e_inv, 1)
+    except np.linalg.LinAlgError:  # E is singular
+        kappa = math.inf
+    if not kappa <= EIGENBASIS_COND_MAX:
+        raise SpectralFailureError(
+            f"eigenvector condition kappa_1 {kappa:.3g} of the field map passes the "
+            f"bound {EIGENBASIS_COND_MAX:g}; the map is (nearly) defective"
+        )
+    x = (e @ ((e_inv @ q @ e_inv.T) / denominators) @ e.T).real
     return (x + x.T) / 2.0
 
 
 def fixed_point(field_map: AffineMap) -> FixedPointResult:
     """Unique fixed point of sigma -> d sigma d^T + q.
 
-    The solver follows the size of d: up to 16 rows (8 modes) "kronecker"
-    builds the linear system on symmetric-matrix coordinates (dimension
-    M(2M+1)) and solves it densely; above that "stein" does Schur
-    back-substitution.  The result's method names the one used.
-    Uniqueness requires every product t_ii t_jj of the diagonal of d's
-    complex Schur form T, the denominators of the Stein solve, to stay
-    CONTRACTION_TOL away from 1.  A decoupled mode's free rotation breaks
-    this, so pass a CycleBlocks' coupled_map, not its field_map.
+    One eigendecomposition d = E diag(lambda) E^-1 gates and solves: every
+    Stein denominator 1 - lambda_i lambda_j must stay CONTRACTION_TOL from 0.
+    Up to 16 rows (8 modes) "kronecker" solves the dense system in the
+    M(2M+1) entries sigma_ij, i <= j; above, "stein" divides by the
+    denominators in the eigenbasis, raising SpectralFailureError when E is
+    singular or conditioned past EIGENBASIS_COND_MAX.  A decoupled mode's free
+    rotation breaks uniqueness: pass a CycleBlocks' coupled_map.
     """
     d, q = field_map.d, field_map.q
-    t, u = schur(d.astype(complex), output="complex")
-    ev = np.diag(t)
-    prod_dist = np.abs(np.outer(ev, ev) - 1.0)
-    if prod_dist.min() < CONTRACTION_TOL:
+    try:
+        ev, e = np.linalg.eig(d)
+    except np.linalg.LinAlgError as exc:
+        raise SpectralFailureError(f"eigendecomposition failed: {exc}") from None
+    denominators = 1.0 - np.outer(ev, ev)
+    distance = np.abs(denominators).min()
+    if distance < CONTRACTION_TOL:
         raise NoUniqueFixedPointError(
             "an eigenvalue product of the coupled field map sits on the unit "
-            f"circle (distance {prod_dist.min():.3e}); the fixed point is degenerate"
+            f"circle (distance {distance:.3e}); the fixed point is degenerate"
         )
-
     if d.shape[0] <= 16:
         method, sigma_star = "kronecker", _fixed_point_kronecker(d, q)
     else:
-        method, sigma_star = "stein", _fixed_point_stein(t, u, q)
-
+        method, sigma_star = "stein", _fixed_point_eigenbasis(e, denominators, q)
     residual = float(np.max(np.abs(d @ sigma_star @ d.T + q - sigma_star)))
     return FixedPointResult(sigma_star=sigma_star, residual=residual, method=method)
 

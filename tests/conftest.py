@@ -76,12 +76,43 @@ def eigvals_symplectic_eigenvalues(sigma: np.ndarray, pair_tol: float = 1e-8) ->
     return (first + second) / 2.0
 
 
-def both_fixed_point_solvers(field_map) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed point of field_map by the Kronecker and by the Stein solver.
+def schur_fixed_point(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solve sigma = D sigma D^T + Q by Schur back-substitution.
 
-    spectral.fixed_point picks one of the two by size; each is the other's
-    oracle on the same map.
+    With D = U T U^H (complex Schur form (T, U), T upper triangular) and
+    Z = U^H X conj(U), the equation becomes Z = T Z T^T + Q_z and solves
+    entrywise from the bottom-right corner: Z_ij (1 - T_ii T_jj) = Q_ij +
+    tail terms.  It needs no eigenvectors, so it also solves defective maps:
+    an oracle for the eigenbasis route of spectral.fixed_point.
+    """
+    t, u = schur(d.astype(complex), output="complex")
+    qz = u.conj().T @ q.astype(complex) @ u.conj()
+    m = t.shape[0]
+    z = np.zeros((m, m), dtype=complex)
+    for i in range(m - 1, -1, -1):
+        for j in range(m - 1, i - 1, -1):
+            tail = t[i, i:] @ z[i:, j:] @ t[j, j:]
+            z[i, j] = (qz[i, j] + tail) / (1.0 - t[i, i] * t[j, j])
+            z[j, i] = z[i, j]
+    x = (u @ z @ u.T).real
+    return (x + x.T) / 2.0
+
+
+def eigenbasis_fixed_point(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The "stein" route of spectral.fixed_point, at any size."""
+    ev, e = np.linalg.eig(d)
+    return spectral._fixed_point_eigenbasis(e, 1.0 - np.outer(ev, ev), q)
+
+
+def fixed_point_solutions(field_map) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed point of field_map by the Kronecker, Schur and eigenbasis solvers.
+
+    spectral.fixed_point picks Kronecker or eigenbasis by size; the Schur
+    back-substitution is the oracle for both.
     """
     d, q = field_map.d, field_map.q
-    t, u = schur(d.astype(complex), output="complex")
-    return spectral._fixed_point_kronecker(d, q), spectral._fixed_point_stein(t, u, q)
+    return (
+        spectral._fixed_point_kronecker(d, q),
+        schur_fixed_point(d, q),
+        eigenbasis_fixed_point(d, q),
+    )

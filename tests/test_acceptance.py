@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from entfarm import cavity, dynamics, fock, gaussian, protocol, spectral, thermo
-from conftest import both_fixed_point_solvers, entropy_difference_check, evolve, total_energy
+from conftest import entropy_difference_check, evolve, fixed_point_solutions, total_energy
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +75,9 @@ def test_02_initial_state_independence():
 def test_03_fixed_point_solver_vs_iteration():
     cfg = window_config()
     blocks = protocol.blocks_for(cfg)
-    kron, stein = both_fixed_point_solvers(blocks.coupled_map)
-    assert np.max(np.abs(kron - stein)) < 1e-8
+    kron, oracle, eigen = fixed_point_solutions(blocks.coupled_map)
+    assert np.max(np.abs(kron - oracle)) < 1e-8
+    assert np.max(np.abs(eigen - oracle)) < 1e-8
     iterated = spectral.power_map(blocks, 2**22).apply(
         gaussian.vacuum_state(cfg.n_field_modes)
     )

@@ -7,7 +7,6 @@ spectrum.
 """
 
 import math
-import warnings
 import weakref
 
 import mpmath
@@ -426,31 +425,42 @@ def test_symmetry_is_enforced():
 
 
 def test_symmetry_check_matches_allclose():
-    # the check accepts exactly what np.allclose(s, s.T, atol) accepts, with
-    # atol = 1e-10 max(1, max |s|): asymmetries on both sides of the atol
-    # and 1e-5 |s^T| terms, and the inf and nan cases
+    # on finite matrices the check accepts exactly what np.allclose(s, s.T,
+    # atol) accepts, with atol = 1e-10 max(1, max |s|): asymmetries on both
+    # sides of the atol and 1e-5 |s^T| terms; inf and nan are never accepted,
+    # even where np.allclose counts equal infinities as close
     rng = np.random.default_rng(8)
-    cases = []
+    verdicts = []
     for size in (1e-14, 1e-11, 1e-10, 2e-10, 1e-7, 5e-6, 1e-5, 2e-5, 1e-3):
         for scale in (0.1, 1.0, 300.0):
             m = scale * rng.normal(size=(4, 4))
             m = m + m.T
             m[1, 2] += size * scale * rng.choice((-1.0, 1.0))
-            cases.append(m)
+            want = np.allclose(m, m.T, atol=1e-10 * max(1.0, np.abs(m).max()))
+            try:
+                gaussian.reduce_modes(m, [0])
+                got = True
+            except gaussian.InvalidStateError as exc:
+                assert str(exc) == "covariance matrix must be symmetric"
+                got = False
+            assert got == want, m
+            verdicts.append(got)
+    assert any(verdicts) and not all(verdicts)
     for bad in ((np.inf, np.inf), (np.inf, 1.0), (-np.inf, np.inf), (np.nan, np.nan), (np.nan, 0.0)):
         m = np.eye(4)
         m[0, 3], m[3, 0] = bad
-        cases.append(m)
-    verdicts = []
-    for m in cases:
-        with np.errstate(invalid="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # atol = inf
-            want = np.allclose(m, m.T, atol=1e-10 * max(1.0, np.abs(m).max()))
-        try:
+        with pytest.raises(gaussian.InvalidStateError, match="^covariance matrix must be finite$"):
             gaussian.reduce_modes(m, [0])
-            got = True
-        except gaussian.InvalidStateError:
-            got = False
-        assert got == want, m
-        verdicts.append(got)
-    assert any(verdicts) and not all(verdicts)
+
+
+def test_infinite_variance_is_not_a_state():
+    # np.allclose counts inf == inf as close; purity read 0.0 here
+    with pytest.raises(gaussian.InvalidStateError, match="must be finite"):
+        gaussian.purity(np.diag([np.inf, 1.0, 1.0, 1.0]))
+
+
+def test_symmetric_nan_is_reported_as_non_finite():
+    m = np.eye(4)
+    m[0, 3] = m[3, 0] = np.nan
+    with pytest.raises(gaussian.InvalidStateError, match="^covariance matrix must be finite$"):
+        gaussian.assert_physical(m)

@@ -42,9 +42,6 @@ PINNED = [
     "gaussian.energy(convention)",
     "gaussian.StateAnalysis(isolated)",
     "protocol.CycleBlocks(decoupled)",
-    "protocol.CycleStates(isolated)",
-    "protocol.Trajectory(records)",
-    "protocol.Trajectory(final_field_sigma)",
     "protocol.run_cycles(sigma_f0)",
     "protocol.run_cycles(n_cycles)",
     "protocol.run_cycles(observables)",

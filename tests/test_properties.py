@@ -13,8 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from entfarm import cavity, dynamics, gaussian, protocol, thermo
-from conftest import eigvals_symplectic_eigenvalues, random_covariance, random_symplectic
+from entfarm import cavity, dynamics, gaussian, protocol, spectral, thermo
+from conftest import (
+    eigvals_symplectic_eigenvalues,
+    random_covariance,
+    random_symplectic,
+    schur_fixed_point,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -208,3 +213,28 @@ def test_split_analysis_rejects_an_unphysical_isolated_mode(
     (want,) = re.fullmatch(pattern, str(whole.value)).groups()
     (got,) = re.fullmatch(pattern, str(split.value)).groups()
     assert float(got) == pytest.approx(float(want), rel=1e-10, abs=0)
+
+
+@PROPERTY
+@given(
+    half_rows=st.integers(min_value=9, max_value=32),
+    seed=seeds,
+    defect=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0), st.just(1.0)),
+)
+def test_eigenbasis_fixed_point_solves_or_refuses(half_rows, seed, defect):
+    # a random contraction of 18-64 rows (the "stein" route) blended with a
+    # defective Jordan block: the eigenbasis solve either meets the residual
+    # and agrees with the Schur oracle, or raises SpectralFailureError
+    m = 2 * half_rows
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((m, m))
+    w /= np.max(np.abs(np.linalg.eigvals(w))) * rng.uniform(1.05, 2.5)
+    d = (1.0 - defect) * w + defect * (0.5 * np.eye(m) + 0.3 * np.eye(m, k=1))
+    c = rng.standard_normal((m, 4)) * 0.7
+    try:
+        res = spectral.fixed_point(protocol.AffineMap(d, c @ c.T, 1))
+    except spectral.SpectralFailureError:
+        return
+    assert res.method == "stein"
+    assert res.residual < 1e-9
+    np.testing.assert_allclose(res.sigma_star, schur_fixed_point(d, c @ c.T), rtol=0, atol=1e-8)

@@ -125,6 +125,15 @@ def test_step_rejects_bad_input():
     lopsided[0, 1] = 0.5
     with pytest.raises(gaussian.InvalidStateError):
         step.apply(lopsided)
+    with pytest.raises(gaussian.InvalidStateError, match="must be finite"):
+        step.apply(np.diag([np.inf] + [1.0] * 15))
+
+
+def test_non_finite_start_state_is_rejected_not_blamed_on_the_map():
+    sigma0 = np.eye(16)
+    sigma0[0, 0] = np.inf
+    with pytest.raises(gaussian.InvalidStateError, match="must be finite"):
+        protocol.run_cycles(small_config(), sigma_f0=sigma0)
 
 
 def test_then_runs_the_first_map_first():

@@ -7,7 +7,7 @@ import pytest
 
 from entfarm import cavity, gaussian, protocol, spectral
 from entfarm.protocol import AffineMap, CycleBlocks
-from conftest import both_fixed_point_solvers
+from conftest import eigenbasis_fixed_point, fixed_point_solutions, schur_fixed_point
 
 
 def window_config(cycle_time=20.0, **overrides):
@@ -131,19 +131,22 @@ def test_fixed_point_methods_agree_on_random_systems():
         d = w / (np.max(np.abs(np.linalg.eigvals(w))) * float(rng.uniform(1.05, 2.5)))
         c = rng.standard_normal((m, 4)) * 0.7
         field_map = synthetic_blocks(d, c).field_map
-        kron, stein = both_fixed_point_solvers(field_map)
-        for sigma_star in (kron, stein):
+        solutions = fixed_point_solutions(field_map)
+        for sigma_star in solutions:
             residual = d @ sigma_star @ d.T + field_map.q - sigma_star
             assert np.max(np.abs(residual)) < 1e-9
-        np.testing.assert_allclose(kron, stein, atol=1e-8)
+        kron, oracle, eigen = solutions
+        np.testing.assert_allclose(kron, oracle, atol=1e-8)
+        np.testing.assert_allclose(eigen, oracle, atol=1e-8)
 
 
 def test_fixed_point_methods_agree_on_window_configs():
     for tf in (20.0, 21.0):
         coupled = protocol.blocks_for(window_config(cycle_time=tf)).coupled_map
-        kron, stein = both_fixed_point_solvers(coupled)
+        kron, oracle, eigen = fixed_point_solutions(coupled)
         assert kron.shape[0] == 8
-        np.testing.assert_allclose(kron, stein, atol=1e-8)
+        np.testing.assert_allclose(kron, oracle, atol=1e-8)
+        np.testing.assert_allclose(eigen, oracle, atol=1e-8)
 
 
 def test_fixed_point_satisfies_stein_equation():
@@ -187,25 +190,52 @@ def test_fixed_point_initial_sigma_sets_decoupled_block():
 @pytest.mark.parametrize(
     "modes, cycle_time, method", [(64, 21.0, "stein"), (8, 20.0, "kronecker")]
 )
-def test_fixed_point_takes_one_schur_form_and_no_eigvals(modes, cycle_time, method, monkeypatch):
-    # the Schur diagonal drives the uniqueness gate and the Stein solve reuses the form
+def test_fixed_point_takes_one_eigendecomposition(modes, cycle_time, method, monkeypatch):
+    # the eigenvalues drive the uniqueness gate and the eigenbasis solve reuses them
     cfg = cavity.standard_config(modes, cycle_time=cycle_time)
     blocks = protocol.blocks_for(cfg)
     calls = []
-    schur = spectral.schur
+    eig = np.linalg.eig
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return schur(*args, **kwargs)
+        return eig(*args, **kwargs)
 
     def no_eigvals(*args, **kwargs):
         raise AssertionError("fixed_point called np.linalg.eigvals")
 
-    monkeypatch.setattr(spectral, "schur", counted)
+    monkeypatch.setattr(np.linalg, "eig", counted)
     monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     res = spectral.fixed_point(blocks.coupled_map)
     assert res.method == method
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rows", [18, 40])
+def test_defective_map_raises_spectral_failure(rows):
+    # a Jordan block has one eigenvector: eig returns nearly parallel copies
+    # (kappa_1 4e262 at 18 rows) or a singular E (40 rows); the Schur
+    # oracle still solves it
+    d = 0.5 * np.eye(rows) + 0.3 * np.eye(rows, k=1)
+    c = np.random.default_rng(rows).standard_normal((rows, 4))
+    field_map = AffineMap(d, c @ c.T, 1)
+    oracle = schur_fixed_point(d, field_map.q)
+    assert np.max(np.abs(d @ oracle @ d.T + field_map.q - oracle)) < 1e-12
+    with pytest.raises(spectral.SpectralFailureError, match=r"kappa_1 \S+ .*bound 1000"):
+        spectral.fixed_point(field_map)
+
+
+@pytest.mark.parametrize("cycle_time", [20.0, 21.0, 28.0])
+@pytest.mark.parametrize("modes", [16, 24, 32, 64])
+def test_eigenbasis_residual_tracks_the_schur_oracle(modes, cycle_time):
+    # measured worst ratio 1.7 over these maps, all nearly normal
+    coupled = protocol.blocks_for(cavity.standard_config(modes, cycle_time=cycle_time)).coupled_map
+    d, q = coupled.d, coupled.q
+
+    def residual(sigma):
+        return np.max(np.abs(d @ sigma @ d.T + q - sigma))
+
+    assert residual(eigenbasis_fixed_point(d, q)) <= 3.0 * residual(schur_fixed_point(d, q))
 
 
 # ---------------------------------------------------------------------------
