@@ -175,3 +175,33 @@ def decoupled_positions(config: CavityConfig) -> list[int]:
         if abs(math.sin(n * math.pi * config.x1 / config.length)) < NODE_TOL
         and abs(math.sin(n * math.pi * config.x2 / config.length)) < NODE_TOL
     ]
+
+
+def parity_sectors(config: CavityConfig) -> list[tuple[int, ...]]:
+    """The coupled modes (0-based positions, as in decoupled_positions) split by parity.
+
+    When every coupled mode has sin(k_n x2) = +sin(k_n x1) or -sin(k_n x1)
+    within NODE_TOL, as for a pair placed mirror-symmetrically about the
+    centre, the "+" modes couple only to q_d1 + q_d2 and the "-" modes only
+    to q_d1 - q_d2.  Both detectors share Omega and lambda, so the rotation
+    to those two combinations leaves the detectors' free Hamiltonian (and
+    their vacuum) unchanged and splits the Hamiltonian, hence the propagator,
+    into two blocks that never mix: the field map D is block diagonal on the
+    "+" and "-" modes, and so is C C^T for vacuum detectors.  Returns the
+    non-empty sectors, "+" first; otherwise one group of every coupled
+    mode, or none when every mode is decoupled.
+    """
+    decoupled = set(decoupled_positions(config))
+    sectors: tuple[list[int], list[int]] = ([], [])
+    for j, n in enumerate(config.mode_numbers):
+        if j in decoupled:
+            continue
+        s1 = math.sin(n * math.pi * config.x1 / config.length)
+        s2 = math.sin(n * math.pi * config.x2 / config.length)
+        if abs(s2 - s1) < NODE_TOL:
+            sectors[0].append(j)
+        elif abs(s2 + s1) < NODE_TOL:
+            sectors[1].append(j)
+        else:
+            return [tuple(k for k in range(config.n_field_modes) if k not in decoupled)]
+    return [tuple(sector) for sector in sectors if sector]

@@ -106,9 +106,11 @@ def _as_covariance(sigma: np.ndarray) -> np.ndarray:
     if not np.isfinite(largest):
         raise InvalidStateError("covariance matrix must be finite")
     atol = 1e-10 * max(1.0, largest)
-    # a matrix within atol of its transpose passes np.allclose's elementwise
-    # |s - s^T| <= atol + 1e-5 |s^T| outright; anything else gets that test in full
-    if np.abs(sigma - sigma.T).max() > atol:
+    # an exactly symmetric matrix (every state full_cycle returns) passes with
+    # no temporaries; one within atol of its transpose passes np.allclose's
+    # elementwise |s - s^T| <= atol + 1e-5 |s^T| outright; anything else gets
+    # that test in full
+    if not np.array_equal(sigma, sigma.T) and np.abs(sigma - sigma.T).max() > atol:
         st = sigma.T
         if not np.all(np.abs(sigma - st) <= atol + 1e-5 * np.abs(st)):
             raise InvalidStateError("covariance matrix must be symmetric")

@@ -37,18 +37,37 @@ class GrowthOverflowError(RuntimeError):
         self.k_reached = k_reached
 
 
+def _mode_rows(modes) -> np.ndarray:
+    """Phase-space rows (q, p of each) of the given 0-based mode positions."""
+    return (2 * np.asarray(modes, dtype=int)[:, None] + np.array([0, 1])).ravel()
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """The k-cycle field update sigma -> d sigma d^T + q.
 
     For one cycle with ground-state detectors d = D and q = C C^T; the
     inhomogeneity encodes the injected detector vacuum, so starting
-    detectors in any other state requires full_cycle instead.
+    detectors in any other state requires full_cycle instead.  groups
+    partitions the map's modes (0-based positions) into sets that d never
+    mixes: d is block diagonal on them, and so is every composition with a
+    map of the same groups.  (tuple(range(M)),) claims nothing.
     """
 
     d: np.ndarray
     q: np.ndarray
     k: int
+    groups: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        listed = sorted(j for group in self.groups for j in group)
+        if listed != list(range(self.d.shape[0] // 2)):
+            raise ValueError(f"groups {self.groups} do not partition the map's modes")
+
+    @property
+    def group_rows(self) -> list[np.ndarray]:
+        """The phase-space rows of each group."""
+        return [_mode_rows(group) for group in self.groups]
 
     def apply(self, sigma: np.ndarray) -> np.ndarray:
         sigma = gaussian._as_covariance(sigma)
@@ -60,9 +79,14 @@ class AffineMap:
         return (out + out.T) / 2.0
 
     def then(self, after: AffineMap) -> AffineMap:
-        """The composition that runs this map first, then `after`."""
+        """The composition that runs this map first, then `after`; both share groups."""
+        if after.groups != self.groups:
+            raise ValueError("only maps with the same groups compose")
         return AffineMap(
-            after.d @ self.d, after.d @ self.q @ after.d.T + after.q, self.k + after.k
+            after.d @ self.d,
+            after.d @ self.q @ after.d.T + after.q,
+            self.k + after.k,
+            self.groups,
         )
 
 
@@ -73,32 +97,45 @@ class CycleBlocks:
     decoupled lists the field modes (0-based positions) with a node at both
     detectors.  They only rotate freely, so they take no part in the
     fixed point or the spectrum of the cycle map; coupled_map leaves them
-    out and whole_field puts them back.
+    out and whole_field puts them back.  sectors partitions the other modes
+    into groups that D never mixes: cavity.parity_sectors' "+" and "-"
+    modes when the detector pair is mirror-symmetric (sin(k_n x2) =
+    +/-sin(k_n x1) within NODE_TOL for every coupled mode; both detectors
+    share Omega and lambda, and the injected vacuum is invariant under the
+    rotation to q_d1 +/- q_d2, so D and C C^T are exactly block diagonal
+    there), otherwise one group.  The maps carry them as their groups.
     """
 
     a: np.ndarray  # 4 x 4, detector -> detector
     b: np.ndarray  # 4 x 2M, field -> detector
     c: np.ndarray  # 2M x 4, detector -> field
     d: np.ndarray  # 2M x 2M, field -> field
+    sectors: tuple[tuple[int, ...], ...]
     decoupled: tuple[int, ...] = ()
 
     @property
     def field_map(self) -> AffineMap:
-        """One cycle's field update with ground-state detectors."""
-        return AffineMap(self.d, self.c @ self.c.T, 1)
+        """One cycle's field update with ground-state detectors; the decoupled
+        modes form one more group."""
+        groups = self.sectors + ((self.decoupled,) if self.decoupled else ())
+        return AffineMap(self.d, self.c @ self.c.T, 1, groups)
 
     @cached_property
-    def _coupled_rows(self) -> np.ndarray:
-        """Phase-space rows of the field modes not listed in decoupled."""
-        modes = np.setdiff1d(np.arange(self.d.shape[0] // 2), self.decoupled)
-        return (2 * modes[:, None] + np.array([0, 1])).ravel()
+    def _coupled_modes(self) -> np.ndarray:
+        """Positions of the field modes not listed in decoupled."""
+        return np.setdiff1d(np.arange(self.d.shape[0] // 2), self.decoupled)
 
     @property
     def coupled_map(self) -> AffineMap:
         """field_map on the coupled modes: decoupled rows and columns sliced out."""
         whole = self.field_map
-        keep = np.ix_(self._coupled_rows, self._coupled_rows)
-        return AffineMap(whole.d[keep], whole.q[keep], 1)
+        rows = _mode_rows(self._coupled_modes)
+        keep = np.ix_(rows, rows)
+        groups = tuple(
+            tuple(np.searchsorted(self._coupled_modes, sector).tolist())
+            for sector in self.sectors
+        )
+        return AffineMap(whole.d[keep], whole.q[keep], 1, groups)
 
     def whole_field(self, coupled: np.ndarray, frozen: np.ndarray) -> np.ndarray:
         """The field state with coupled block `coupled` and decoupled modes as in `frozen`.
@@ -108,7 +145,7 @@ class CycleBlocks:
         are zero (they vanish at a fixed point of the coupled map).
         """
         sigma = np.asarray(frozen, dtype=float).copy()
-        keep = self._coupled_rows
+        keep = _mode_rows(self._coupled_modes)
         dead = np.setdiff1d(np.arange(sigma.shape[0]), keep)
         sigma[np.ix_(keep, keep)] = coupled
         sigma[np.ix_(dead, keep)] = 0.0
@@ -206,20 +243,28 @@ DETECTOR_DIM = 4
 
 
 def block_decompose(s: np.ndarray) -> CycleBlocks:
-    """Partition a propagator into detector and field blocks."""
+    """Partition a propagator into detector and field blocks, every field mode in one sector."""
     s = np.asarray(s, dtype=float)
     k = DETECTOR_DIM
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < k + 2:
         raise ValueError("propagator must be square and include at least one field mode")
     return CycleBlocks(
-        a=s[:k, :k].copy(), b=s[:k, k:].copy(), c=s[k:, :k].copy(), d=s[k:, k:].copy()
+        a=s[:k, :k].copy(),
+        b=s[:k, k:].copy(),
+        c=s[k:, :k].copy(),
+        d=s[k:, k:].copy(),
+        sectors=(tuple(range((s.shape[0] - k) // 2)),),
     )
 
 
 def blocks_for(config: cavity.CavityConfig) -> CycleBlocks:
-    """The blocks of config's propagator, with its decoupled modes named."""
+    """The blocks of config's propagator, with its decoupled modes and sectors named."""
     blocks = block_decompose(dynamics.propagator_for(config))
-    return replace(blocks, decoupled=tuple(cavity.decoupled_positions(config)))
+    return replace(
+        blocks,
+        sectors=tuple(cavity.parity_sectors(config)),
+        decoupled=tuple(cavity.decoupled_positions(config)),
+    )
 
 
 def full_cycle(

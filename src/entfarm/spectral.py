@@ -44,7 +44,8 @@ class NoUniqueFixedPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldSpectrum:
-    """Eigenvalues of the homogeneous part D, sorted by descending modulus."""
+    """Eigenvalues of the homogeneous part D: modulus descending, then imaginary
+    part descending, then real part descending."""
 
     eigenvalues: np.ndarray
 
@@ -59,12 +60,26 @@ def field_spectrum(field_map: AffineMap) -> FieldSpectrum:
     Pass a CycleBlocks' coupled_map to leave out the decoupled modes, whose
     exact unit-modulus rotations would mask the contraction or growth of
     everything else, or its field_map for the whole field.
+
+    eigvals runs on each of the map's groups' diagonal blocks of D; a
+    one-group map takes one eigvals of the whole D.  A CycleBlocks' maps
+    have two coupled groups, the parity sectors of cavity.parity_sectors,
+    when both detectors share Omega and lambda, are injected in the vacuum,
+    and every coupled mode has sin(k_n x2) = +/-sin(k_n x1) within
+    cavity.NODE_TOL.  The split is exact: rotating the detector pair to
+    q_d1 +/- q_d2 leaves its free Hamiltonian and its vacuum unchanged and
+    couples each combination to one sector only, so no entry of D (or of
+    C C^T) joins the sectors.  The decoupled modes of a field_map are one
+    more group.  The fixed sort order puts equal moduli (conjugate pairs,
+    nodal rotations) in the same rows whatever order the groups come in.
     """
+    d = field_map.d
+    blocks = [d] if len(field_map.groups) < 2 else [d[np.ix_(r, r)] for r in field_map.group_rows]
     try:
-        ev = np.linalg.eigvals(field_map.d)
+        ev = np.concatenate([np.linalg.eigvals(block) for block in blocks])
     except np.linalg.LinAlgError as exc:
         raise SpectralFailureError(f"eigenvalue computation failed: {exc}")
-    order = np.argsort(-np.abs(ev))
+    order = np.lexsort((-ev.real, -ev.imag, -np.abs(ev)))
     return FieldSpectrum(eigenvalues=ev[order])
 
 

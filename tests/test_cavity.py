@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from entfarm import cavity
+from entfarm import cavity, config
 
 
 def test_mode_frequencies_fundamental():
@@ -131,6 +131,49 @@ def test_decoupled_positions_index_the_retained_modes():
     # a window that skips modes: positions count retained modes, not n - 1
     cfg = cavity.CavityConfig(mode_numbers=(1, 3, 4, 6, 8, 9))
     assert cavity.decoupled_positions(cfg) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("modes, sizes", [(4, [1, 2]), (8, [3, 3]), (128, [43, 43])])
+def test_parity_sectors_of_the_default_placement(modes, sizes):
+    # at L/3 and 2L/3, sin(2 n pi / 3) = (-1)^(n+1) sin(n pi / 3): odd n
+    # couple to q_d1 + q_d2, even n to q_d1 - q_d2, and 3 | n is nodal
+    sectors = cavity.parity_sectors(cavity.standard_config(modes))
+    n = np.arange(1, modes + 1)
+    coupled = n % 3 != 0
+    assert sectors == [
+        tuple(np.flatnonzero(coupled & (n % 2 == 1)).tolist()),
+        tuple(np.flatnonzero(coupled & (n % 2 == 0)).tolist()),
+    ]
+    assert [len(s) for s in sectors] == sizes
+    if modes == 4:
+        assert sectors == [(0,), (1, 3)]
+
+
+def test_parity_sectors_of_the_default_window():
+    # --window default keeps modes 1-5: 1 and 5 are "+", 2 and 4 "-", 3 nodal
+    cfg = config.ExperimentConfig(window="default").cavity_config()
+    assert cfg.mode_numbers == (1, 2, 3, 4, 5)
+    assert cavity.parity_sectors(cfg) == [(0, 4), (1, 3)]
+
+
+def test_parity_sectors_of_odd_modes_only_are_one_group():
+    # every mode is "+": one group, the nodal mode 3 left out
+    cfg = cavity.CavityConfig(mode_numbers=(1, 3, 5, 7))
+    assert cavity.parity_sectors(cfg) == [(0, 2, 3)]
+
+
+def test_parity_sectors_of_an_asymmetric_pair_are_one_group():
+    cfg = cavity.standard_config(12, x1=1.234567, x2=5.654321)
+    assert cavity.parity_sectors(cfg) == [tuple(range(12))]
+    # an asymmetric pair with nodal modes (both at multiples of L/4 leaves
+    # 4 | n nodal) keeps every other mode in its one group
+    quarters = cavity.standard_config(8, x1=2.0, x2=4.0)
+    assert cavity.decoupled_positions(quarters) == [3, 7]
+    assert cavity.parity_sectors(quarters) == [(0, 1, 2, 4, 5, 6)]
+
+
+def test_parity_sectors_of_nodal_modes_only_are_empty():
+    assert cavity.parity_sectors(cavity.CavityConfig(mode_numbers=(3, 6))) == []
 
 
 def test_resonant_window_defaults_to_first_five():

@@ -9,9 +9,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
+from scipy.optimize import linear_sum_assignment
 
 from entfarm import cavity, dynamics, gaussian, protocol, spectral, thermo
 from conftest import (
@@ -232,9 +233,65 @@ def test_eigenbasis_fixed_point_solves_or_refuses(half_rows, seed, defect):
     d = (1.0 - defect) * w + defect * (0.5 * np.eye(m) + 0.3 * np.eye(m, k=1))
     c = rng.standard_normal((m, 4)) * 0.7
     try:
-        res = spectral.fixed_point(protocol.AffineMap(d, c @ c.T, 1))
+        res = spectral.fixed_point(protocol.AffineMap(d, c @ c.T, 1, (tuple(range(half_rows)),)))
     except spectral.SpectralFailureError:
         return
     assert res.method == "stein"
     assert res.residual < 1e-9
     np.testing.assert_allclose(res.sigma_star, schur_fixed_point(d, c @ c.T), rtol=0, atol=1e-8)
+
+
+pair_cavities = dict(
+    length=st.floats(min_value=2.0, max_value=16.0),
+    coupling=st.floats(min_value=0.0, max_value=0.1),
+    cycle_time=st.floats(min_value=0.5, max_value=40.0),
+    n=st.integers(min_value=4, max_value=32),
+)
+
+
+@PROPERTY
+@given(position=st.floats(min_value=0.05, max_value=0.45), **pair_cavities)
+def test_mirror_symmetric_pair_splits_the_coupled_map_in_two(
+    position, length, coupling, cycle_time, n
+):
+    # x2 = L - x1 gives sin(k_n x2) = (-1)^(n+1) sin(k_n x1): odd modes are
+    # "+", even ones "-", and the cross-group blocks of D vanish
+    x1 = position * length
+    cav = cavity.standard_config(
+        n, length=length, x1=x1, x2=length - x1, coupling=coupling, cycle_time=cycle_time
+    )
+    coupled = protocol.blocks_for(cav).coupled_map
+    plus, minus = coupled.group_rows
+    d = coupled.d
+    cross = max(np.abs(d[np.ix_(plus, minus)]).max(), np.abs(d[np.ix_(minus, plus)]).max())
+    assert cross <= 1e-14 * np.abs(d).max()
+    grouped = spectral.field_spectrum(coupled).eigenvalues
+    distance = np.abs(grouped[:, None] - np.linalg.eigvals(d)[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    assert distance[rows, cols].max() <= 1e-12
+
+
+@PROPERTY
+@given(
+    first=st.floats(min_value=0.02, max_value=0.98),
+    second=st.floats(min_value=0.02, max_value=0.98),
+    **pair_cavities,
+)
+def test_asymmetric_pair_keeps_one_group_and_the_whole_map_spectrum(
+    first, second, length, coupling, cycle_time, n
+):
+    # mode 1 couples with sin(k_1 x) > 0 at both detectors, equal only when
+    # x2 = x1 or x2 = L - x1
+    assume(abs(first - second) > 1e-3 and abs(first + second - 1.0) > 1e-3)
+    cav = cavity.standard_config(
+        n,
+        length=length,
+        x1=first * length,
+        x2=second * length,
+        coupling=coupling,
+        cycle_time=cycle_time,
+    )
+    coupled = protocol.blocks_for(cav).coupled_map
+    assert len(coupled.groups) == 1
+    parent = float(np.abs(np.linalg.eigvals(coupled.d)).max())
+    assert spectral.field_spectrum(coupled).max_modulus == parent

@@ -44,6 +44,28 @@ def test_coupled_map_slices_the_decoupled_modes_out_of_the_field_map():
     assert np.array_equal(free.coupled_map.d, free.field_map.d)
 
 
+def test_maps_carry_the_parity_sectors_as_groups():
+    # modes 1-5: "+" holds 1 and 5, "-" holds 2 and 4, mode 3 is nodal
+    blocks = protocol.blocks_for(cavity.standard_config(5))
+    assert blocks.sectors == ((0, 4), (1, 3))
+    assert blocks.field_map.groups == ((0, 4), (1, 3), (2,))
+    # the coupled map renumbers modes 0, 1, 3, 4 as 0, 1, 2, 3
+    assert blocks.coupled_map.groups == ((0, 3), (1, 2))
+    assert protocol.block_decompose(np.eye(14)).field_map.groups == ((0, 1, 2, 3, 4),)
+
+
+def test_affine_map_groups_partition_its_modes():
+    d = np.eye(4)
+    for groups in (((0,),), ((0, 1), (1,)), ((0, 2),)):
+        with pytest.raises(ValueError, match="do not partition"):
+            protocol.AffineMap(d, d, 1, groups)
+    one = protocol.AffineMap(d, d, 1, ((0, 1),))
+    two = protocol.AffineMap(d, d, 1, ((0,), (1,)))
+    with pytest.raises(ValueError, match="same groups"):
+        one.then(two)
+    assert two.then(two).groups == ((0,), (1,))
+
+
 def test_whole_field_places_the_coupled_block_and_keeps_the_frozen_modes():
     blocks = protocol.blocks_for(cavity.standard_config(5))
     frozen = RNG.standard_normal((10, 10))
@@ -139,8 +161,10 @@ def test_non_finite_start_state_is_rejected_not_blamed_on_the_map():
 def test_then_runs_the_first_map_first():
     from conftest import random_covariance
 
-    first = protocol.AffineMap(RNG.normal(size=(4, 4)), np.eye(4), 2)
-    second = protocol.AffineMap(RNG.normal(size=(4, 4)), np.diag([1.0, 2.0, 3.0, 4.0]), 3)
+    first = protocol.AffineMap(RNG.normal(size=(4, 4)), np.eye(4), 2, ((0, 1),))
+    second = protocol.AffineMap(
+        RNG.normal(size=(4, 4)), np.diag([1.0, 2.0, 3.0, 4.0]), 3, ((0, 1),)
+    )
     sigma, _ = random_covariance(2, RNG)
     both = first.then(second)
     assert both.k == 5

@@ -1,11 +1,13 @@
 """Tests for the spectral analysis of the repeated-cycle field map."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
-from entfarm import cavity, gaussian, protocol, spectral
+from entfarm import cavity, cli, config, gaussian, protocol, spectral
 from entfarm.protocol import AffineMap, CycleBlocks
 from conftest import eigenbasis_fixed_point, fixed_point_solutions, schur_fixed_point
 
@@ -19,7 +21,8 @@ def synthetic_blocks(d, c=None):
     m = d.shape[0]
     if c is None:
         c = np.zeros((m, 4))
-    return CycleBlocks(a=np.eye(4), b=np.zeros((4, m)), c=c, d=d)
+    sectors = (tuple(range(m // 2)),)
+    return CycleBlocks(a=np.eye(4), b=np.zeros((4, m)), c=c, d=d, sectors=sectors)
 
 
 def rotation(theta):
@@ -59,6 +62,76 @@ def test_expanding_window_spectrum_outside_unit_circle():
     cfg = window_config(cycle_time=21.0)
     spec = spectral.field_spectrum(protocol.blocks_for(cfg).coupled_map)
     assert spec.max_modulus > 1.0 + 1e-7
+
+
+def test_equal_moduli_take_a_fixed_order_whatever_order_the_groups_come_in():
+    # one 2 x 2 block per mode: a +/- bi, -a +/- bi, a conjugate pair of
+    # modulus 0.5 and a real pair; all but the third have modulus 1
+    a, b = 0.6, 0.8
+    blocks = [
+        np.array([[a, -b], [b, a]]),
+        np.array([[-a, -b], [b, -a]]),
+        np.array([[0.0, -0.5], [0.5, 0.0]]),
+        np.diag([1.0, -1.0]),
+    ]
+    expected = [1.0, -1.0, a + b * 1j, -a + b * 1j, a - b * 1j, -a - b * 1j, 0.5j, -0.5j]
+    for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
+        d = np.zeros((8, 8))
+        for slot, j in enumerate(perm):
+            d[2 * slot : 2 * slot + 2, 2 * slot : 2 * slot + 2] = blocks[j]
+        for groups in (((0,), (1,), (2,), (3,)), ((0, 2), (1, 3))):
+            spectra = [
+                spectral.field_spectrum(AffineMap(d, np.eye(8), 1, order)).eigenvalues
+                for order in (groups, groups[::-1], groups[1:] + groups[:1])
+            ]
+            np.testing.assert_allclose(spectra[0], expected, rtol=0, atol=1e-15)
+            assert all(np.array_equal(spectrum, spectra[0]) for spectrum in spectra)
+
+
+def sweep_figure_configs(modes):
+    """The cavities of reproduce-fig eigtime (33 cycle times) and eigcoupling (7 couplings)."""
+    base = config.ExperimentConfig(modes=modes)
+    for spec, cycle_time, _ in cli._SWEEP_FIGURES.values():
+        cfg = base if cycle_time is None else replace(base, cycle_time=cycle_time)
+        for value in spec.grid().tolist():
+            yield spec.apply(cfg, value).cavity_config()
+
+
+@pytest.mark.parametrize("modes", [4, 8, 16, 64, 128])
+def test_parity_sectors_give_the_whole_map_spectrum(modes):
+    # measured: cross-group entries of D at most 3e-17, max modulus within
+    # 1e-14 relative and every eigenvalue within 1.4e-14 (128 modes)
+    configs = list(sweep_figure_configs(modes))
+    assert len(configs) == 40
+    for cfg in configs:
+        coupled = protocol.blocks_for(cfg).coupled_map
+        plus, minus = coupled.group_rows
+        assert np.abs(coupled.d[np.ix_(plus, minus)]).max() <= 1e-14
+        assert np.abs(coupled.d[np.ix_(minus, plus)]).max() <= 1e-14
+        grouped = spectral.field_spectrum(coupled)
+        whole = np.linalg.eigvals(coupled.d)
+        assert grouped.max_modulus == pytest.approx(np.abs(whole).max(), rel=1e-13, abs=0)
+        distance = np.abs(grouped.eigenvalues[:, None] - whole[None, :])
+        rows, cols = linear_sum_assignment(distance)
+        assert distance[rows, cols].max() <= 1e-12
+
+
+def test_field_spectrum_runs_eigvals_once_per_group(monkeypatch):
+    shapes = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+    blocks = protocol.blocks_for(cavity.standard_config(16))
+    spectral.field_spectrum(blocks.coupled_map)
+    assert shapes == [(10, 10), (12, 12)]
+    shapes.clear()
+    spectral.field_spectrum(blocks.field_map)
+    assert shapes == [(10, 10), (12, 12), (10, 10)]
+    # one group: one eigvals of the whole D, the very array the map holds
+    asymmetric = protocol.blocks_for(cavity.standard_config(16, x1=2.9, x2=5.3)).coupled_map
+    seen = []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(a) or eigvals(a))
+    spectral.field_spectrum(asymmetric)
+    assert len(seen) == 1 and seen[0] is asymmetric.d
 
 
 def symmetric_product_eigenvalues(spectrum: spectral.FieldSpectrum) -> np.ndarray:
@@ -218,7 +291,7 @@ def test_defective_map_raises_spectral_failure(rows):
     # oracle still solves it
     d = 0.5 * np.eye(rows) + 0.3 * np.eye(rows, k=1)
     c = np.random.default_rng(rows).standard_normal((rows, 4))
-    field_map = AffineMap(d, c @ c.T, 1)
+    field_map = AffineMap(d, c @ c.T, 1, (tuple(range(rows // 2)),))
     oracle = schur_fixed_point(d, field_map.q)
     assert np.max(np.abs(d @ oracle @ d.T + field_map.q - oracle)) < 1e-12
     with pytest.raises(spectral.SpectralFailureError, match=r"kappa_1 \S+ .*bound 1000"):
