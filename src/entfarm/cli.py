@@ -202,8 +202,7 @@ def cmd_fixed_point(args) -> int:
     # the decoupled modes keep their initial state
     frozen = gaussian.vacuum_state(cav.n_field_modes) if sigma0 is None else sigma0
     sigma_star = blocks.whole_field(res.sigma_star, frozen)
-    sigma_d, _, _ = protocol.full_cycle(sigma_star, gaussian.vacuum_state(2), blocks)
-    neg = _in_unit(cfg, gaussian.log_negativity(sigma_d))
+    neg = _in_unit(cfg, gaussian.log_negativity(blocks.detector_out(sigma_star)))
     freqs = cavity.mode_frequencies(cav)
     physical = False
     try:

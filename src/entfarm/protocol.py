@@ -46,12 +46,11 @@ def _mode_rows(modes) -> np.ndarray:
 class AffineMap:
     """The k-cycle field update sigma -> d sigma d^T + q.
 
-    For one cycle with ground-state detectors d = D and q = C C^T; the
-    inhomogeneity encodes the injected detector vacuum, so starting
-    detectors in any other state requires full_cycle instead.  groups
-    partitions the map's modes (0-based positions) into sets that d never
-    mixes: d is block diagonal on them, and so is every composition with a
-    map of the same groups.  (tuple(range(M)),) claims nothing.
+    For one cycle d = D and q = C C^T; the inhomogeneity encodes the
+    injected detector vacuum.  groups partitions the map's modes (0-based
+    positions) into sets that d never mixes: d is block diagonal on them,
+    and so is every composition with a map of the same groups.
+    (tuple(range(M)),) claims nothing.
     """
 
     d: np.ndarray
@@ -75,6 +74,10 @@ class AffineMap:
             raise ValueError(
                 f"field state shape {sigma.shape} does not match D block {self.d.shape}"
             )
+        return self._update(sigma)
+
+    def _update(self, sigma: np.ndarray) -> np.ndarray:
+        """apply without validation, for a covariance of d's shape."""
         out = self.d @ sigma @ self.d.T + self.q
         return (out + out.T) / 2.0
 
@@ -94,6 +97,10 @@ class AffineMap:
 class CycleBlocks:
     """Propagator blocks: detector rows first, field rows second.
 
+    The one place where the injected ground-state detectors enter a cycle:
+    field_map adds their share C C^T to the field, detector_out their
+    share A A^T to the detectors.
+
     decoupled lists the field modes (0-based positions) with a node at both
     detectors.  They only rotate freely, so they take no part in the
     fixed point or the spectrum of the cycle map; coupled_map leaves them
@@ -111,14 +118,20 @@ class CycleBlocks:
     c: np.ndarray  # 2M x 4, detector -> field
     d: np.ndarray  # 2M x 2M, field -> field
     sectors: tuple[tuple[int, ...], ...]
-    decoupled: tuple[int, ...] = ()
+    decoupled: tuple[int, ...]
 
-    @property
+    @cached_property
     def field_map(self) -> AffineMap:
-        """One cycle's field update with ground-state detectors; the decoupled
-        modes form one more group."""
+        """One cycle's field update, formed once; the decoupled modes form one
+        more group."""
         groups = self.sectors + ((self.decoupled,) if self.decoupled else ())
         return AffineMap(self.d, self.c @ self.c.T, 1, groups)
+
+    def detector_out(self, sigma_f: np.ndarray) -> np.ndarray:
+        """The detector state after one cycle from field state sigma_f, not validated:
+        B sigma_f B^T + A A^T."""
+        out = self.b @ sigma_f @ self.b.T + self.a @ self.a.T
+        return (out + out.T) / 2.0
 
     @cached_property
     def _coupled_modes(self) -> np.ndarray:
@@ -159,7 +172,8 @@ class CycleStates:
 
     run_cycles validates the states it is given once, on entry, and
     full_cycle returns exactly symmetric states, so observables may read
-    them without re-validating.  isolated lists the field modes that no
+    them without re-validating.  detector_in is the injected ground state;
+    only energy_input reads it.  isolated lists the field modes that no
     detector couples to; only field_analysis reads it.
     """
 
@@ -254,6 +268,7 @@ def block_decompose(s: np.ndarray) -> CycleBlocks:
         c=s[k:, :k].copy(),
         d=s[k:, k:].copy(),
         sectors=(tuple(range((s.shape[0] - k) // 2)),),
+        decoupled=(),
     )
 
 
@@ -267,34 +282,17 @@ def blocks_for(config: cavity.CavityConfig) -> CycleBlocks:
     )
 
 
-def full_cycle(
-    sigma_f: np.ndarray, sigma_d0: np.ndarray, blocks: CycleBlocks
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evolve detectors (+) field jointly for one cycle; return the blocks.
+def full_cycle(sigma_f: np.ndarray, blocks: CycleBlocks) -> tuple[np.ndarray, np.ndarray]:
+    """One cycle with ground-state detectors: (sigma_d_out, sigma_f_out).
 
-    Returns (sigma_d_out, gamma_df, sigma_f_out) of the evolved joint
-    state S (sigma_d0 xor sigma_f) S^T, with S given by its blocks.  Works
-    for arbitrary injected detector states.
+    These are the diagonal blocks of the evolved joint state
+    S (I_4 xor sigma_f) S^T, with S given by its blocks: blocks.detector_out
+    and blocks.field_map's update.  sigma_f is checked for shape only.
     """
     sigma_f = np.asarray(sigma_f, dtype=float)
-    sigma_d0 = np.asarray(sigma_d0, dtype=float)
-    if sigma_d0.shape != (4, 4):
-        raise ValueError("detector state must be 4x4 (two modes)")
     if sigma_f.shape != blocks.d.shape:
         raise ValueError("field state does not match the propagator mode count")
-    a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
-    asd = a @ sigma_d0
-    bsf = b @ sigma_f
-    csd = c @ sigma_d0
-    dsf = d @ sigma_f
-    sigma_d_out = asd @ a.T + bsf @ b.T
-    gamma_df = asd @ c.T + bsf @ d.T
-    sigma_f_out = csd @ c.T + dsf @ d.T
-    return (
-        (sigma_d_out + sigma_d_out.T) / 2.0,
-        gamma_df,
-        (sigma_f_out + sigma_f_out.T) / 2.0,
-    )
+    return blocks.detector_out(sigma_f), blocks.field_map._update(sigma_f)
 
 
 def run_cycles(
@@ -334,7 +332,7 @@ def run_cycles(
 
     records = []
     for k in range(1, n_cycles + 1):
-        sigma_d_out, _, sigma_f_next = full_cycle(sigma_f, sigma_d0, blocks)
+        sigma_d_out, sigma_f_next = full_cycle(sigma_f, blocks)
         largest = np.abs(sigma_f_next).max()
         if not largest <= GROWTH_CAP:
             raise GrowthOverflowError(

@@ -288,12 +288,8 @@ def extinction_scan(
     if sigma_f0 is None:
         sigma_f0 = gaussian.vacuum_state(config.n_field_modes)
 
-    sigma_d0 = gaussian.vacuum_state(2)
-
     def negativity_after(power: AffineMap) -> float:
-        sigma_f = power.apply(sigma_f0)
-        sigma_d, _, _ = protocol.full_cycle(sigma_f, sigma_d0, blocks)
-        return gaussian.log_negativity(sigma_d)
+        return gaussian.log_negativity(blocks.detector_out(power.apply(sigma_f0)))
 
     ks: list[int] = []
     negs: list[float] = []

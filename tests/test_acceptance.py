@@ -63,7 +63,7 @@ def test_02_initial_state_independence():
         sigma = power.apply(sigma0)
         # the block of the modes blocks.coupled_map acts on
         finals.append(gaussian.StateAnalysis(sigma, blocks.decoupled).coupled.sigma)
-        sigma_d, _, _ = protocol.full_cycle(sigma, gaussian.vacuum_state(2), blocks)
+        sigma_d, _ = protocol.full_cycle(sigma, blocks)
         plateaus.append(gaussian.log_negativity(sigma_d))
     for a in finals:
         for b in finals:

@@ -41,7 +41,6 @@ PINNED = [
     "gaussian.energy_from_traces(convention)",
     "gaussian.energy(convention)",
     "gaussian.StateAnalysis(isolated)",
-    "protocol.CycleBlocks(decoupled)",
     "protocol.run_cycles(sigma_f0)",
     "protocol.run_cycles(n_cycles)",
     "protocol.run_cycles(observables)",

@@ -57,10 +57,7 @@ def test_full_cycle_keeps_states_physical(n, seed, excitation, coupling, cycle_t
     rng = np.random.default_rng(seed)
     cav = cavity.standard_config(n, coupling=coupling, cycle_time=cycle_time)
     sigma_f, _ = random_covariance(n, rng, excitation)
-    sigma_d, _ = random_covariance(2, rng, excitation)
-    detector_out, _, field_out = protocol.full_cycle(
-        sigma_f, sigma_d, protocol.blocks_for(cav)
-    )
+    detector_out, field_out = protocol.full_cycle(sigma_f, protocol.blocks_for(cav))
     gaussian.assert_physical(field_out)
     gaussian.assert_physical(detector_out)
 

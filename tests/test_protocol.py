@@ -115,8 +115,8 @@ def test_iterated_step_equals_iterated_full_cycle():
     sigma_full = sigma_step.copy()
     for _ in range(9):
         sigma_step = blocks.field_map.apply(sigma_step)
-        _, _, sigma_full = protocol.full_cycle(sigma_full, gaussian.vacuum_state(2), blocks)
-    assert np.max(np.abs(sigma_step - sigma_full)) < 1e-10
+        _, sigma_full = protocol.full_cycle(sigma_full, blocks)
+    assert np.array_equal(sigma_step, sigma_full)
 
 
 def test_step_is_affine():
@@ -175,25 +175,34 @@ def test_then_runs_the_first_map_first():
 # full cycle
 
 
-def test_full_cycle_uncoupled_rotates_detectors():
-    cfg = small_config(coupling=0.0)
-    blocks = protocol.blocks_for(cfg)
+@pytest.mark.parametrize("n_modes", [4, 16])
+def test_full_cycle_equals_joint_evolution_from_a_random_field_state(n_modes):
     from conftest import random_covariance
 
-    sigma_d0, nus = random_covariance(2, RNG)
-    sigma_d, gamma, _ = protocol.full_cycle(
-        gaussian.vacuum_state(cfg.n_field_modes), sigma_d0, blocks
-    )
-    assert np.max(np.abs(gamma)) == 0.0
-    assert np.allclose(gaussian.symplectic_eigenvalues(sigma_d), nus, atol=1e-9)
+    cfg = cavity.standard_config(n_modes, cycle_time=20.0)
+    blocks = protocol.blocks_for(cfg)
+    sigma_f, _ = random_covariance(n_modes, RNG)
+    assert not np.allclose(sigma_f, gaussian.vacuum_state(n_modes))
+    joint = evolve(block_diag(np.eye(4), sigma_f), dynamics.propagator_for(cfg))
+    sigma_d, sigma_f_out = protocol.full_cycle(sigma_f, blocks)
+    assert np.max(np.abs(sigma_d - joint[:4, :4])) < 1e-12
+    assert np.max(np.abs(sigma_f_out - joint[4:, 4:])) < 1e-12
+    assert np.array_equal(sigma_d, blocks.detector_out(sigma_f))
+    assert np.array_equal(sigma_f_out, blocks.field_map.apply(sigma_f))
+
+
+def test_full_cycle_uncoupled_rotates_detectors():
+    # uncoupled: the detectors only rotate, so they leave in the vacuum
+    cfg = small_config(coupling=0.0)
+    blocks = protocol.blocks_for(cfg)
+    sigma_d, _ = protocol.full_cycle(gaussian.vacuum_state(cfg.n_field_modes), blocks)
+    assert np.allclose(sigma_d, gaussian.vacuum_state(2), atol=1e-12)
 
 
 def test_first_cycle_from_vacuum_extracts_entanglement():
     cfg = cavity.standard_config(64)
     blocks = protocol.blocks_for(cfg)
-    sigma_d, _, _ = protocol.full_cycle(
-        gaussian.vacuum_state(64), gaussian.vacuum_state(2), blocks
-    )
+    sigma_d, _ = protocol.full_cycle(gaussian.vacuum_state(64), blocks)
     assert gaussian.log_negativity(sigma_d) > 1e-3
 
 
@@ -201,7 +210,7 @@ def test_first_cycle_from_hot_field_extracts_nothing():
     cfg = cavity.standard_config(64)
     blocks = protocol.blocks_for(cfg)
     hot = gaussian.thermal_state(cavity.mode_frequencies(cfg), 1.0)
-    sigma_d, _, _ = protocol.full_cycle(hot, gaussian.vacuum_state(2), blocks)
+    sigma_d, _ = protocol.full_cycle(hot, blocks)
     assert gaussian.log_negativity(sigma_d) == 0.0
 
 
@@ -210,9 +219,7 @@ def test_full_cycle_mirror_symmetry():
     cfg = small_config()
     assert cfg.x2 == pytest.approx(cfg.length - cfg.x1)
     blocks = protocol.blocks_for(cfg)
-    sigma_d, _, _ = protocol.full_cycle(
-        gaussian.vacuum_state(cfg.n_field_modes), gaussian.vacuum_state(2), blocks
-    )
+    sigma_d, _ = protocol.full_cycle(gaussian.vacuum_state(cfg.n_field_modes), blocks)
     swap = np.zeros((4, 4))
     swap[0:2, 2:4] = np.eye(2)
     swap[2:4, 0:2] = np.eye(2)
@@ -223,10 +230,8 @@ def test_full_cycle_mirror_symmetry():
 
 def test_full_cycle_shape_validation():
     blocks = protocol.blocks_for(small_config())
-    with pytest.raises(ValueError):
-        protocol.full_cycle(np.eye(4), np.eye(4), blocks)
-    with pytest.raises(ValueError):
-        protocol.full_cycle(np.eye(16), np.eye(6), blocks)
+    with pytest.raises(ValueError, match="mode count"):
+        protocol.full_cycle(np.eye(4), blocks)
 
 
 # ---------------------------------------------------------------------------

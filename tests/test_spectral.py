@@ -22,7 +22,9 @@ def synthetic_blocks(d, c=None):
     if c is None:
         c = np.zeros((m, 4))
     sectors = (tuple(range(m // 2)),)
-    return CycleBlocks(a=np.eye(4), b=np.zeros((4, m)), c=c, d=d, sectors=sectors)
+    return CycleBlocks(
+        a=np.eye(4), b=np.zeros((4, m)), c=c, d=d, sectors=sectors, decoupled=()
+    )
 
 
 def rotation(theta):
@@ -448,7 +450,7 @@ def test_extinction_scan_plateau_matches_fixed_point_cycle():
         spectral.fixed_point(blocks.coupled_map).sigma_star,
         gaussian.vacuum_state(cfg.n_field_modes),
     )
-    sigma_d, _, _ = protocol.full_cycle(star, gaussian.vacuum_state(2), blocks)
+    sigma_d, _ = protocol.full_cycle(star, blocks)
     plateau = gaussian.log_negativity(sigma_d)
     scan = spectral.extinction_scan(cfg)
     assert scan.negativities[-1] == pytest.approx(plateau, rel=1e-9)
@@ -471,12 +473,12 @@ def test_extinction_scan_estimate_is_the_coupled_instability_time():
 def per_k_scan(cfg, k_grid):
     """(ks, negativities) of the scan with every k composed afresh by power_map."""
     blocks = protocol.blocks_for(cfg)
-    vacuum, sigma_d0 = gaussian.vacuum_state(cfg.n_field_modes), gaussian.vacuum_state(2)
+    vacuum = gaussian.vacuum_state(cfg.n_field_modes)
     ks, negs = [], []
 
     def sample(k):
         power = spectral.power_map(blocks, k)
-        sigma_d, _, _ = protocol.full_cycle(power.apply(vacuum), sigma_d0, blocks)
+        sigma_d, _ = protocol.full_cycle(power.apply(vacuum), blocks)
         ks.append(k)
         negs.append(gaussian.log_negativity(sigma_d))
 
