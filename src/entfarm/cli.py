@@ -38,6 +38,7 @@ NUMERICAL_ERRORS = (
     spectral.GrowthOverflowError,
     fock.TooLargeError,
     fock.CutoffTooSmallError,
+    fock.NormDriftError,
     thermo.DivergentLogDensityError,
     thermo.NoThermalMatchError,
 )
@@ -127,8 +128,8 @@ def _coupled_fixed_point(blocks: protocol.CycleBlocks):
     The decoupled modes sit at their initial state forever on both sides of
     the comparison, so they contribute nothing to the distance; dropping
     them also keeps the reference state mixed (a frozen vacuum mode would
-    make its log-density divergent).  Each cycle's field_analysis.coupled
-    is the field state on the same modes.
+    make its log-density divergent).  Each cycle's field_analysis,
+    restricted to the parity sectors, is the field state on the same modes.
     """
     try:
         star = spectral.fixed_point(blocks.coupled_map).sigma_star
@@ -144,10 +145,14 @@ def cmd_run_cycles(args) -> int:
     cav = cfg.cavity_config()
     sigma0 = _initial_field(cfg, cav)
     # an unusable Hamiltonian fails here, before any cycle or warning
-    ref = _coupled_fixed_point(protocol.blocks_for(cav))
+    blocks = protocol.blocks_for(cav)
+    ref = _coupled_fixed_point(blocks)
     observables = dict(protocol.DIAGNOSTICS)
     if ref is not None:
-        observables[_REL_ENTROPY] = lambda s: ref.relative_entropy(s.field_analysis.coupled)
+        coupled = [m for sector in blocks.sectors for m in sector]
+        observables[_REL_ENTROPY] = lambda s: ref.relative_entropy(
+            s.field_analysis.restricted(coupled)
+        )
     traj = protocol.run_cycles(
         cav,
         sigma_f0=sigma0,

@@ -28,6 +28,8 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 DIMENSION_CAP = 120_000
+# how far the evolved state's norm may drift from 1
+NORM_TOL = 1e-10
 
 
 class TooLargeError(ValueError):
@@ -36,6 +38,10 @@ class TooLargeError(ValueError):
 
 class CutoffTooSmallError(RuntimeError):
     """Truncation leakage invalidates the result; raise the Fock cutoff."""
+
+
+class NormDriftError(RuntimeError):
+    """The evolved state's norm left 1 by more than NORM_TOL."""
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,7 @@ def evolve_ground_state(config: FockConfig, t: float) -> np.ndarray:
     exp(-iHt) acts on the state through scipy's expm_multiply, a Krylov
     action built from sparse products H psi (truncated Taylor steps of
     adaptive length), so neither the exponential nor an eigenbasis of H is
-    materialized.  The norm must stay within 1e-10 of 1, or RuntimeError.
+    materialized.  The norm must stay within NORM_TOL of 1, or NormDriftError.
     Results are gated on truncation leakage: if the top Fock level of any
     oscillator carries more than 1e-6 probability the simulation is lying
     and CutoffTooSmallError says so.
@@ -173,8 +179,8 @@ def evolve_ground_state(config: FockConfig, t: float) -> np.ndarray:
     h = oscillator_hamiltonian(freqs, couplings, config.cutoff)
     psi = expm_multiply(-1j * t * h.tocsc(), _ground_state(config.dimension))
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        raise RuntimeError(f"state norm drifted to {norm!r} during evolution")
+    if abs(norm - 1.0) > NORM_TOL:
+        raise NormDriftError(f"state norm drifted to {norm!r} during evolution")
     leak = _top_level_population(psi, config.n_oscillators, config.cutoff)
     if leak > 1e-6:
         raise CutoffTooSmallError(

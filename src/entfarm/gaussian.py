@@ -21,8 +21,9 @@ import numpy as np
 PAIR_TOL = 1e-8
 # how far a symplectic eigenvalue may fall below 1 and still count as 1
 PHYSICAL_TOL = 1e-9
-# covariance an isolated mode may have with the other modes, relative to
-# the largest diagonal entry (or 1); 500 cycles at 128 modes leave 1.3e-17
+# covariance two modes of different groups may have, relative to the
+# largest diagonal entry (or 1); 500 whole-matrix cycles at 128 modes left
+# 1.3e-17 between a nodal mode and the rest
 ISOLATION_TOL = 1e-12
 
 
@@ -311,38 +312,135 @@ def energy(
 
 
 # ---------------------------------------------------------------------------
-# one state, factored once
+# block-diagonal structure
 
 
-def _cross_covariance(sigma: np.ndarray, modes) -> np.ndarray:
-    """Largest |covariance| of each given mode with all the other modes."""
-    pairs = 2 * np.asarray(modes, dtype=int)[:, None] + np.array([0, 1])
-    rows = sigma[pairs.ravel()]
-    rows[np.arange(rows.shape[0])[:, None], np.repeat(pairs, 2, axis=0)] = 0.0
-    return np.abs(rows).reshape(len(pairs), -1).max(axis=1)
+def _mode_rows(modes) -> np.ndarray:
+    """Phase-space rows (q, p of each) of the given 0-based mode positions."""
+    return (2 * np.asarray(modes, dtype=int)[:, None] + np.array([0, 1])).ravel()
 
 
 def _isolation_bound(sigma: np.ndarray) -> float:
     return ISOLATION_TOL * max(1.0, float(np.abs(np.diagonal(sigma)).max()))
 
 
-def isolated_modes(sigma: np.ndarray, candidates) -> tuple[int, ...]:
-    """The candidate modes that sigma leaves uncorrelated with every other mode.
+class Partition:
+    """Groups of modes (0-based positions) and the diagonal blocks that hold
+    a matrix block diagonal on them.
 
-    A mode counts as uncorrelated when its covariance with each other mode
-    is at most ISOLATION_TOL times the largest diagonal entry (or 1), the
-    bound that StateAnalysis checks.  sigma is read as given, not validated.
+    Such a matrix is held as one block per part.  Each group of two or more
+    modes is a dense part, its rows in ascending mode order; the one-mode
+    groups together are one more part, an (n, 2, 2) stack, so many nodal
+    modes cost one batched product instead of one each.  Products read the
+    same on both kinds of part: x @ y @ x^T with the transpose taken over the
+    last two axes.  A partition with one group has one part, the whole
+    matrix itself.
     """
-    candidates = tuple(candidates)
-    if not candidates:
-        return ()
-    sigma = np.asarray(sigma, dtype=float)
-    cross = _cross_covariance(sigma, candidates)
-    return tuple(m for m, c in zip(candidates, cross) if c <= _isolation_bound(sigma))
+
+    def __init__(self, groups, n_modes: int):
+        groups = tuple(tuple(int(m) for m in group) for group in groups)
+        if sorted(m for group in groups for m in group) != list(range(n_modes)):
+            raise ValueError(f"groups {groups} do not partition the {n_modes} modes")
+        self.groups = groups
+        self.n_modes = n_modes
+        self.whole = len(groups) == 1
+        # indices into groups: those held as dense parts, and those in the stack
+        self.dense = [i for i, group in enumerate(groups) if self.whole or len(group) > 1]
+        self.singles = [i for i, group in enumerate(groups) if not self.whole and len(group) == 1]
+        self._label = np.empty(n_modes, dtype=int)
+        for i, group in enumerate(groups):
+            self._label[list(group)] = i
+        # per part: the rows of its diagonal, and the index that reads or
+        # writes its block (None: the whole matrix)
+        self._rows = [_mode_rows(sorted(groups[i])) for i in self.dense]
+        self._index = [None if self.whole else np.ix_(rows, rows) for rows in self._rows]
+        if self.singles:
+            rows = _mode_rows([groups[i][0] for i in self.singles]).reshape(-1, 2)
+            self._rows.append(rows)
+            self._index.append((rows[:, :, None], rows[:, None, :]))
+
+    @cached_property
+    def dense_wholes(self) -> list[Partition]:
+        """The one-group partition of each dense part, in its own mode numbering."""
+        return [Partition((tuple(range(len(self.groups[i]))),), len(self.groups[i]))
+                for i in self.dense]
+
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """The diagonal blocks of a 2M x 2M matrix, one per part; copies, except
+        that the one part of a single group is x itself."""
+        return [x if index is None else x[index] for index in self._index]
+
+    def columns(self, x: np.ndarray) -> list[np.ndarray]:
+        """The columns of an r x 2M matrix that meet each part: r x 2k for a
+        dense part, n x r x 2 for the stack."""
+        if self.whole:
+            return [x]
+        return [x[:, rows] if rows.ndim == 1 else x[:, rows].transpose(1, 0, 2)
+                for rows in self._rows]
+
+    def join(self, blocks) -> np.ndarray:
+        """The 2M x 2M matrix with these diagonal blocks and zeros between groups."""
+        if self.whole:
+            return blocks[0]
+        out = np.zeros((2 * self.n_modes, 2 * self.n_modes))
+        for index, block in zip(self._index, blocks):
+            out[index] = block
+        return out
+
+    def block_traces(self, blocks) -> np.ndarray:
+        """block_traces of join(blocks), read off the blocks."""
+        diag = np.empty(2 * self.n_modes)
+        for rows, block in zip(self._rows, blocks):
+            diag[rows] = np.diagonal(block, axis1=-2, axis2=-1)
+        return diag[0::2] + diag[1::2]
+
+    def _cross(self, x: np.ndarray) -> np.ndarray:
+        """Largest |entry| of x between each pair of modes of different groups
+        (M x M, zero within a group)."""
+        n = self.n_modes
+        cross = np.abs(x).reshape(n, 2, n, 2).max(axis=(1, 3))
+        cross[self._label[:, None] == self._label[None, :]] = 0.0
+        return cross
+
+    def cross_max(self, x: np.ndarray) -> float:
+        """Largest |entry| of x between modes of different groups."""
+        return 0.0 if self.whole else float(self._cross(x).max())
+
+    def merged_by(self, sigma: np.ndarray) -> Partition:
+        """This partition with the groups that sigma correlates joined.
+
+        Two groups are joined when a covariance between their modes exceeds
+        ISOLATION_TOL times sigma's largest diagonal entry (or 1), the bound
+        that StateAnalysis checks; self when none does.  A joined group lists
+        its modes in ascending order and takes the place of its first member.
+        """
+        if self.whole:
+            return self
+        first, second = np.nonzero(self._cross(sigma) > _isolation_bound(sigma))
+        if not first.size:
+            return self
+        root = list(range(len(self.groups)))
+
+        def find(i: int) -> int:
+            while root[i] != i:
+                i = root[i]
+            return i
+
+        for m, n in zip(self._label[first], self._label[second]):
+            a, b = find(m), find(n)
+            root[max(a, b)] = min(a, b)
+        joined: dict[int, list[int]] = {}
+        for i, group in enumerate(self.groups):
+            joined.setdefault(find(i), []).extend(group)
+        return Partition([tuple(sorted(group)) for group in joined.values()], self.n_modes)
+
+
+# ---------------------------------------------------------------------------
+# one state, factored once
 
 
 class StateAnalysis:
-    """A validated covariance matrix and the factorization its diagnostics share.
+    """A validated covariance matrix and the factorizations its diagnostics share.
 
     Construction runs the shape and symmetry checks once.  The log-determinant,
     the physical symplectic spectrum and the block traces are each computed
@@ -350,37 +448,63 @@ class StateAnalysis:
     von_neumann_entropy are this class applied to a bare matrix, and the
     thermo estimators read it too.
 
-    isolated lists modes (0-based positions) that the caller knows to be
-    single-mode blocks with no correlation to the rest, such as cavity modes
-    with a node at both detectors.  Only the remaining modes are factored:
-    `coupled` is the analysis of their block, with Cholesky factor T and
-    log-determinant 2 sum log T_ii.  An isolated mode with 2x2 block s_m
-    adds log det s_m to the log-determinant and nu = sqrt(det s_m) to the
-    spectrum.  An isolated mode whose covariance with any other mode
-    exceeds ISOLATION_TOL times the largest diagonal entry (or 1) raises
-    InvalidStateError.  block_traces reads the full matrix either way.
+    groups partitions the modes (0-based positions) into sets that the
+    caller knows sigma does not correlate, such as the parity sectors of a
+    cycle map and its nodal modes; None claims nothing.  Each group of two
+    or more modes is analysed on its own: its Cholesky factor T, its
+    log-determinant 2 sum log T_ii and its K^T K eigensolve.  A one-mode
+    group with 2x2 block s_m adds log det s_m to the log-determinant and
+    nu = sqrt(det s_m) to the spectrum.  A covariance between modes of
+    different groups above ISOLATION_TOL times the largest diagonal entry
+    (or 1) raises InvalidStateError on first use; smaller ones are dropped.
+    of_blocks holds a state by its diagonal blocks alone, as run_cycles
+    carries it, and restricted analyses a union of groups with the same
+    factorizations.
     """
 
-    def __init__(self, sigma: np.ndarray, isolated=()):
+    def __init__(self, sigma: np.ndarray, groups=None):
         self.sigma = _as_covariance(sigma)
-        self.isolated = tuple(int(m) for m in isolated)
         n = mode_count(self.sigma)
-        if len(set(self.isolated)) != len(self.isolated):
-            raise ValueError("isolated mode indices must be distinct")
-        if any(m < 0 or m >= n for m in self.isolated):
-            raise ValueError(f"isolated mode indices must lie in [0, {n})")
+        self.partition = Partition((tuple(range(n)),) if groups is None else groups, n)
+
+    @classmethod
+    def of_blocks(cls, partition: Partition, blocks: list[np.ndarray]) -> StateAnalysis:
+        """The analysis of the state with these diagonal blocks on partition's
+        parts and no covariance between its groups.  The blocks are taken as
+        they are, neither copied nor validated."""
+        state = cls.__new__(cls)
+        state.partition = partition
+        state.blocks = blocks
+        return state
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """The whole covariance matrix; an of_blocks analysis assembles it on first use."""
+        return self.partition.join(self.blocks)
+
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        """sigma's diagonal blocks on the parts of partition, after the cross-group check."""
+        sigma = self.sigma
+        cross = self.partition.cross_max(sigma)
+        bound = _isolation_bound(sigma)
+        if cross > bound:
+            raise InvalidStateError(
+                f"modes of different groups have covariance {cross:.6g} (bound {bound:.3g})"
+            )
+        return self.partition.split(sigma)
 
     def _not_positive_definite(self) -> InvalidStateError:
         # only a failed check computes the least eigenvalue, for the message
-        low = float(np.min(np.linalg.eigvalsh(self.sigma)))
+        low = min(float(np.min(np.linalg.eigvalsh(block))) for block in self.blocks)
         return InvalidStateError(f"covariance is not positive definite (eigenvalue {low:.6g})")
 
     @cached_property
     def factor(self) -> np.ndarray:
         """Lower Cholesky factor T of sigma; InvalidStateError if not positive definite.
 
-        An analysis with isolated modes never forms it: it reads
-        coupled.factor.
+        An analysis of several groups never forms it: each dense group's
+        analysis factors its own block.
         """
         try:
             return _cholesky(self.sigma)
@@ -388,51 +512,68 @@ class StateAnalysis:
             raise self._not_positive_definite() from None
 
     @cached_property
-    def _isolated_dets(self) -> np.ndarray:
-        """det s_m of each isolated mode, after the isolation and definiteness checks."""
-        sigma = self.sigma
-        cross = float(_cross_covariance(sigma, self.isolated).max())
-        bound = _isolation_bound(sigma)
-        if cross > bound:
-            raise InvalidStateError(
-                f"an isolated mode has covariance {cross:.6g} with the other modes "
-                f"(bound {bound:.3g})"
-            )
-        q = 2 * np.array(self.isolated)
-        qq, qp, pp = sigma[q, q], sigma[q, q + 1], sigma[q + 1, q + 1]
+    def _parts(self) -> list[StateAnalysis]:
+        """One-group analyses of the dense parts; none for a one-group analysis."""
+        if self.partition.whole:
+            return []
+        wholes = self.partition.dense_wholes
+        return [StateAnalysis.of_blocks(whole, [block]) for whole, block in zip(wholes, self.blocks)]
+
+    @cached_property
+    def _single_dets(self) -> np.ndarray:
+        """det s_m of each one-mode group, after the definiteness check."""
+        if not self.partition.singles:
+            return np.empty(0)
+        stack = self.blocks[-1]
+        qq, qp, pp = stack[:, 0, 0], stack[:, 0, 1], stack[:, 1, 1]
         dets = qq * pp - qp * qp
         if np.any(qq <= 0.0) or np.any(dets <= 0.0):
             raise self._not_positive_definite()
         return dets
 
-    @property
-    def coupled(self) -> StateAnalysis | None:
-        """Analysis of the modes not listed as isolated: self if none is, None if all are."""
-        return self._coupled if self.isolated else self
+    def restricted(self, modes) -> StateAnalysis:
+        """The analysis of the given modes, renumbered in ascending order.
 
-    @cached_property
-    def _coupled(self) -> StateAnalysis | None:
-        self._isolated_dets  # no split without the isolation check
-        dead = set(self.isolated)
-        keep = [2 * m + o for m in range(mode_count(self.sigma)) if m not in dead for o in (0, 1)]
-        return StateAnalysis(self.sigma[np.ix_(keep, keep)]) if keep else None
+        The modes must be a non-empty union of whole groups (else
+        ValueError); the result shares this analysis' blocks and
+        factorizations.
+        """
+        keep = {int(m) for m in modes}
+        groups = self.partition.groups
+        kept = [i for i, group in enumerate(groups) if keep.intersection(group)]
+        if not keep or set().union(*(groups[i] for i in kept)) != keep:
+            raise ValueError(f"modes {sorted(keep)} are not a union of the groups {groups}")
+        if len(kept) == len(groups):
+            return self
+        dense = [self.partition.dense.index(i) for i in kept if i in self.partition.dense]
+        singles = [self.partition.singles.index(i) for i in kept if i in self.partition.singles]
+        if len(kept) == 1 and dense:
+            return self._parts[dense[0]]
+        position = {m: j for j, m in enumerate(sorted(keep))}
+        partition = Partition([tuple(position[m] for m in groups[i]) for i in kept], len(keep))
+        blocks = [self.blocks[j] for j in dense]
+        if singles:
+            stack = self.blocks[-1][singles]
+            blocks += [stack[0]] if partition.whole else [stack]
+        state = StateAnalysis.of_blocks(partition, blocks)
+        if not partition.whole:
+            state.__dict__["_parts"] = [self._parts[j] for j in dense]  # shared factorizations
+        return state
 
     @cached_property
     def log_det(self) -> float:
-        if not self.isolated:
+        if self.partition.whole:
             return 2.0 * float(np.sum(np.log(np.diagonal(self.factor))))
-        log_det = float(np.sum(np.log(self._isolated_dets)))
-        return log_det if self._coupled is None else self._coupled.log_det + log_det
+        log_det = float(np.sum(np.log(self._single_dets)))
+        return sum(part.log_det for part in self._parts) + log_det
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
         """Symplectic eigenvalues, descending, neither checked nor clamped."""
-        if not self.isolated:
+        if self.partition.whole:
             return _symplectic_spectrum(self.factor)
-        nus = np.sqrt(self._isolated_dets)
-        if self._coupled is not None:
-            nus = np.concatenate([self._coupled._spectrum, nus])
-        return np.sort(nus)[::-1]
+        nus = [part._spectrum for part in self._parts] + [np.sqrt(self._single_dets)]
+        return np.sort(np.concatenate(nus))[::-1]
 
     @cached_property
     def physical_spectrum(self) -> np.ndarray:
@@ -446,7 +587,7 @@ class StateAnalysis:
 
     @cached_property
     def block_traces(self) -> np.ndarray:
-        return block_traces(self.sigma)
+        return self.partition.block_traces(self.blocks)
 
     @property
     def purity(self) -> float:

@@ -61,7 +61,8 @@ def field_spectrum(field_map: AffineMap) -> FieldSpectrum:
     exact unit-modulus rotations would mask the contraction or growth of
     everything else, or its field_map for the whole field.
 
-    eigvals runs on each of the map's groups' diagonal blocks of D; a
+    eigvals runs on each of the map's blocks of D (AffineMap.blocks: one per
+    group of two or more modes, one stack of the one-mode groups); a
     one-group map takes one eigvals of the whole D.  A CycleBlocks' maps
     have two coupled groups, the parity sectors of cavity.parity_sectors,
     when both detectors share Omega and lambda, are injected in the vacuum,
@@ -69,16 +70,17 @@ def field_spectrum(field_map: AffineMap) -> FieldSpectrum:
     cavity.NODE_TOL.  The split is exact: rotating the detector pair to
     q_d1 +/- q_d2 leaves its free Hamiltonian and its vacuum unchanged and
     couples each combination to one sector only, so no entry of D (or of
-    C C^T) joins the sectors.  The decoupled modes of a field_map are one
+    C C^T) joins the sectors.  Each decoupled mode of a field_map is one
     more group.  The fixed sort order puts equal moduli (conjugate pairs,
     nodal rotations) in the same rows whatever order the groups come in.
     """
-    d = field_map.d
-    blocks = [d] if len(field_map.groups) < 2 else [d[np.ix_(r, r)] for r in field_map.group_rows]
+    d_blocks, _ = field_map.blocks
     try:
-        ev = np.concatenate([np.linalg.eigvals(block) for block in blocks])
+        ev = np.concatenate(
+            [np.linalg.eigvals(block).ravel() for block in d_blocks] or [np.empty(0, complex)]
+        )
     except np.linalg.LinAlgError as exc:
-        raise SpectralFailureError(f"eigenvalue computation failed: {exc}")
+        raise SpectralFailureError(f"eigenvalue computation failed: {exc}") from None
     order = np.lexsort((-ev.real, -ev.imag, -np.abs(ev)))
     return FieldSpectrum(eigenvalues=ev[order])
 
@@ -201,7 +203,7 @@ def _square(power: AffineMap, k: int, k_done: int) -> AffineMap:
     """
     cap = protocol.GROWTH_CAP
     square = power.then(power)
-    if np.max(np.abs(square.q)) > cap:
+    if square.q_max > cap:
         raise GrowthOverflowError(
             f"composed map norm exceeded {cap:g} at 2^{int(math.log2(square.k))} "
             f"cycles while assembling k={k}",
@@ -213,7 +215,8 @@ def _square(power: AffineMap, k: int, k_done: int) -> AffineMap:
 def power_map(blocks: CycleBlocks, k: int) -> AffineMap:
     """Compose the cycle map with itself k times by binary doubling.
 
-    Cost O(log k) matrix products, exact up to rounding.  In the unstable
+    Cost O(log k) products of the map's group blocks (AffineMap.then),
+    exact up to rounding; the result holds only those blocks.  In the unstable
     regime the inhomogeneous part grows without bound; when its max norm
     passes protocol.GROWTH_CAP the computation aborts with
     GrowthOverflowError whose k_reached attribute reports the largest
@@ -224,7 +227,7 @@ def power_map(blocks: CycleBlocks, k: int) -> AffineMap:
         raise ValueError("cycle count must be >= 1")
     cap = protocol.GROWTH_CAP
     power = blocks.field_map
-    if np.max(np.abs(power.q)) > cap:
+    if power.q_max > cap:
         raise GrowthOverflowError(
             f"cycle map norm exceeded {cap:g} at 1 cycle while assembling k={k}",
             k_reached=0,
@@ -234,7 +237,7 @@ def power_map(blocks: CycleBlocks, k: int) -> AffineMap:
     while True:
         if kk & 1:
             acc = power if acc is None else acc.then(power)
-            if np.max(np.abs(acc.q)) > cap:
+            if acc.q_max > cap:
                 raise GrowthOverflowError(
                     f"composed map norm exceeded {cap:g} while assembling k={k}",
                     k_reached=max(acc.k - power.k, power.k),
@@ -277,8 +280,8 @@ def extinction_scan(
 ) -> ExtinctionScan:
     """Sample extraction quality at k = 1, 2, 4, ..., 2^SCAN_DOUBLINGS cycles.
 
-    The samples walk one doubling chain, each squaring the last, so the
-    scan costs SCAN_DOUBLINGS squarings.  If the unstable growth passes
+    The samples walk one doubling chain, each squaring the last block by
+    block, so the scan costs SCAN_DOUBLINGS squarings of the map's groups.  If the unstable growth passes
     protocol.GROWTH_CAP while extraction is still live, the scan refines
     between the last good point and the cap with power_map before giving
     up.

@@ -45,8 +45,8 @@ class QuadraticLogDensity:
         """S(rho_A || rho) in nats: -S(A) - c - (1/2) sum_ij sigma^A_ij H_ij.
 
         rho_A is given by its analysis, so a caller that already factored
-        it (such as a cycle's field_analysis.coupled) pays for no second
-        factorization.
+        it (such as a cycle's field_analysis, restricted to the coupled
+        modes) pays for no second factorization.
         """
         if state.sigma.shape != self.h.shape:
             raise ValueError("states must have the same mode count")

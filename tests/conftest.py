@@ -116,3 +116,66 @@ def fixed_point_solutions(field_map) -> tuple[np.ndarray, np.ndarray, np.ndarray
         schur_fixed_point(d, q),
         eigenbasis_fixed_point(d, q),
     )
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix oracles for the grouped cycle engine
+
+
+def whole_update(d: np.ndarray, q: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """sigma -> d sigma d^T + q on the whole matrices, symmetrized."""
+    out = d @ sigma @ d.T + q
+    return (out + out.T) / 2.0
+
+
+def whole_composition(first, after) -> tuple[np.ndarray, np.ndarray]:
+    """(d, q) of the map that runs `first`, then `after`, on the whole matrices."""
+    return after.d @ first.d, after.d @ first.q @ after.d.T + after.q
+
+
+def whole_analysis(sigma: np.ndarray) -> tuple[float, np.ndarray]:
+    """(log det sigma, symplectic eigenvalues descending) of the whole matrix,
+    by LU log-determinant and the nonsymmetric eigensolve."""
+    sign, log_det = np.linalg.slogdet(sigma)
+    assert sign > 0
+    return float(log_det), eigvals_symplectic_eigenvalues(sigma)
+
+
+def whole_matrix_run(config, sigma_f0, n_cycles: int) -> list[dict]:
+    """The built-in diagnostics of run_cycles from the whole-matrix loop.
+
+    Every cycle steps the whole field state, reads the detectors from it and
+    analyses it as one block: the route run_cycles takes for one group.
+    """
+    from entfarm import cavity, protocol
+
+    blocks = protocol.blocks_for(config)
+    d, q = blocks.d, blocks.c @ blocks.c.T
+    sigma = gaussian.vacuum_state(config.n_field_modes) if sigma_f0 is None else sigma_f0
+    sigma_d0 = gaussian.vacuum_state(2)
+    detector_freqs = cavity.joint_frequencies(config)[:2]
+    field_freqs = cavity.mode_frequencies(config)
+
+    def energy(detector, field):
+        return gaussian.energy_from_traces(
+            gaussian.block_traces(detector), detector_freqs
+        ) + gaussian.energy_from_traces(gaussian.block_traces(field), field_freqs)
+
+    records = []
+    for _ in range(n_cycles):
+        detector = blocks.b @ sigma @ blocks.b.T + blocks.a @ blocks.a.T
+        detector = (detector + detector.T) / 2.0
+        after = whole_update(d, q, sigma)
+        state = gaussian.StateAnalysis(after)
+        try:
+            thermality = thermo.thermality_of(state, field_freqs)
+        except thermo.UndefinedEstimatorError:
+            thermality = float("nan")
+        records.append({
+            "log_negativity": gaussian.log_negativity(detector),
+            "energy_input": energy(detector, after) - energy(sigma_d0, sigma),
+            "field_purity": state.purity,
+            "field_thermality": thermality,
+        })
+        sigma = after
+    return records

@@ -36,6 +36,11 @@ def window_config(**overrides):
     return cavity.resonant_window(cavity.standard_config(16, **overrides))
 
 
+def coupled_modes(blocks):
+    """The field modes blocks.coupled_map acts on, ascending."""
+    return sorted(m for sector in blocks.sectors for m in sector)
+
+
 def plateau_of(trajectory):
     return float(np.mean([r.log_negativity for r in trajectory.records[-50:]]))
 
@@ -62,7 +67,7 @@ def test_02_initial_state_independence():
             sigma0 = gaussian.thermal_state(freqs, temperature)
         sigma = power.apply(sigma0)
         # the block of the modes blocks.coupled_map acts on
-        finals.append(gaussian.StateAnalysis(sigma, blocks.decoupled).coupled.sigma)
+        finals.append(gaussian.reduce_modes(sigma, coupled_modes(blocks)))
         sigma_d, _ = protocol.full_cycle(sigma, blocks)
         plateaus.append(gaussian.log_negativity(sigma_d))
     for a in finals:
@@ -84,7 +89,7 @@ def test_03_fixed_point_solver_vs_iteration():
     # compare where the map contracts, on the modes of blocks.coupled_map; the
     # decoupled mode is left out of the solve but collects rotation roundoff
     # under 2^22 numerical compositions
-    diff = gaussian.StateAnalysis(iterated, blocks.decoupled).coupled.sigma - kron
+    diff = gaussian.reduce_modes(iterated, coupled_modes(blocks)) - kron
     assert np.max(np.abs(diff)) < 1e-8
 
 

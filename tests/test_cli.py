@@ -83,7 +83,9 @@ def test_run_cycles_takes_the_fixed_point_log_density_once(monkeypatch, tmp_path
 
 def test_run_cycles_factors_each_cycle_once_for_every_column(monkeypatch, tmp_path):
     # purity, thermality and the relative entropy read one analysis, so each
-    # further cycle costs one Cholesky factorization, of the coupled block
+    # further cycle costs one Cholesky factorization, of the one parity
+    # sector with two modes; the other sector and the nodal mode have one
+    # mode each, in closed form
     shapes = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
@@ -94,7 +96,8 @@ def test_run_cycles_factors_each_cycle_once_for_every_column(monkeypatch, tmp_pa
         assert all(r[5] != "" for r in read_csv(tmp_path / "trajectory.csv")[1])
         counts.append(len(shapes))
     assert counts[1] - counts[0] == 2
-    assert set(shapes) == {(6, 6)}  # 4 modes, one of them at a node of both detectors
+    # the 3 coupled modes of 4 are factored whole only for the fixed point
+    assert set(shapes) == {(4, 4), (6, 6)}
 
 
 def test_run_cycles_warns_when_fixed_point_fails(monkeypatch, tmp_path, capsys):
@@ -452,6 +455,15 @@ def test_verify_passes(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+
+
+def test_verify_exits_3_when_the_fock_state_norm_drifts(monkeypatch, tmp_path, capsys):
+    import scipy.sparse.linalg
+
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda a, b: 1.5 * b)
+    assert run(["verify"], monkeypatch, tmp_path) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: state norm drifted to 1.5 during evolution"]
 
 
 # no command looks a config up again once it has moved on to the next, so one

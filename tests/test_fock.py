@@ -115,6 +115,15 @@ def test_norm_conserved():
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
 
 
+def test_norm_drift_raises_a_typed_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    cfg = fock.FockConfig(one_mode_config(), 6)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda a, b: (1.0 + 1e-9) * b)
+    with pytest.raises(fock.NormDriftError, match="norm drifted"):
+        fock.evolve_ground_state(cfg, 20.0)
+
+
 def test_energy_conserved():
     cfg = fock.FockConfig(one_mode_config(), 8)
     psi0 = fock._ground_state(cfg.dimension)

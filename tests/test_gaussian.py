@@ -267,14 +267,14 @@ def test_entropy_matches_high_precision_oracle():
 
 
 def test_split_entropy_matches_high_precision_oracle():
-    # the same near-vacuum states, with the nodal modes in closed form
+    # the same near-vacuum states, per parity sector, the nodal modes in closed form
     cfg = cavity.standard_config(8)
     states = {"field": lambda s: s.field_out}
     traj = protocol.run_cycles(cfg, n_cycles=20, observables=states)
-    isolated = cavity.decoupled_positions(cfg)
+    groups = protocol.blocks_for(cfg).field_map.groups
     for cycle in (1, 5, 20):
         sigma = traj.records[cycle - 1].values["field"]
-        got = gaussian.StateAnalysis(sigma, isolated).entropy
+        got = gaussian.StateAnalysis(sigma, groups).entropy
         assert got == pytest.approx(mpmath_entropy(sigma), rel=1e-11, abs=0)
 
 
@@ -289,8 +289,8 @@ def test_split_analysis_factors_only_the_coupled_block(monkeypatch):
     shapes = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
-    state = gaussian.StateAnalysis(sigma, isolated=[1])
-    assert np.array_equal(state.coupled.sigma, coupled)
+    state = gaussian.StateAnalysis(sigma, groups=[(0, 2), (1,)])
+    assert np.array_equal(state.restricted([0, 2]).sigma, coupled)
     np.testing.assert_allclose(state.physical_spectrum, sorted([*nus, nu], reverse=True),
                                rtol=1e-12, atol=0)
     assert state.log_det == pytest.approx(2.0 * np.sum(np.log([*nus, nu])), rel=1e-12)
@@ -306,31 +306,48 @@ def test_state_analysis_is_freed_without_the_cycle_collector():
 
     coupled, _ = random_covariance(2, RNG)
     single, _ = random_covariance(1, RNG)
-    for sigma, isolated in ((coupled, ()), (block_diag(coupled, single), (2,))):
-        state = gaussian.StateAnalysis(sigma, isolated)
-        state.purity, state.entropy, state.coupled.entropy, state.coupled.coupled.purity
-        alive = weakref.ref(state.coupled)
-        del state
+    for sigma, groups in ((coupled, None), (block_diag(coupled, single), ((0, 1), (2,)))):
+        state = gaussian.StateAnalysis(sigma, groups)
+        coupled_part = state.restricted([0, 1])
+        state.purity, state.entropy, coupled_part.entropy, coupled_part.purity
+        alive = weakref.ref(coupled_part)
+        del state, coupled_part
         assert alive() is None
 
 
 def test_split_analysis_of_isolated_modes_only_factors_nothing(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", None)
     nus = np.array([3.0, 1.5])
-    state = gaussian.StateAnalysis(np.diag(np.repeat(nus, 2)), isolated=(0, 1))
-    assert state.coupled is None
+    state = gaussian.StateAnalysis(np.diag(np.repeat(nus, 2)), groups=((0,), (1,)))
+    assert state.partition.dense == [] and state.partition.singles == [0, 1]
     assert np.array_equal(state.physical_spectrum, nus)
     assert state.purity == pytest.approx(1.0 / np.prod(nus), rel=1e-15)
 
 
+def test_restricted_analysis_reuses_the_factorizations_of_its_groups(monkeypatch):
+    from scipy.linalg import block_diag
+
+    pair, nus = random_covariance(2, RNG)
+    (one, (nu,)), (other, _) = random_covariance(1, RNG), random_covariance(1, RNG)
+    sigma = block_diag(pair, one, other)
+    state = gaussian.StateAnalysis(sigma, groups=((0, 1), (2,), (3,)))
+    state.entropy
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    part = state.restricted([2, 0, 1])
+    assert np.array_equal(part.sigma, sigma[:6, :6])
+    np.testing.assert_allclose(part.physical_spectrum, sorted([*nus, nu], reverse=True),
+                               rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="not a union of the groups"):
+        state.restricted([0, 2])
+
+
 def test_split_analysis_rejects_bad_positions_and_indefinite_modes():
-    with pytest.raises(ValueError, match="distinct"):
-        gaussian.StateAnalysis(np.eye(4), isolated=(1, 1))
-    with pytest.raises(ValueError, match=r"\[0, 2\)"):
-        gaussian.StateAnalysis(np.eye(4), isolated=(2,))
+    for groups in (((1,), (1,)), ((0,), (2,)), ((0,),)):
+        with pytest.raises(ValueError, match="do not partition the 2 modes"):
+            gaussian.StateAnalysis(np.eye(4), groups=groups)
     with pytest.raises(gaussian.InvalidStateError,
                        match=r"^covariance is not positive definite \(eigenvalue -1\)$"):
-        gaussian.StateAnalysis(np.diag([-1.0, -1.0, 1.0, 1.0]), isolated=(0,)).purity
+        gaussian.StateAnalysis(np.diag([-1.0, -1.0, 1.0, 1.0]), groups=((0,), (1,))).purity
 
 
 def test_energy_convention_validation():

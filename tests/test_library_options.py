@@ -40,7 +40,7 @@ PINNED = [
     "fock.FockConfig(cutoff)",
     "gaussian.energy_from_traces(convention)",
     "gaussian.energy(convention)",
-    "gaussian.StateAnalysis(isolated)",
+    "gaussian.StateAnalysis(groups)",
     "protocol.run_cycles(sigma_f0)",
     "protocol.run_cycles(n_cycles)",
     "protocol.run_cycles(observables)",

@@ -20,6 +20,9 @@ from conftest import (
     random_covariance,
     random_symplectic,
     schur_fixed_point,
+    whole_analysis,
+    whole_composition,
+    whole_update,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -152,6 +155,17 @@ def split_state(n_coupled, n_isolated, seed, excitation, cross=1e-18):
     return sigma, isolated
 
 
+def split_groups(sigma, isolated):
+    """The coupled modes of a split_state as one group, each isolated mode as another."""
+    n = sigma.shape[0] // 2
+    return (tuple(m for m in range(n) if m not in isolated),) + tuple((m,) for m in isolated)
+
+
+def rows_of(group):
+    """The phase-space rows (q, p of each) of a group of modes."""
+    return [2 * m + o for m in group for o in (0, 1)]
+
+
 split_shapes = dict(
     n_coupled=st.integers(min_value=1, max_value=3),
     n_isolated=st.integers(min_value=1, max_value=3),
@@ -166,8 +180,9 @@ def test_split_analysis_matches_the_whole_matrix(n_coupled, n_isolated, seed, ex
     sigma, isolated = split_state(n_coupled, n_isolated, seed, excitation)
     freqs = np.random.default_rng(seed).uniform(0.1, 3.0, size=n_coupled + n_isolated)
     whole = gaussian.StateAnalysis(sigma)
-    split = gaussian.StateAnalysis(sigma, isolated)
-    assert split.coupled.sigma.shape == (2 * n_coupled, 2 * n_coupled)
+    groups = split_groups(sigma, isolated)
+    split = gaussian.StateAnalysis(sigma, groups)
+    assert split.restricted(groups[0]).sigma.shape == (2 * n_coupled, 2 * n_coupled)
     assert split.purity == pytest.approx(whole.purity, rel=1e-12, abs=0)
     assert split.entropy == pytest.approx(whole.entropy, rel=1e-12, abs=0)
     np.testing.assert_allclose(
@@ -189,8 +204,8 @@ def test_split_analysis_rejects_a_correlated_isolated_mode(
     other = 0 if m else 1
     sigma[2 * m, 2 * other] = sigma[2 * other, 2 * m] = 2.0 * bound
     gaussian.StateAnalysis(sigma).purity  # still a physical state
-    with pytest.raises(gaussian.InvalidStateError, match="isolated mode"):
-        gaussian.StateAnalysis(sigma, isolated).purity
+    with pytest.raises(gaussian.InvalidStateError, match="different groups"):
+        gaussian.StateAnalysis(sigma, split_groups(sigma, isolated)).purity
 
 
 @PROPERTY
@@ -206,7 +221,7 @@ def test_split_analysis_rejects_an_unphysical_isolated_mode(
     with pytest.raises(gaussian.InvalidStateError) as whole:
         gaussian.StateAnalysis(sigma).physical_spectrum
     with pytest.raises(gaussian.InvalidStateError) as split:
-        gaussian.StateAnalysis(sigma, isolated).physical_spectrum
+        gaussian.StateAnalysis(sigma, split_groups(sigma, isolated)).physical_spectrum
     pattern = r"^symplectic eigenvalue (\S+) violates the uncertainty bound$"
     (want,) = re.fullmatch(pattern, str(whole.value)).groups()
     (got,) = re.fullmatch(pattern, str(split.value)).groups()
@@ -258,7 +273,7 @@ def test_mirror_symmetric_pair_splits_the_coupled_map_in_two(
         n, length=length, x1=x1, x2=length - x1, coupling=coupling, cycle_time=cycle_time
     )
     coupled = protocol.blocks_for(cav).coupled_map
-    plus, minus = coupled.group_rows
+    plus, minus = (rows_of(group) for group in coupled.groups)
     d = coupled.d
     cross = max(np.abs(d[np.ix_(plus, minus)]).max(), np.abs(d[np.ix_(minus, plus)]).max())
     assert cross <= 1e-14 * np.abs(d).max()
@@ -292,3 +307,117 @@ def test_asymmetric_pair_keeps_one_group_and_the_whole_map_spectrum(
     assert len(coupled.groups) == 1
     parent = float(np.abs(np.linalg.eigvals(coupled.d)).max())
     assert spectral.field_spectrum(coupled).max_modulus == parent
+
+
+# ---------------------------------------------------------------------------
+# the grouped cycle engine against the whole-matrix oracles
+
+
+group_sizes = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3)
+
+
+def random_groups(sizes, rng):
+    """Groups of the given sizes over shuffled modes, each in ascending order."""
+    order = rng.permutation(sum(sizes))
+    bounds = np.cumsum([0, *sizes])
+    return tuple(tuple(sorted(int(m) for m in order[a:b])) for a, b in zip(bounds, bounds[1:]))
+
+
+def block_diagonal_map(groups, rng):
+    """A random map block diagonal on groups, with q = c c^T per group."""
+    n = sum(len(group) for group in groups)
+    d, q = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n))
+    for group in groups:
+        block = np.ix_(rows_of(group), rows_of(group))
+        d[block] = rng.normal(scale=0.5, size=(2 * len(group),) * 2)
+        c = rng.normal(scale=0.5, size=(2 * len(group), 2))
+        q[block] = c @ c.T
+    return protocol.AffineMap(d, q, 1, groups)
+
+
+def block_diagonal_state(groups, rng):
+    """A random physical state block diagonal on groups."""
+    n = sum(len(group) for group in groups)
+    sigma = np.zeros((2 * n, 2 * n))
+    for group in groups:
+        sigma[np.ix_(rows_of(group), rows_of(group))] = random_covariance(len(group), rng)[0]
+    return sigma
+
+
+def correlate(sigma, first, second, rng):
+    """sigma with the modes of two groups replaced by one random joint state."""
+    joint = sorted(first + second)
+    sigma = sigma.copy()
+    sigma[np.ix_(rows_of(joint), rows_of(joint))] = random_covariance(len(joint), rng)[0]
+    return sigma
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@PROPERTY
+@given(sizes=group_sizes, seed=seeds)
+def test_grouped_update_and_composition_match_the_whole_matrices(sizes, seed):
+    rng = np.random.default_rng(seed)
+    groups = random_groups(sizes, rng)
+    first, after = block_diagonal_map(groups, rng), block_diagonal_map(groups, rng)
+    sigma = block_diagonal_state(groups, rng)
+    step, _ = first._state(sigma)
+    assert step is first  # a block-diagonal start keeps the map's groups
+    assert relative_gap(first.apply(sigma), whole_update(first.d, first.q, sigma)) <= 1e-12
+    both = first.then(after)
+    d, q = whole_composition(first, after)
+    assert relative_gap(both.d, d) <= 1e-12
+    assert relative_gap(both.q, q) <= 1e-12
+    assert relative_gap(both.apply(sigma), whole_update(d, q, sigma)) <= 1e-12
+
+
+@PROPERTY
+@given(sizes=group_sizes, seed=seeds)
+def test_a_start_that_correlates_two_groups_merges_them(sizes, seed):
+    assume(len(sizes) >= 2)
+    rng = np.random.default_rng(seed)
+    groups = random_groups(sizes, rng)
+    step = block_diagonal_map(groups, rng)
+    sigma = correlate(block_diagonal_state(groups, rng), groups[0], groups[1], rng)
+    merged, _ = step._state(sigma)
+    assert merged.groups == (tuple(sorted(groups[0] + groups[1])), *groups[2:])
+    assert relative_gap(step.apply(sigma), whole_update(step.d, step.q, sigma)) <= 1e-12
+    # full_cycle too, with a random detector readout and no injected noise
+    rows = sigma.shape[0]
+    blocks = protocol.CycleBlocks(
+        a=np.eye(4), b=rng.normal(size=(4, rows)), c=np.zeros((rows, 4)), d=step.d,
+        sectors=groups, decoupled=(),
+    )
+    sigma_d, sigma_f = protocol.full_cycle(sigma, blocks)
+    assert relative_gap(sigma_f, whole_update(step.d, np.zeros((rows, rows)), sigma)) <= 1e-12
+    assert relative_gap(sigma_d, whole_update(blocks.b, np.eye(4), sigma)) <= 1e-12
+
+
+@PROPERTY
+@given(sizes=group_sizes, seed=seeds)
+def test_grouped_analysis_matches_the_whole_matrix_analysis(sizes, seed):
+    rng = np.random.default_rng(seed)
+    groups = random_groups(sizes, rng)
+    sigma = block_diagonal_state(groups, rng)
+    log_det, nus = whole_analysis(sigma)
+    partition = gaussian.Partition(groups, sigma.shape[0] // 2)
+    for state in (
+        gaussian.StateAnalysis(sigma, groups),
+        gaussian.StateAnalysis.of_blocks(partition, partition.split(sigma)),
+    ):
+        assert state.log_det == pytest.approx(log_det, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(state.physical_spectrum, nus, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(sizes=group_sizes, seed=seeds)
+def test_a_state_correlated_across_its_groups_is_rejected(sizes, seed):
+    assume(len(sizes) >= 2)
+    rng = np.random.default_rng(seed)
+    groups = random_groups(sizes, rng)
+    sigma = correlate(block_diagonal_state(groups, rng), groups[0], groups[1], rng)
+    gaussian.StateAnalysis(sigma).purity  # a physical state
+    with pytest.raises(gaussian.InvalidStateError, match="different groups"):
+        gaussian.StateAnalysis(sigma, groups).purity

@@ -9,7 +9,7 @@ import pytest
 
 from entfarm import cavity, dynamics, gaussian, protocol, thermo
 from scipy.linalg import block_diag
-from conftest import evolve
+from conftest import evolve, whole_matrix_run
 
 RNG = np.random.default_rng(5150)
 
@@ -287,7 +287,10 @@ def test_run_cycles_validates_and_factors_each_field_state_once(monkeypatch):
     sigma0 = gaussian.thermal_state(cavity.mode_frequencies(cfg), 0.1)
     traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=n_cycles)
     assert all(list(r.values) == list(protocol.DIAGNOSTICS) for r in traj.records)
-    assert calls["cholesky"] == n_cycles
+    # one factorization per parity sector; the nodal modes are closed form
+    sectors = protocol.blocks_for(cfg).sectors
+    assert [len(sector) for sector in sectors] == [3, 3]
+    assert calls["cholesky"] == n_cycles * len(sectors)
     assert calls["slogdet"] == 0
     # one per cycle's field_out, plus the entry check of sigma_f0
     assert calls["_as_covariance"] <= n_cycles + 1
@@ -295,7 +298,13 @@ def test_run_cycles_validates_and_factors_each_field_state_once(monkeypatch):
 
 def whole_matrix_diagnostics(states):
     """The built-in diagnostics of one cycle with its field state factored whole."""
-    whole = dataclasses.replace(states, isolated=())
+    n = states.partition.n_modes
+    whole = dataclasses.replace(
+        states,
+        field_in_blocks=[states.field_in],
+        field_out_blocks=[states.field_out],
+        partition=gaussian.Partition((tuple(range(n)),), n),
+    )
     return {name: observe(whole) for name, observe in protocol.DIAGNOSTICS.items()}
 
 
@@ -308,10 +317,12 @@ def test_run_cycles_split_analysis_matches_the_whole_field(n_modes, temperature)
         sigma0 = gaussian.thermal_state(cavity.mode_frequencies(cfg), temperature)
     observables = dict(protocol.DIAGNOSTICS, states=lambda s: s)
     traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=3, observables=observables)
+    blocks = protocol.blocks_for(cfg)
+    nodal = tuple((m,) for m in cavity.decoupled_positions(cfg))
+    assert len(nodal) == n_modes // 3
     for r in traj.records:
         states = r.values["states"]
-        assert states.isolated == tuple(cavity.decoupled_positions(cfg))
-        assert len(states.isolated) == n_modes // 3
+        assert states.partition.groups == blocks.sectors + nodal
         want = whole_matrix_diagnostics(states)
         assert r.log_negativity == want["log_negativity"]
         assert r.energy_input == want["energy_input"]
@@ -330,18 +341,18 @@ def test_run_cycles_without_decoupled_modes_keeps_the_whole_field_route():
     traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=3, observables=observables)
     for r in traj.records:
         states = r.values["states"]
-        assert states.isolated == ()
-        assert states.field_analysis.coupled is states.field_analysis
+        assert states.partition.whole
         want = whole_matrix_diagnostics(states)
         assert {name: r.values[name] for name in want} == want
 
 
 def test_run_cycles_keeps_a_correlated_nodal_mode_in_the_factored_block():
     # mode 3 has a node at both detectors; a start that entangles it with
-    # mode 1 (two-mode squeezed) keeps that correlation, so it is factored
-    # with the coupled modes
+    # mode 1 (two-mode squeezed) keeps that correlation, so the nodal mode
+    # joins the "+" sector of mode 1 and is factored with it
     cfg = cavity.standard_config(4)
     assert cavity.decoupled_positions(cfg) == [2]
+    assert protocol.blocks_for(cfg).field_map.groups == ((0,), (1, 3), (2,))
     c = 1.2
     sigma0 = np.eye(8)
     sigma0[[0, 1, 4, 5], [0, 1, 4, 5]] = c
@@ -350,8 +361,41 @@ def test_run_cycles_keeps_a_correlated_nodal_mode_in_the_factored_block():
     traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=2, observables=observables)
     for r in traj.records:
         states = r.values["states"]
-        assert states.isolated == ()
-        assert r.field_purity == whole_matrix_diagnostics(states)["field_purity"]
+        assert states.partition.groups == ((0, 2), (1, 3))
+        want = whole_matrix_diagnostics(states)["field_purity"]
+        assert r.field_purity == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_run_cycles_factors_no_more_rows_than_the_largest_group(monkeypatch):
+    # 16 modes: "+" holds 5 modes, "-" 6, and the 5 nodal modes are one-mode
+    # groups; every factorization and eigensolve sees one group at most
+    cfg = cavity.standard_config(16)
+    groups = protocol.blocks_for(cfg).field_map.groups
+    assert sorted(len(group) for group in groups) == [1] * 5 + [5, 6]
+    rows = []
+    for name in ("cholesky", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            rows.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    traj = protocol.run_cycles(cfg, n_cycles=3, observables=protocol.DIAGNOSTICS)
+    assert all(list(r.values) == list(protocol.DIAGNOSTICS) for r in traj.records)
+    assert len(rows) == 12  # per cycle: both sectors, factored and eigensolved
+    assert max(rows) == 2 * 6
+
+
+def test_one_group_run_is_the_whole_matrix_loop_bit_for_bit():
+    # an asymmetric pair with no nodal mode: the run's one group is the
+    # whole field, so it must take exactly the whole-matrix route
+    cfg = cavity.standard_config(16, x1=2.9, x2=5.3)
+    assert protocol.blocks_for(cfg).field_map.groups == (tuple(range(16)),)
+    sigma0 = gaussian.thermal_state(cavity.mode_frequencies(cfg), 0.5)
+    traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=4)
+    want = whole_matrix_run(cfg, sigma0, 4)
+    assert [r.values for r in traj.records] == want
 
 
 def test_run_cycles_diagnostics_need_no_nonsymmetric_eigensolve(monkeypatch):

@@ -107,7 +107,7 @@ def test_parity_sectors_give_the_whole_map_spectrum(modes):
     assert len(configs) == 40
     for cfg in configs:
         coupled = protocol.blocks_for(cfg).coupled_map
-        plus, minus = coupled.group_rows
+        plus, minus = ([2 * m + o for m in group for o in (0, 1)] for group in coupled.groups)
         assert np.abs(coupled.d[np.ix_(plus, minus)]).max() <= 1e-14
         assert np.abs(coupled.d[np.ix_(minus, plus)]).max() <= 1e-14
         grouped = spectral.field_spectrum(coupled)
@@ -127,7 +127,8 @@ def test_field_spectrum_runs_eigvals_once_per_group(monkeypatch):
     assert shapes == [(10, 10), (12, 12)]
     shapes.clear()
     spectral.field_spectrum(blocks.field_map)
-    assert shapes == [(10, 10), (12, 12), (10, 10)]
+    # the five nodal modes are one-mode groups: one stacked eigvals
+    assert shapes == [(10, 10), (12, 12), (5, 2, 2)]
     # one group: one eigvals of the whole D, the very array the map holds
     asymmetric = protocol.blocks_for(cavity.standard_config(16, x1=2.9, x2=5.3)).coupled_map
     seen = []
