@@ -4,36 +4,43 @@ The equation of motion for the phase-space propagator is
 dS/dt = Omega F_sym S, solved exactly by S(t) = exp(Omega F_sym t) for
 time-independent couplings.  The propagator is returned as the matrix S
 itself, marked read-only; a state evolves as S sigma S^T.
+
+The exponential is scipy.linalg.expm's, bit for bit, without importing
+scipy.linalg (about 0.25 s of each command's start-up): only scipy's compiled
+kernel, _EXPM_KERNEL, is loaded and driven as scipy.linalg.expm drives it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.machinery
+import importlib.util
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-import scipy
-from scipy.linalg import expm
 
 from entfarm import cavity, gaussian
 
+_EXPM_KERNEL = "scipy.linalg._matfuncs_expm"  # the one compiled module loaded
+_SCIPY_DIR = os.path.dirname(importlib.util.find_spec("scipy").origin)  # scipy not imported
 
-def _single_thread_scipy_blas() -> None:
+
+def _single_thread_scipy_blas(scipy_dir: str) -> None:
     """Run scipy's wheel-bundled OpenBLAS, if it has its own, on one thread.
 
     numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
-    expm's Pade stage and Schur run in scipy's copy, every other product and
-    factorization in numpy's; with both multi-threaded the idle workers of
-    one spin against the busy workers of the other (`reproduce-fig eigtime`
-    at 128 modes, 2 threads, 2 cores: 2.6-3.0 s, and 1.2-1.3 s with scipy's
-    copy on one thread).  numpy's copy keeps the thread count the user set.
-    Without a bundled copy beside the scipy package (a shared system BLAS,
-    MKL, a non-Linux wheel) this does nothing.
+    expm's Pade stage (and gaussian.williamson_normal_form's Schur form) run
+    in scipy's copy, every other product and factorization in numpy's; with
+    both multi-threaded the idle workers of one spin against the busy
+    workers of the other (`reproduce-fig eigtime` at 128 modes, 2 threads,
+    2 cores: 2.6-3.0 s, and 1.2-1.3 s with scipy's copy on one thread).
+    numpy's copy keeps the thread count the user set.  Without a bundled
+    copy beside the scipy package (a shared system BLAS, MKL, a non-Linux
+    wheel) this does nothing.
     """
-    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
-    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+    for path in glob.glob(os.path.join(scipy_dir, os.pardir, "scipy.libs", "*openblas*.so*")):
         lib = ctypes.CDLL(path)
         for symbol in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
             set_threads = getattr(lib, symbol, None)
@@ -44,7 +51,69 @@ def _single_thread_scipy_blas() -> None:
                 break
 
 
-_single_thread_scipy_blas()
+_single_thread_scipy_blas(_SCIPY_DIR)
+
+
+def _kernel_expm(kernel, a: np.ndarray) -> np.ndarray:
+    """scipy.linalg.expm of a square float64 matrix, on scipy's compiled kernel.
+
+    The 2-D float64 path of scipy 1.17's expm (scipy/linalg/_matfuncs.py,
+    BSD-3-Clause, Copyright (c) SciPy Developers): Al-Mohy and Higham's
+    scaling and squaring, SIAM J. Matrix Anal. Appl. 31 (2009) 970.
+    """
+    lower, upper = np.tril(a, -1).any(), np.triu(a, 1).any()
+    if not (lower or upper):
+        return np.diag(np.exp(np.diag(a)))
+    am = np.empty((5, *a.shape))
+    am[0] = a
+    m, s = kernel.pick_pade_structure(am)  # scales am[0] by 2**-s
+    if m < 0 or kernel.pade_UV_calc(am, m) != 0:
+        raise RuntimeError(f"scipy's expm kernel failed on a {len(a)}-row matrix")
+    ea = am[0]
+    if lower and upper:
+        for _ in range(s):
+            ea = ea @ ea
+        return ea
+    # triangular: each squaring resets the diagonal and the one off-diagonal
+    # to their closed forms (Al-Mohy and Higham's Code Fragment 2.1)
+    d, off, i = np.diag(a), np.diag(a, -1 if lower else 1), np.arange(len(a))
+    rows, cols = (i[1:], i[:-1]) if lower else (i[:-1], i[1:])
+    if s:
+        ea[i, i] = np.exp(d * 2.0**-s)
+    for k in range(s - 1, -1, -1):
+        ea = ea @ ea
+        x = d * 2.0**-k
+        ea[i, i] = np.exp(x)
+        dx = np.diff(x)  # off-diagonal: off (exp x[j+1] - exp x[j]) / (x[j+1] - x[j])
+        sinch = np.divide(np.diff(np.exp(x)), dx, out=np.exp(x[:-1]), where=dx != 0)
+        ea[rows, cols] = sinch * (off * 2.0**-k)
+    return np.tril(ea) if lower else np.triu(ea)
+
+
+def _load_expm(scipy_dir: str):
+    """_kernel_expm on the kernel file under scipy_dir, else scipy.linalg.expm.
+
+    The kernel is kept only if it takes a rotation generator to its cos and
+    sin, which a scipy release that names or calls it otherwise fails.
+    """
+    stem = os.path.join(scipy_dir, "linalg", _EXPM_KERNEL.rpartition(".")[2])
+    for path in filter(os.path.isfile, (stem + x for x in importlib.machinery.EXTENSION_SUFFIXES)):
+        loader = importlib.machinery.ExtensionFileLoader(_EXPM_KERNEL, path)
+        try:
+            kernel = loader.create_module(importlib.util.spec_from_loader(_EXPM_KERNEL, loader))
+            loader.exec_module(kernel)
+            probe = _kernel_expm(kernel, np.array([[0.0, 8.0], [-8.0, 0.0]]))
+        except (ImportError, AttributeError, TypeError, ValueError, RuntimeError):
+            continue
+        c, s = np.cos(8.0), np.sin(8.0)
+        if np.allclose(probe, [[c, s], [-s, c]], rtol=0.0, atol=1e-12):
+            return partial(_kernel_expm, kernel)
+    from scipy.linalg import expm
+
+    return expm
+
+
+_expm = _load_expm(_SCIPY_DIR)
 
 
 class PropagatorAccuracyError(RuntimeError):
@@ -73,7 +142,7 @@ def propagator(f_sym: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("F_sym must be symmetric")
     if t < 0:
         raise ValueError("evolution time must be non-negative")
-    s = expm(gaussian.apply_symplectic_form(f_sym) * t)
+    s = _expm(gaussian.apply_symplectic_form(f_sym) * t)
     drift = gaussian.check_symplectic(s)
     if not drift <= 1e-9:  # a NaN drift fails too
         raise PropagatorAccuracyError(

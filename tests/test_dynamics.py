@@ -2,9 +2,11 @@
 
 The matrix-exponential path is cross-checked against an analytic rotation,
 a fixed-step RK4 integration of the equation of motion, and conservation
-laws that hold exactly for the continuous dynamics.
+laws that hold exactly for the continuous dynamics.  It must equal
+scipy.linalg.expm bit for bit, whichever of its two routes is taken.
 """
 
+import functools
 import json
 import math
 import os
@@ -16,9 +18,11 @@ import mpmath
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from entfarm import cavity, dynamics, gaussian
+from entfarm import cavity, cli, dynamics, gaussian
 from conftest import evolve, random_covariance, total_energy
 
 RNG = np.random.default_rng(97)
@@ -31,7 +35,7 @@ def small_config(**overrides):
 def test_zero_time_is_identity():
     f = cavity.hamiltonian_matrix(small_config())
     prop = dynamics.propagator(f, 0.0)
-    assert np.allclose(prop, np.eye(f.shape[0]))
+    assert np.array_equal(prop, np.eye(f.shape[0]))
 
 
 def test_free_single_mode_is_rotation():
@@ -49,13 +53,85 @@ def test_propagator_is_symplectic_and_unimodular():
     assert np.linalg.det(prop) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("modes", [4, 64])
+@pytest.mark.parametrize("modes", [4, 64, 128])
 def test_propagator_matches_dense_generator(modes):
-    # Omega F_sym by row swaps hands expm the same matrix as the dense product
+    # Omega F_sym by row swaps hands expm the same matrix as the dense product,
+    # and the kernel-driven exponential is scipy.linalg.expm bit for bit, at
+    # the configured cycle time and at each of eigtime's 33
     cfg = cavity.standard_config(modes)
     f = cavity.hamiltonian_matrix(cfg)
-    want = expm(gaussian.symplectic_form(modes + 2) @ f * cfg.cycle_time)
+    generator = gaussian.symplectic_form(modes + 2) @ f
+    eigtime = cli._SWEEP_FIGURES["eigtime"][0].grid().tolist()
+    for t in [cfg.cycle_time, *eigtime]:
+        assert np.array_equal(dynamics.propagator(f, t), expm(generator * t)), t
+
+
+def random_generator(n_modes: int, shape: str, seed: int) -> np.ndarray:
+    """A random symmetric F_sym whose Omega F_sym is dense, diagonal, upper or lower triangular.
+
+    Omega F_sym is diagonal for F_sym = [[0, c], [c, 0]] per mode, and upper
+    (lower) triangular when the p-p (q-q) entry is added to that; each mode
+    is its own block then, as no coupling between modes keeps it triangular.
+    """
+    rng = np.random.default_rng(seed)
+    if shape == "dense":
+        f = rng.normal(size=(2 * n_modes, 2 * n_modes)) / math.sqrt(2 * n_modes)
+        return f + f.T
+    f = np.zeros((2 * n_modes, 2 * n_modes))
+    q = np.arange(0, 2 * n_modes, 2)
+    f[q, q + 1] = f[q + 1, q] = rng.normal(size=n_modes)
+    if shape != "diagonal":
+        diag = q + 1 if shape == "upper" else q
+        f[diag, diag] = rng.normal(size=n_modes)
+    return f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n_modes=st.integers(min_value=1, max_value=20),
+    shape=st.sampled_from(["dense", "diagonal", "upper", "lower"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    t=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=12.0)),
+)
+def test_exponential_is_scipy_expm_bit_for_bit(n_modes, shape, seed, t):
+    generator = gaussian.apply_symplectic_form(random_generator(n_modes, shape, seed)) * t
+    lower, upper = np.tril(generator, -1).any(), np.triu(generator, 1).any()
+    assert (lower, upper) == {
+        "dense": (t > 0, t > 0), "diagonal": (False, False),
+        "upper": (False, t > 0), "lower": (t > 0, False),
+    }[shape]
+    assert np.array_equal(dynamics._expm(generator), expm(generator))
+
+
+def test_installed_scipy_takes_the_kernel_path():
+    # a silent fall back to scipy.linalg.expm would cost every command the
+    # import of scipy.linalg
+    assert isinstance(dynamics._expm, functools.partial)
+    assert dynamics._expm.func is dynamics._kernel_expm
+    assert dynamics._expm.args[0].__name__ == dynamics._EXPM_KERNEL
+
+
+def test_without_the_kernel_file_the_propagator_is_scipy_expm(monkeypatch, tmp_path):
+    cfg = cavity.standard_config(16)
+    f = cavity.hamiltonian_matrix(cfg)
+    want = dynamics.propagator(f, cfg.cycle_time)
+    fallback = dynamics._load_expm(str(tmp_path))  # a scipy directory with no kernel
+    assert fallback is expm
+    monkeypatch.setattr(dynamics, "_expm", fallback)
     assert np.array_equal(dynamics.propagator(f, cfg.cycle_time), want)
+
+
+@pytest.mark.parametrize(
+    "kernel_expm",
+    [
+        lambda kernel, a: kernel.pade_UV_calc(a, 2, 3),  # an older release's signature
+        lambda kernel, a: np.eye(len(a)),  # a kernel that runs but is wrong
+    ],
+    ids=["signature", "probe"],
+)
+def test_a_kernel_failing_its_probe_falls_back_to_scipy_expm(monkeypatch, kernel_expm):
+    monkeypatch.setattr(dynamics, "_kernel_expm", kernel_expm)
+    assert dynamics._load_expm(dynamics._SCIPY_DIR) is expm
 
 
 @pytest.mark.parametrize("modes", [4, 8])
@@ -173,10 +249,9 @@ def test_scipy_bundled_blas_runs_single_threaded():
     assert set(others.values()) == {2}
 
 
-def test_blas_thread_setting_is_a_no_op_without_a_bundled_copy(monkeypatch, tmp_path):
+def test_blas_thread_setting_is_a_no_op_without_a_bundled_copy(tmp_path):
     # a scipy built against a shared BLAS has no scipy.libs beside it; no error
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
-    dynamics._single_thread_scipy_blas()
+    dynamics._single_thread_scipy_blas(str(tmp_path / "scipy"))
 
 
 def test_evolve_preserves_symplectic_spectrum():

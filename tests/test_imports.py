@@ -5,18 +5,25 @@ listed here, so adding one, or removing one, shows as an edit.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import entfarm
+from entfarm import dynamics
 
 SRC = Path(entfarm.__file__).parent
 
 # (module, enclosing function or None at module level, imported name)
 ALLOWED = {
-    ("dynamics", None, "scipy"),  # locates scipy's bundled OpenBLAS
-    ("dynamics", None, "scipy.linalg.expm"),
+    # only where scipy's expm kernel is missing or fails its probe
+    ("dynamics", "_load_expm", "scipy.linalg.expm"),
     ("gaussian", "williamson_normal_form", "scipy.linalg.schur"),
 }
+# the one compiled module dynamics loads, from its file, instead of scipy.linalg
+KERNEL = "scipy.linalg._matfuncs_expm"
 # fock imports scipy.sparse only inside the functions that build a Fock space
 LAZY_ONLY = "fock"
 
@@ -51,3 +58,43 @@ def test_scipy_imports_are_the_allowed_set():
     lazy = {(m, scope, n) for m, scope, n in found if m == LAZY_ONLY and scope is not None}
     assert lazy, "fock's lazy scipy.sparse imports were not found"
     assert found - lazy == ALLOWED
+
+
+def test_dynamics_loads_the_pinned_kernel():
+    assert dynamics._EXPM_KERNEL == KERNEL
+
+
+# scipy.linalg and scipy.sparse modules loaded on import, after lognegplot,
+# when run-cycles first takes a Williamson form (its relative entropy's
+# Schur form, the one scipy.linalg import left), and after run-cycles
+LOADED_SCRIPT = """
+import json, sys, tempfile
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse")))
+import entfarm.cli
+from entfarm import cli, gaussian
+seen = {"import": loaded()}
+schur = gaussian.williamson_normal_form
+def williamson_normal_form(sigma):
+    seen.setdefault("williamson", loaded())
+    return schur(sigma)
+gaussian.williamson_normal_form = williamson_normal_form
+with tempfile.TemporaryDirectory() as out:
+    for argv in (["reproduce-fig", "lognegplot"], ["run-cycles"]):
+        assert cli.main(argv + ["--modes", "4", "--out", out]) == 0
+        seen[argv[-1]] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_commands_load_no_scipy_linalg_but_the_kernel():
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ENTFARM_")}
+    env.update(PYTHONPATH=str(SRC.parent), ENTFARM_RUN_N_CYCLES="3")
+    out = subprocess.run(
+        [sys.executable, "-c", LOADED_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["import"] == seen["lognegplot"] == seen["williamson"] == [KERNEL]
+    assert "scipy.linalg._decomp_schur" in seen["run-cycles"]
+    assert not any(m.startswith("scipy.sparse") for m in seen["run-cycles"])
