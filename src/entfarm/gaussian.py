@@ -21,9 +21,10 @@ import numpy as np
 PAIR_TOL = 1e-8
 # how far a symplectic eigenvalue may fall below 1 and still count as 1
 PHYSICAL_TOL = 1e-9
-# covariance two modes of different groups may have, relative to the
-# largest diagonal entry (or 1); 500 whole-matrix cycles at 128 modes left
-# 1.3e-17 between a nodal mode and the rest
+# covariance between modes of two groups of a cycle map, relative to the
+# state's largest diagonal entry (or 1), past which the map runs the state on
+# the whole matrices; 500 whole-matrix cycles at 128 modes left 1.3e-17
+# between a nodal mode and the rest
 ISOLATION_TOL = 1e-12
 
 
@@ -320,10 +321,6 @@ def _mode_rows(modes) -> np.ndarray:
     return (2 * np.asarray(modes, dtype=int)[:, None] + np.array([0, 1])).ravel()
 
 
-def _isolation_bound(sigma: np.ndarray) -> float:
-    return ISOLATION_TOL * max(1.0, float(np.abs(np.diagonal(sigma)).max()))
-
-
 class Partition:
     """Groups of modes (0-based positions) and the diagonal blocks that hold
     a matrix block diagonal on them.
@@ -394,45 +391,14 @@ class Partition:
             diag[rows] = np.diagonal(block, axis1=-2, axis2=-1)
         return diag[0::2] + diag[1::2]
 
-    def _cross(self, x: np.ndarray) -> np.ndarray:
-        """Largest |entry| of x between each pair of modes of different groups
-        (M x M, zero within a group)."""
+    def cross_max(self, x: np.ndarray) -> float:
+        """Largest |entry| of x between modes of different groups."""
+        if self.whole:
+            return 0.0
         n = self.n_modes
         cross = np.abs(x).reshape(n, 2, n, 2).max(axis=(1, 3))
         cross[self._label[:, None] == self._label[None, :]] = 0.0
-        return cross
-
-    def cross_max(self, x: np.ndarray) -> float:
-        """Largest |entry| of x between modes of different groups."""
-        return 0.0 if self.whole else float(self._cross(x).max())
-
-    def merged_by(self, sigma: np.ndarray) -> Partition:
-        """This partition with the groups that sigma correlates joined.
-
-        Two groups are joined when a covariance between their modes exceeds
-        ISOLATION_TOL times sigma's largest diagonal entry (or 1), the bound
-        that StateAnalysis checks; self when none does.  A joined group lists
-        its modes in ascending order and takes the place of its first member.
-        """
-        if self.whole:
-            return self
-        first, second = np.nonzero(self._cross(sigma) > _isolation_bound(sigma))
-        if not first.size:
-            return self
-        root = list(range(len(self.groups)))
-
-        def find(i: int) -> int:
-            while root[i] != i:
-                i = root[i]
-            return i
-
-        for m, n in zip(self._label[first], self._label[second]):
-            a, b = find(m), find(n)
-            root[max(a, b)] = min(a, b)
-        joined: dict[int, list[int]] = {}
-        for i, group in enumerate(self.groups):
-            joined.setdefault(find(i), []).extend(group)
-        return Partition([tuple(sorted(group)) for group in joined.values()], self.n_modes)
+        return float(cross.max())
 
 
 # ---------------------------------------------------------------------------
@@ -448,24 +414,21 @@ class StateAnalysis:
     von_neumann_entropy are this class applied to a bare matrix, and the
     thermo estimators read it too.
 
-    groups partitions the modes (0-based positions) into sets that the
-    caller knows sigma does not correlate, such as the parity sectors of a
-    cycle map and its nodal modes; None claims nothing.  Each group of two
-    or more modes is analysed on its own: its Cholesky factor T, its
-    log-determinant 2 sum log T_ii and its K^T K eigensolve.  A one-mode
-    group with 2x2 block s_m adds log det s_m to the log-determinant and
-    nu = sqrt(det s_m) to the spectrum.  A covariance between modes of
-    different groups above ISOLATION_TOL times the largest diagonal entry
-    (or 1) raises InvalidStateError on first use; smaller ones are dropped.
-    of_blocks holds a state by its diagonal blocks alone, as run_cycles
-    carries it, and restricted analyses a union of groups with the same
+    StateAnalysis(sigma) analyses the whole matrix.  of_blocks holds a state
+    by its diagonal blocks on a gaussian.Partition and no covariance between
+    the groups, as run_cycles carries it: each group of two or more modes is
+    analysed on its own (its Cholesky factor T, its log-determinant
+    2 sum log T_ii and its K^T K eigensolve), and a one-mode group with 2x2
+    block s_m adds log det s_m to the log-determinant and nu = sqrt(det s_m)
+    to the spectrum.  restricted analyses a union of groups with the same
     factorizations.
     """
 
-    def __init__(self, sigma: np.ndarray, groups=None):
+    def __init__(self, sigma: np.ndarray):
         self.sigma = _as_covariance(sigma)
         n = mode_count(self.sigma)
-        self.partition = Partition((tuple(range(n)),) if groups is None else groups, n)
+        self.partition = Partition((tuple(range(n)),), n)
+        self.blocks = [self.sigma]
 
     @classmethod
     def of_blocks(cls, partition: Partition, blocks: list[np.ndarray]) -> StateAnalysis:
@@ -481,18 +444,6 @@ class StateAnalysis:
     def sigma(self) -> np.ndarray:
         """The whole covariance matrix; an of_blocks analysis assembles it on first use."""
         return self.partition.join(self.blocks)
-
-    @cached_property
-    def blocks(self) -> list[np.ndarray]:
-        """sigma's diagonal blocks on the parts of partition, after the cross-group check."""
-        sigma = self.sigma
-        cross = self.partition.cross_max(sigma)
-        bound = _isolation_bound(sigma)
-        if cross > bound:
-            raise InvalidStateError(
-                f"modes of different groups have covariance {cross:.6g} (bound {bound:.3g})"
-            )
-        return self.partition.split(sigma)
 
     def _not_positive_definite(self) -> InvalidStateError:
         # only a failed check computes the least eigenvalue, for the message

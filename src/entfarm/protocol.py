@@ -111,28 +111,31 @@ class AffineMap:
         return _largest_entry(self.blocks[1])
 
     def apply(self, sigma: np.ndarray) -> np.ndarray:
-        """The field state after the map, from any field state.
-
-        The map's groups that sigma correlates are joined first, so the
-        update stays exact; a sigma that correlates every group is the
-        one-group case, d sigma d^T + q on the whole matrices.
-        """
-        sigma = gaussian._as_covariance(sigma)
-        if sigma.shape[0] != 2 * self.partition.n_modes:
-            raise ValueError(
-                f"field state shape {sigma.shape} does not match the map's "
-                f"{self.partition.n_modes} modes"
-            )
+        """The field state after the map, d sigma d^T + q, from any field state (_state)."""
         step, state = self._state(sigma)
         return step.partition.join(step._update(state))
 
     def _state(self, sigma: np.ndarray) -> tuple[AffineMap, list[np.ndarray]]:
-        """The map on its groups joined wherever sigma correlates them, and
-        sigma's blocks on those groups; sigma is not validated."""
-        partition = self.partition.merged_by(sigma)
-        step = self if partition is self.partition else AffineMap(
-            self.d, self.q, self.k, partition.groups
-        )
+        """The map that steps sigma and sigma's blocks on its partition.
+
+        The entry of apply, full_cycle and run_cycles: sigma is checked for
+        shape and symmetry (not physicality).  A sigma with a covariance
+        between two of the map's groups past gaussian.ISOLATION_TOL times its
+        largest diagonal entry (or 1) runs on the one-group map, the whole
+        matrices, so the update stays exact; any other runs on the groups,
+        and its smaller covariances between them are dropped.
+        """
+        sigma = gaussian._as_covariance(sigma)
+        n = self.partition.n_modes
+        if sigma.shape[0] != 2 * n:
+            raise ValueError(
+                f"field state shape {sigma.shape} does not match the map's {n} modes "
+                f"(mode count {sigma.shape[0] // 2})"
+            )
+        bound = gaussian.ISOLATION_TOL * max(1.0, float(np.abs(np.diagonal(sigma)).max()))
+        step = self
+        if self.partition.cross_max(sigma) > bound:
+            step = AffineMap(self.d, self.q, self.k, (tuple(range(n)),))
         return step, step.partition.split(sigma)
 
     def _update(self, state: list[np.ndarray]) -> list[np.ndarray]:
@@ -196,8 +199,8 @@ class CycleBlocks:
     def detector_out(self, sigma_f: np.ndarray) -> np.ndarray:
         """The detector state after one cycle from field state sigma_f, not validated:
         B sigma_f B^T + A A^T on the whole matrices."""
-        n = sigma_f.shape[0] // 2
-        return self._readout(gaussian.Partition((tuple(range(n)),), n), [sigma_f])
+        out = self.b @ sigma_f @ self.b.T + self.a @ self.a.T
+        return (out + out.T) / 2.0
 
     def _readout(self, partition: gaussian.Partition, state: list[np.ndarray]) -> np.ndarray:
         """detector_out of a field state given by its blocks on partition:
@@ -245,14 +248,15 @@ class CycleBlocks:
 class CycleStates:
     """The states around one cycle: the argument of every observable.
 
-    run_cycles carries the field as its diagonal blocks on the run's groups
-    (run_cycles says which), field_in_blocks before the cycle and
-    field_out_blocks after it, on the parts of partition.  field_in and
-    field_out assemble the whole matrices, and field_analysis analyses
-    field_out group by group, each only on first use.  run_cycles validates
-    its start once, on entry, and the update keeps every block exactly
-    symmetric, so nothing is validated again.  detector_in is the injected
-    ground state; only energy_input reads it.
+    run_cycles carries the field as its diagonal blocks on the partition of
+    the map that steps it (the cycle map's groups, or one group when the
+    start correlates them), field_in_blocks before the cycle and
+    field_out_blocks after it.  field_in and field_out assemble the whole
+    matrices, and field_analysis analyses field_out group by group, each
+    only on first use.  run_cycles validates its start once, on entry, and
+    the update keeps every block exactly symmetric, so nothing is validated
+    again.  detector_in is the injected ground state; only energy_input
+    reads it.
     """
 
     detector_in: np.ndarray
@@ -375,15 +379,22 @@ def full_cycle(sigma_f: np.ndarray, blocks: CycleBlocks) -> tuple[np.ndarray, np
 
     These are the diagonal blocks of the evolved joint state
     S (I_4 xor sigma_f) S^T, with S given by its blocks: blocks.detector_out
-    and blocks.field_map's update, run on the map's groups joined wherever
-    sigma_f correlates them (as AffineMap.apply does).  sigma_f is checked
-    for shape only.
+    and blocks.field_map's update, both on the partition that
+    AffineMap._state picks for sigma_f (the map's groups, or the whole
+    matrices for a sigma_f that correlates them).  sigma_f is checked for
+    shape and symmetry only.
     """
-    sigma_f = np.asarray(sigma_f, dtype=float)
-    if sigma_f.shape != blocks.d.shape:
-        raise ValueError("field state does not match the propagator mode count")
     step, state = blocks.field_map._state(sigma_f)
     return blocks._readout(step.partition, state), step.partition.join(step._update(state))
+
+
+def _checked_start(
+    field_map: AffineMap, sigma_f0: np.ndarray
+) -> tuple[AffineMap, list[np.ndarray]]:
+    """field_map._state of a copy of sigma_f0, checked once to be a physical state."""
+    step, state = field_map._state(np.array(sigma_f0, dtype=float))
+    gaussian.StateAnalysis.of_blocks(step.partition, state).physical_spectrum
+    return step, state
 
 
 def run_cycles(
@@ -406,22 +417,22 @@ def run_cycles(
     (or a non-finite one) raises GrowthOverflowError: the cycle map is
     expanding.
 
-    The field is carried as one block per group: the groups of
-    blocks.field_map (parity sectors and single nodal modes), joined once,
-    on entry, wherever sigma_f0 correlates them beyond gaussian.ISOLATION_TOL
-    (smaller covariances between groups are dropped).  The map never
+    A given sigma_f0 is checked once, on entry: its shape, its symmetry and
+    its physicality (InvalidStateError, as StateAnalysis.physical_spectrum
+    raises it).  The field is carried as one block per group of
+    blocks.field_map (parity sectors and single nodal modes), which never
     correlates two of its groups, so each cycle updates, reads out and
-    factors the groups one by one; a start that correlates everything runs
-    the same code on the whole matrices.
+    factors the groups one by one.  A start that correlates two groups
+    beyond gaussian.ISOLATION_TOL runs the same code on the whole matrices
+    (AffineMap._state); smaller covariances between groups are dropped.
     """
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
     blocks = blocks_for(config)
     if sigma_f0 is None:
-        sigma_f0 = gaussian.vacuum_state(config.n_field_modes)
+        step, state = blocks.field_map._state(gaussian.vacuum_state(config.n_field_modes))
     else:
-        sigma_f0 = gaussian.StateAnalysis(sigma_f0).sigma.copy()
-    step, state = blocks.field_map._state(sigma_f0)
+        step, state = _checked_start(blocks.field_map, sigma_f0)
     sigma_d0 = gaussian.vacuum_state(2)
     detector_freqs = cavity.joint_frequencies(config)[:2]
     field_freqs = cavity.mode_frequencies(config)

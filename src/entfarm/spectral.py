@@ -264,15 +264,14 @@ class ExtinctionScan:
     negativities[i] is E_N of the detector pair after cycle k_i + 1 with the
     field in its k_i-cycle state.  extinction_k is the smallest sampled k
     whose E_N is zero after an earlier positive value, None if extraction
-    never died (or never lived).  complete is False when the growth cap
-    ended the scan before 2^SCAN_DOUBLINGS cycles.
+    never died (or never lived).  The growth cap ended the scan early when
+    ks[-1] < 2^SCAN_DOUBLINGS.
     """
 
     ks: list[int]
     negativities: list[float]
     extinction_k: int | None
     spectral_estimate: float | None
-    complete: bool
 
 
 def extinction_scan(
@@ -284,12 +283,14 @@ def extinction_scan(
     block, so the scan costs SCAN_DOUBLINGS squarings of the map's groups.  If the unstable growth passes
     protocol.GROWTH_CAP while extraction is still live, the scan refines
     between the last good point and the cap with power_map before giving
-    up.
+    up.  A given sigma_f0 is checked once, as run_cycles checks it.
     """
     blocks = protocol.blocks_for(config)
     _, instability_n = timescales(field_spectrum(blocks.coupled_map))
     if sigma_f0 is None:
         sigma_f0 = gaussian.vacuum_state(config.n_field_modes)
+    else:
+        protocol._checked_start(blocks.field_map, sigma_f0)
 
     def negativity_after(power: AffineMap) -> float:
         return gaussian.log_negativity(blocks.detector_out(power.apply(sigma_f0)))
@@ -332,5 +333,4 @@ def extinction_scan(
         negativities=negs,
         extinction_k=extinction_k,
         spectral_estimate=instability_n,
-        complete=complete,
     )

@@ -59,16 +59,10 @@ class ThermalFit:
 
     beta: float
     thermal_entropy: float
-    frequencies: np.ndarray
 
     @property
     def temperature(self) -> float:
         return 1.0 / self.beta
-
-    @property
-    def thermal_sigma(self) -> np.ndarray:
-        """The matched thermal covariance, built on each access."""
-        return gaussian.thermal_state(self.frequencies, self.temperature)
 
 
 def log_density(sigma_b: np.ndarray) -> QuadraticLogDensity:
@@ -182,9 +176,7 @@ def _thermal_fit(state: gaussian.StateAnalysis, frequencies: np.ndarray) -> Ther
         if converged:
             break
     nus = gaussian.thermal_symplectic_eigenvalues(frequencies, 1.0 / beta)
-    return ThermalFit(
-        beta=beta, thermal_entropy=gaussian.entropy_of_spectrum(nus), frequencies=frequencies
-    )
+    return ThermalFit(beta=beta, thermal_entropy=gaussian.entropy_of_spectrum(nus))
 
 
 def thermality_estimator(sigma: np.ndarray, frequencies: np.ndarray) -> float:

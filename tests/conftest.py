@@ -55,7 +55,7 @@ def entropy_difference_check(
     agree for any valid state; disagreement flags an implementation bug.
     """
     fit = thermo.effective_temperature(sigma, frequencies)
-    direct = thermo.relative_entropy(sigma, fit.thermal_sigma)
+    direct = thermo.relative_entropy(sigma, gaussian.thermal_state(frequencies, fit.temperature))
     difference = fit.thermal_entropy - gaussian.von_neumann_entropy(sigma)
     return direct, difference
 
@@ -131,6 +131,13 @@ def whole_update(d: np.ndarray, q: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def whole_composition(first, after) -> tuple[np.ndarray, np.ndarray]:
     """(d, q) of the map that runs `first`, then `after`, on the whole matrices."""
     return after.d @ first.d, after.d @ first.q @ after.d.T + after.q
+
+
+def grouped_analysis(sigma: np.ndarray, groups) -> gaussian.StateAnalysis:
+    """The analysis of sigma held by its diagonal blocks on groups of modes,
+    as run_cycles holds a field state; covariances between groups are dropped."""
+    partition = gaussian.Partition(groups, sigma.shape[0] // 2)
+    return gaussian.StateAnalysis.of_blocks(partition, partition.split(sigma))
 
 
 def whole_analysis(sigma: np.ndarray) -> tuple[float, np.ndarray]:

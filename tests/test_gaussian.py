@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from entfarm import cavity, gaussian, protocol
-from conftest import random_covariance, random_symplectic
+from conftest import grouped_analysis, random_covariance, random_symplectic
 
 RNG = np.random.default_rng(20240807)
 
@@ -274,7 +274,7 @@ def test_split_entropy_matches_high_precision_oracle():
     groups = protocol.blocks_for(cfg).field_map.groups
     for cycle in (1, 5, 20):
         sigma = traj.records[cycle - 1].values["field"]
-        got = gaussian.StateAnalysis(sigma, groups).entropy
+        got = grouped_analysis(sigma, groups).entropy
         assert got == pytest.approx(mpmath_entropy(sigma), rel=1e-11, abs=0)
 
 
@@ -289,7 +289,7 @@ def test_split_analysis_factors_only_the_coupled_block(monkeypatch):
     shapes = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
-    state = gaussian.StateAnalysis(sigma, groups=[(0, 2), (1,)])
+    state = grouped_analysis(sigma, [(0, 2), (1,)])
     assert np.array_equal(state.restricted([0, 2]).sigma, coupled)
     np.testing.assert_allclose(state.physical_spectrum, sorted([*nus, nu], reverse=True),
                                rtol=1e-12, atol=0)
@@ -306,8 +306,11 @@ def test_state_analysis_is_freed_without_the_cycle_collector():
 
     coupled, _ = random_covariance(2, RNG)
     single, _ = random_covariance(1, RNG)
-    for sigma, groups in ((coupled, None), (block_diag(coupled, single), ((0, 1), (2,)))):
-        state = gaussian.StateAnalysis(sigma, groups)
+    for analyse in (
+        lambda: gaussian.StateAnalysis(coupled),
+        lambda: grouped_analysis(block_diag(coupled, single), ((0, 1), (2,))),
+    ):
+        state = analyse()
         coupled_part = state.restricted([0, 1])
         state.purity, state.entropy, coupled_part.entropy, coupled_part.purity
         alive = weakref.ref(coupled_part)
@@ -318,7 +321,7 @@ def test_state_analysis_is_freed_without_the_cycle_collector():
 def test_split_analysis_of_isolated_modes_only_factors_nothing(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", None)
     nus = np.array([3.0, 1.5])
-    state = gaussian.StateAnalysis(np.diag(np.repeat(nus, 2)), groups=((0,), (1,)))
+    state = grouped_analysis(np.diag(np.repeat(nus, 2)), ((0,), (1,)))
     assert state.partition.dense == [] and state.partition.singles == [0, 1]
     assert np.array_equal(state.physical_spectrum, nus)
     assert state.purity == pytest.approx(1.0 / np.prod(nus), rel=1e-15)
@@ -330,7 +333,7 @@ def test_restricted_analysis_reuses_the_factorizations_of_its_groups(monkeypatch
     pair, nus = random_covariance(2, RNG)
     (one, (nu,)), (other, _) = random_covariance(1, RNG), random_covariance(1, RNG)
     sigma = block_diag(pair, one, other)
-    state = gaussian.StateAnalysis(sigma, groups=((0, 1), (2,), (3,)))
+    state = grouped_analysis(sigma, ((0, 1), (2,), (3,)))
     state.entropy
     monkeypatch.setattr(np.linalg, "cholesky", None)
     part = state.restricted([2, 0, 1])
@@ -344,10 +347,10 @@ def test_restricted_analysis_reuses_the_factorizations_of_its_groups(monkeypatch
 def test_split_analysis_rejects_bad_positions_and_indefinite_modes():
     for groups in (((1,), (1,)), ((0,), (2,)), ((0,),)):
         with pytest.raises(ValueError, match="do not partition the 2 modes"):
-            gaussian.StateAnalysis(np.eye(4), groups=groups)
+            grouped_analysis(np.eye(4), groups)
     with pytest.raises(gaussian.InvalidStateError,
                        match=r"^covariance is not positive definite \(eigenvalue -1\)$"):
-        gaussian.StateAnalysis(np.diag([-1.0, -1.0, 1.0, 1.0]), groups=((0,), (1,))).purity
+        grouped_analysis(np.diag([-1.0, -1.0, 1.0, 1.0]), ((0,), (1,))).purity
 
 
 def test_energy_convention_validation():

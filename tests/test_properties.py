@@ -17,11 +17,13 @@ from scipy.optimize import linear_sum_assignment
 from entfarm import cavity, dynamics, gaussian, protocol, spectral, thermo
 from conftest import (
     eigvals_symplectic_eigenvalues,
+    grouped_analysis,
     random_covariance,
     random_symplectic,
     schur_fixed_point,
     whole_analysis,
     whole_composition,
+    whole_matrix_run,
     whole_update,
 )
 
@@ -181,7 +183,7 @@ def test_split_analysis_matches_the_whole_matrix(n_coupled, n_isolated, seed, ex
     freqs = np.random.default_rng(seed).uniform(0.1, 3.0, size=n_coupled + n_isolated)
     whole = gaussian.StateAnalysis(sigma)
     groups = split_groups(sigma, isolated)
-    split = gaussian.StateAnalysis(sigma, groups)
+    split = grouped_analysis(sigma, groups)
     assert split.restricted(groups[0]).sigma.shape == (2 * n_coupled, 2 * n_coupled)
     assert split.purity == pytest.approx(whole.purity, rel=1e-12, abs=0)
     assert split.entropy == pytest.approx(whole.entropy, rel=1e-12, abs=0)
@@ -191,21 +193,6 @@ def test_split_analysis_matches_the_whole_matrix(n_coupled, n_isolated, seed, ex
     assert thermo.thermality_of(split, freqs) == pytest.approx(
         thermo.thermality_of(whole, freqs), rel=1e-12, abs=0
     )
-
-
-@PROPERTY
-@given(**split_shapes)
-def test_split_analysis_rejects_a_correlated_isolated_mode(
-    n_coupled, n_isolated, seed, excitation
-):
-    sigma, isolated = split_state(n_coupled, n_isolated, seed, excitation)
-    bound = gaussian.ISOLATION_TOL * max(1.0, np.abs(np.diagonal(sigma)).max())
-    m = isolated[-1]
-    other = 0 if m else 1
-    sigma[2 * m, 2 * other] = sigma[2 * other, 2 * m] = 2.0 * bound
-    gaussian.StateAnalysis(sigma).purity  # still a physical state
-    with pytest.raises(gaussian.InvalidStateError, match="different groups"):
-        gaussian.StateAnalysis(sigma, split_groups(sigma, isolated)).purity
 
 
 @PROPERTY
@@ -221,7 +208,7 @@ def test_split_analysis_rejects_an_unphysical_isolated_mode(
     with pytest.raises(gaussian.InvalidStateError) as whole:
         gaussian.StateAnalysis(sigma).physical_spectrum
     with pytest.raises(gaussian.InvalidStateError) as split:
-        gaussian.StateAnalysis(sigma, split_groups(sigma, isolated)).physical_spectrum
+        grouped_analysis(sigma, split_groups(sigma, isolated)).physical_spectrum
     pattern = r"^symplectic eigenvalue (\S+) violates the uncertainty bound$"
     (want,) = re.fullmatch(pattern, str(whole.value)).groups()
     (got,) = re.fullmatch(pattern, str(split.value)).groups()
@@ -376,13 +363,14 @@ def test_grouped_update_and_composition_match_the_whole_matrices(sizes, seed):
 @PROPERTY
 @given(sizes=group_sizes, seed=seeds)
 def test_a_start_that_correlates_two_groups_merges_them(sizes, seed):
+    # into one group: such a state runs on the whole matrices
     assume(len(sizes) >= 2)
     rng = np.random.default_rng(seed)
     groups = random_groups(sizes, rng)
     step = block_diagonal_map(groups, rng)
     sigma = correlate(block_diagonal_state(groups, rng), groups[0], groups[1], rng)
     merged, _ = step._state(sigma)
-    assert merged.groups == (tuple(sorted(groups[0] + groups[1])), *groups[2:])
+    assert merged.partition.whole
     assert relative_gap(step.apply(sigma), whole_update(step.d, step.q, sigma)) <= 1e-12
     # full_cycle too, with a random detector readout and no injected noise
     rows = sigma.shape[0]
@@ -396,28 +384,36 @@ def test_a_start_that_correlates_two_groups_merges_them(sizes, seed):
 
 
 @PROPERTY
+@given(n_modes=st.integers(min_value=2, max_value=9), seed=seeds)
+def test_run_cycles_from_a_start_that_correlates_two_groups_is_the_whole_matrix_run(
+    n_modes, seed
+):
+    # the cavity's own map: parity sectors and nodal modes as groups
+    rng = np.random.default_rng(seed)
+    cfg = cavity.standard_config(n_modes)
+    blocks = protocol.blocks_for(cfg)
+    groups = blocks.field_map.groups
+    assume(len(groups) >= 2)
+    first, second = rng.choice(len(groups), size=2, replace=False)
+    sigma0 = correlate(block_diagonal_state(groups, rng), groups[first], groups[second], rng)
+    observables = dict(protocol.DIAGNOSTICS, whole=lambda s: s.partition.whole)
+    traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=3, observables=observables)
+    for record, want in zip(traj.records, whole_matrix_run(cfg, sigma0, 3)):
+        assert record.values.pop("whole")
+        assert record.values == pytest.approx(want, rel=1e-12, abs=0)
+    sigma = sigma0
+    for _ in range(3):
+        sigma = whole_update(blocks.d, blocks.field_map.q, sigma)
+    assert relative_gap(traj.final_field_sigma, sigma) <= 1e-12
+
+
+@PROPERTY
 @given(sizes=group_sizes, seed=seeds)
 def test_grouped_analysis_matches_the_whole_matrix_analysis(sizes, seed):
     rng = np.random.default_rng(seed)
     groups = random_groups(sizes, rng)
     sigma = block_diagonal_state(groups, rng)
     log_det, nus = whole_analysis(sigma)
-    partition = gaussian.Partition(groups, sigma.shape[0] // 2)
-    for state in (
-        gaussian.StateAnalysis(sigma, groups),
-        gaussian.StateAnalysis.of_blocks(partition, partition.split(sigma)),
-    ):
-        assert state.log_det == pytest.approx(log_det, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(state.physical_spectrum, nus, rtol=1e-12, atol=0)
-
-
-@PROPERTY
-@given(sizes=group_sizes, seed=seeds)
-def test_a_state_correlated_across_its_groups_is_rejected(sizes, seed):
-    assume(len(sizes) >= 2)
-    rng = np.random.default_rng(seed)
-    groups = random_groups(sizes, rng)
-    sigma = correlate(block_diagonal_state(groups, rng), groups[0], groups[1], rng)
-    gaussian.StateAnalysis(sigma).purity  # a physical state
-    with pytest.raises(gaussian.InvalidStateError, match="different groups"):
-        gaussian.StateAnalysis(sigma, groups).purity
+    state = grouped_analysis(sigma, groups)
+    assert state.log_det == pytest.approx(log_det, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(state.physical_spectrum, nus, rtol=1e-12, atol=0)

@@ -287,10 +287,11 @@ def test_run_cycles_validates_and_factors_each_field_state_once(monkeypatch):
     sigma0 = gaussian.thermal_state(cavity.mode_frequencies(cfg), 0.1)
     traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=n_cycles)
     assert all(list(r.values) == list(protocol.DIAGNOSTICS) for r in traj.records)
-    # one factorization per parity sector; the nodal modes are closed form
+    # one factorization per parity sector, each cycle and once more for the
+    # physicality check of sigma_f0; the nodal modes are closed form
     sectors = protocol.blocks_for(cfg).sectors
     assert [len(sector) for sector in sectors] == [3, 3]
-    assert calls["cholesky"] == n_cycles * len(sectors)
+    assert calls["cholesky"] == (n_cycles + 1) * len(sectors)
     assert calls["slogdet"] == 0
     # one per cycle's field_out, plus the entry check of sigma_f0
     assert calls["_as_covariance"] <= n_cycles + 1
@@ -348,8 +349,8 @@ def test_run_cycles_without_decoupled_modes_keeps_the_whole_field_route():
 
 def test_run_cycles_keeps_a_correlated_nodal_mode_in_the_factored_block():
     # mode 3 has a node at both detectors; a start that entangles it with
-    # mode 1 (two-mode squeezed) keeps that correlation, so the nodal mode
-    # joins the "+" sector of mode 1 and is factored with it
+    # mode 1 (two-mode squeezed) keeps that correlation, so the run factors
+    # the whole field, nodal mode included
     cfg = cavity.standard_config(4)
     assert cavity.decoupled_positions(cfg) == [2]
     assert protocol.blocks_for(cfg).field_map.groups == ((0,), (1, 3), (2,))
@@ -357,13 +358,36 @@ def test_run_cycles_keeps_a_correlated_nodal_mode_in_the_factored_block():
     sigma0 = np.eye(8)
     sigma0[[0, 1, 4, 5], [0, 1, 4, 5]] = c
     sigma0[[0, 1], [4, 5]] = sigma0[[4, 5], [0, 1]] = np.sqrt(c * c - 1.0) * np.array([1.0, -1.0])
-    observables = dict(protocol.DIAGNOSTICS, states=lambda s: s)
+    observables = dict(protocol.DIAGNOSTICS, whole=lambda s: s.partition.whole)
     traj = protocol.run_cycles(cfg, sigma_f0=sigma0, n_cycles=2, observables=observables)
-    for r in traj.records:
-        states = r.values["states"]
-        assert states.partition.groups == ((0, 2), (1, 3))
-        want = whole_matrix_diagnostics(states)["field_purity"]
-        assert r.field_purity == pytest.approx(want, rel=1e-12, abs=0)
+    for r, want in zip(traj.records, whole_matrix_run(cfg, sigma0, 2)):
+        assert r.values.pop("whole")
+        assert r.values == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_run_cycles_rejects_a_start_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"does not match the map's 8 modes \(mode count 6\)"):
+        protocol.run_cycles(cavity.standard_config(8), sigma_f0=gaussian.vacuum_state(6))
+
+
+def test_run_cycles_rejects_an_unphysical_start():
+    # every symplectic eigenvalue of 0.5 I is 0.5
+    with pytest.raises(gaussian.InvalidStateError, match="0.5 violates the uncertainty bound"):
+        protocol.run_cycles(cavity.standard_config(8), sigma_f0=0.5 * np.eye(16), n_cycles=3)
+
+
+def test_run_cycles_checks_a_given_start_once_and_the_vacuum_never(monkeypatch):
+    # with no observables only the physicality check of the start eigensolves,
+    # once per parity sector; the nodal modes are closed form
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    cfg = small_config()
+    protocol.run_cycles(cfg, n_cycles=3, observables={})
+    assert shapes == []
+    hot = gaussian.thermal_state(cavity.mode_frequencies(cfg), 0.5)
+    protocol.run_cycles(cfg, sigma_f0=hot, n_cycles=3, observables={})
+    assert shapes == [(6, 6), (6, 6)]
 
 
 def test_run_cycles_factors_no_more_rows_than_the_largest_group(monkeypatch):

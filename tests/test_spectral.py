@@ -427,7 +427,7 @@ def _random_field_state(n_modes, rng):
 def test_extinction_scan_uncoupled_never_lives():
     cfg = window_config(coupling=0.0)
     scan = spectral.extinction_scan(cfg)
-    assert scan.complete
+    assert scan.ks[-1] == 2**spectral.SCAN_DOUBLINGS
     assert scan.extinction_k is None
     assert scan.spectral_estimate is None
     assert all(e == 0.0 for e in scan.negativities)
@@ -436,7 +436,7 @@ def test_extinction_scan_uncoupled_never_lives():
 def test_extinction_scan_stable_window_never_dies():
     cfg = window_config(cycle_time=20.0)
     scan = spectral.extinction_scan(cfg)
-    assert scan.complete
+    assert scan.ks[-1] == 2**spectral.SCAN_DOUBLINGS
     assert scan.extinction_k is None
     assert scan.spectral_estimate is None
     assert all(e > 0.0 for e in scan.negativities)
@@ -469,6 +469,21 @@ def test_extinction_scan_estimate_is_the_coupled_instability_time():
     # no mode couples to the detectors: nothing converges or grows
     nodal = cavity.CavityConfig(mode_numbers=(3, 6))
     assert spectral.extinction_scan(nodal).spectral_estimate is None
+
+
+def test_extinction_scan_checks_a_given_start_once(monkeypatch):
+    cfg = window_config(cycle_time=20.0)
+    with pytest.raises(gaussian.InvalidStateError, match="violates the uncertainty bound"):
+        spectral.extinction_scan(cfg, sigma_f0=0.5 * np.eye(2 * cfg.n_field_modes))
+    # one symmetric eigensolve per group of two or more modes, not one per sample
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    hot = gaussian.thermal_state(cavity.mode_frequencies(cfg), 0.5)
+    scan = spectral.extinction_scan(cfg, sigma_f0=hot)
+    assert len(scan.ks) == spectral.SCAN_DOUBLINGS + 1
+    dense = [g for g in protocol.blocks_for(cfg).field_map.groups if len(g) > 1]
+    assert shapes == [(2 * len(g),) * 2 for g in dense]
 
 
 def per_k_scan(cfg, k_grid):
@@ -505,7 +520,6 @@ def test_extinction_scan_walks_one_doubling_chain(modes, monkeypatch):
     monkeypatch.setattr(AffineMap, "then", lambda a, b: calls.append(b.k) or then(a, b))
     scan = spectral.extinction_scan(cfg)
     monkeypatch.undo()
-    assert scan.complete
     assert scan.ks == [2**j for j in range(31)]
     # one squaring per doubling; composing each grid point afresh took 465
     assert len(calls) <= len(scan.ks)
@@ -522,6 +536,6 @@ def test_extinction_scan_overflow_matches_power_map(monkeypatch):
     grid = [2**j for j in range(31)]
     monkeypatch.setattr(protocol, "GROWTH_CAP", cap)
     scan = spectral.extinction_scan(cfg)
-    assert not scan.complete
+    assert scan.ks[-1] < 2**spectral.SCAN_DOUBLINGS
     assert scan.ks[:11] == grid[:11] and max(scan.ks) < 2**11
     assert (scan.ks, scan.negativities) == per_k_scan(cfg, grid)

@@ -113,7 +113,7 @@ def test_effective_temperature_round_trip():
     sigma = gaussian.thermal_state(freqs, 0.7)
     fit = thermo.effective_temperature(sigma, freqs)
     assert fit.temperature == pytest.approx(0.7, rel=1e-8)
-    assert np.allclose(fit.thermal_sigma, sigma, rtol=1e-8)
+    assert np.allclose(gaussian.thermal_state(freqs, fit.temperature), sigma, rtol=1e-8)
 
 
 def test_thermal_fit_builds_no_dense_thermal_state(monkeypatch):
@@ -144,7 +144,7 @@ def test_effective_temperature_of_squeezed_mode():
     fit = thermo.effective_temperature(sigma, [omega])
     assert fit.temperature == pytest.approx(t_oracle, rel=1e-8)
     want = gaussian.energy(sigma, [omega], "paper")
-    got = gaussian.energy(fit.thermal_sigma, [omega], "paper")
+    got = gaussian.energy(gaussian.thermal_state([omega], fit.temperature), [omega], "paper")
     assert got == pytest.approx(want, rel=1e-10)
 
 
