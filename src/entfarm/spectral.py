@@ -283,17 +283,25 @@ def extinction_scan(
     block, so the scan costs SCAN_DOUBLINGS squarings of the map's groups.  If the unstable growth passes
     protocol.GROWTH_CAP while extraction is still live, the scan refines
     between the last good point and the cap with power_map before giving
-    up.  A given sigma_f0 is checked once, as run_cycles checks it.
+    up.  The start is checked (a given sigma_f0, as run_cycles checks it)
+    and split on the map's groups once, not once per sample.
     """
     blocks = protocol.blocks_for(config)
     _, instability_n = timescales(field_spectrum(blocks.coupled_map))
     if sigma_f0 is None:
         sigma_f0 = gaussian.vacuum_state(config.n_field_modes)
+        step, state = blocks.field_map._state(sigma_f0)
     else:
-        protocol._checked_start(blocks.field_map, sigma_f0)
+        step, state = protocol._checked_start(blocks.field_map, sigma_f0)
 
     def negativity_after(power: AffineMap) -> float:
-        return gaussian.log_negativity(blocks.detector_out(power.apply(sigma_f0)))
+        # every power shares field_map's groups, so the start split once
+        # steps on each; a start across groups runs on whole matrices
+        if step is blocks.field_map:
+            sigma = power.partition.join(power._update(state))
+        else:
+            sigma = power.apply(sigma_f0)
+        return gaussian.log_negativity(blocks.detector_out(sigma))
 
     ks: list[int] = []
     negs: list[float] = []

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
 
 from entfarm import cavity, dynamics, fock, gaussian
 from conftest import evolve
@@ -20,25 +19,51 @@ def gaussian_covariance(cav):
 DENSE_CAP = 8192
 
 
+def dense_hamiltonian(frequencies, couplings, cutoff: int) -> np.ndarray:
+    """sum_i w_i n_i + sum g q_i q_j as a dense matrix of Kronecker products.
+
+    The oracle for fock.oscillator_hamiltonian, built from its own ladder
+    operator with np.kron alone; oscillator 0 is the leftmost factor.
+    """
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    q = (a + a.T) / np.sqrt(2.0)
+    number = a.T @ a
+    n_sites = len(frequencies)
+
+    def embed(factors):
+        """The Kronecker product with factors[k] at site k, the identity elsewhere."""
+        out = np.ones((1, 1))
+        for k in range(n_sites):
+            out = np.kron(out, factors.get(k, np.eye(cutoff)))
+        return out
+
+    h = sum(w * embed({site: number}) for site, w in enumerate(frequencies))
+    for i, j, g in couplings:
+        factors = {i: q}
+        factors[j] = factors.get(j, np.eye(cutoff)) @ q
+        h = h + g * embed(factors)
+    return h
+
+
 def build_hamiltonian(config: fock.FockConfig) -> np.ndarray:
     """Dense Hermitian Hamiltonian of detectors plus retained field modes."""
     if config.dimension > DENSE_CAP:
         raise fock.TooLargeError(
             f"dense Hamiltonian at dimension {config.dimension} exceeds {DENSE_CAP}; "
-            "use evolve_and_covariance, which stays sparse"
+            "use evolve_and_covariance, which never forms H"
         )
     freqs, couplings = fock._system_couplings(config)
-    h = fock.oscillator_hamiltonian(freqs, couplings, config.cutoff).toarray()
-    defect = np.max(np.abs(h - h.conj().T))
-    if defect > 1e-12:
-        raise ValueError(f"hamiltonian assembly lost hermiticity ({defect:.3e})")
-    return h
+    return dense_hamiltonian(freqs, couplings, config.cutoff)
+
+
+def operator_matrix(config: fock.FockConfig) -> np.ndarray:
+    """fock's Hamiltonian of config as a matrix, one column H e_k per basis vector."""
+    h = fock.oscillator_hamiltonian(*fock._system_couplings(config), config.cutoff)
+    return np.column_stack([h @ e for e in np.eye(config.dimension)])
 
 
 def energy_expectation(config: fock.FockConfig, psi: np.ndarray) -> float:
-    freqs, couplings = fock._system_couplings(config)
-    h = fock.oscillator_hamiltonian(freqs, couplings, config.cutoff)
-    return float(np.vdot(psi, h @ psi).real)
+    return float(np.vdot(psi, build_hamiltonian(config) @ psi).real)
 
 
 # ---------------------------------------------------------------------------
@@ -67,14 +92,40 @@ def test_dense_hamiltonian_rejects_large_dimension():
 
 
 def test_hamiltonian_is_hermitian():
-    h = build_hamiltonian(fock.FockConfig(one_mode_config(), 6))
+    h = operator_matrix(fock.FockConfig(one_mode_config(), 6))
     assert np.max(np.abs(h - h.conj().T)) < 1e-12
+
+
+def random_couplings(rng, n_sites: int) -> list[tuple[int, int, float]]:
+    """Couplings between random distinct sites, in either order, one of them zero."""
+    couplings = []
+    for _ in range(2 * n_sites):
+        i, j = rng.permutation(n_sites)[:2]
+        couplings.append((int(i), int(j), float(rng.normal())))
+    return couplings + [(n_sites - 1, 0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "n_sites,cutoff",
+    [(2, c) for c in range(2, 9)] + [(3, c) for c in range(2, 9)] + [(4, c) for c in range(2, 7)],
+)
+def test_hamiltonian_action_matches_kronecker_oracle(n_sites, cutoff):
+    # 4 sites stop at cutoff 6, where the dense oracle is 1296 x 1296
+    rng = np.random.default_rng(100 * n_sites + cutoff)
+    freqs = rng.uniform(0.5, 2.0, n_sites)
+    couplings = random_couplings(rng, n_sites)
+    h = fock.oscillator_hamiltonian(freqs, couplings, cutoff)
+    dense = dense_hamiltonian(freqs, couplings, cutoff)
+    for _ in range(3):
+        x = rng.normal(size=cutoff**n_sites) + 1j * rng.normal(size=cutoff**n_sites)
+        want = dense @ x
+        assert np.abs(h @ x - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_uncoupled_hamiltonian_is_diagonal_number_sum():
     cav = one_mode_config(coupling=0.0)
     cutoff = 4
-    h = build_hamiltonian(fock.FockConfig(cav, cutoff))
+    h = operator_matrix(fock.FockConfig(cav, cutoff))
     omega_d = cav.detector_frequency
     omega_f = cavity.mode_frequencies(cav)[0]
     expected = np.zeros(cutoff**3)
@@ -94,8 +145,7 @@ def test_ground_energy_matches_second_order_perturbation():
     omega_d = cav.detector_frequency
     omega_f = cavity.mode_frequencies(cav)[0]
     g = 2.0 * cav.coupling * np.sin(np.pi * cav.x1 / cav.length) / np.sqrt(np.pi)
-    h = fock.oscillator_hamiltonian([omega_d, omega_f], [(0, 1, g)], 16).toarray()
-    ground = eigh(h, eigvals_only=True)[0]
+    ground = np.linalg.eigvalsh(dense_hamiltonian([omega_d, omega_f], [(0, 1, g)], 16))[0]
     perturbative = -(g**2) / (4.0 * (omega_d + omega_f))
     assert ground == pytest.approx(perturbative, rel=0.05)
 
@@ -116,10 +166,8 @@ def test_norm_conserved():
 
 
 def test_norm_drift_raises_a_typed_error(monkeypatch):
-    import scipy.sparse.linalg
-
     cfg = fock.FockConfig(one_mode_config(), 6)
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda a, b: (1.0 + 1e-9) * b)
+    monkeypatch.setattr(fock, "_taylor_action", lambda h, psi, t: (1.0 + 1e-9) * psi)
     with pytest.raises(fock.NormDriftError, match="norm drifted"):
         fock.evolve_ground_state(cfg, 20.0)
 
@@ -141,12 +189,12 @@ def test_leakage_gate_trips_on_tiny_cutoff():
 
 def dense_evolution(config: fock.FockConfig, t: float) -> np.ndarray:
     """exp(-iHt) on the ground state through a full eigendecomposition of H."""
-    energies, vectors = eigh(build_hamiltonian(config))
+    energies, vectors = np.linalg.eigh(build_hamiltonian(config))
     psi0 = fock._ground_state(config.dimension)
     return vectors @ (np.exp(-1j * energies * t) * (vectors.conj().T @ psi0))
 
 
-def test_dense_and_krylov_paths_agree():
+def test_dense_and_taylor_paths_agree():
     # cutoff 14 (dimension 2744) is well past where the dense route is cheap
     cfg = fock.FockConfig(one_mode_config(), 14)
     sd = fock.state_covariance(dense_evolution(cfg, 20.0), cfg.n_oscillators, cfg.cutoff)
@@ -154,15 +202,16 @@ def test_dense_and_krylov_paths_agree():
     np.testing.assert_allclose(sd, sk, atol=1e-10)
 
 
-def test_krylov_state_matches_dense_oracle_in_verify_sizes():
-    # the two truncations `verify` runs: 1 field mode at cutoff 8, 2 at cutoff 6
+def test_taylor_state_matches_dense_oracle_in_verify_sizes():
+    # the two truncations `verify` runs: 1 field mode at cutoff 8, 2 at cutoff 6;
+    # 1e-13 sits below scipy expm_multiply's error here (1.45e-12 and 5.2e-13)
     for cfg in (
         fock.FockConfig(one_mode_config(), 8),
         fock.FockConfig(cavity.standard_config(2), 6),
     ):
         t = cfg.cavity_config.cycle_time
         np.testing.assert_allclose(
-            fock.evolve_ground_state(cfg, t), dense_evolution(cfg, t), rtol=0, atol=1e-10
+            fock.evolve_ground_state(cfg, t), dense_evolution(cfg, t), rtol=0, atol=1e-13
         )
 
 

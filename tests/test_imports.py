@@ -24,8 +24,6 @@ ALLOWED = {
 }
 # the one compiled module dynamics loads, from its file, instead of scipy.linalg
 KERNEL = "scipy.linalg._matfuncs_expm"
-# fock imports scipy.sparse only inside the functions that build a Fock space
-LAZY_ONLY = "fock"
 
 
 def scipy_imports() -> set[tuple[str, str | None, str]]:
@@ -54,10 +52,7 @@ def scipy_imports() -> set[tuple[str, str | None, str]]:
 
 
 def test_scipy_imports_are_the_allowed_set():
-    found = scipy_imports()
-    lazy = {(m, scope, n) for m, scope, n in found if m == LAZY_ONLY and scope is not None}
-    assert lazy, "fock's lazy scipy.sparse imports were not found"
-    assert found - lazy == ALLOWED
+    assert scipy_imports() == ALLOWED
 
 
 def test_dynamics_loads_the_pinned_kernel():
@@ -87,14 +82,33 @@ print(json.dumps(seen))
 """
 
 
-def test_commands_load_no_scipy_linalg_but_the_kernel():
+def run_script(script: str) -> object:
+    """The JSON a script prints last, run in a fresh process on this library."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("ENTFARM_")}
     env.update(PYTHONPATH=str(SRC.parent), ENTFARM_RUN_N_CYCLES="3")
     out = subprocess.run(
-        [sys.executable, "-c", LOADED_SCRIPT],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
-    seen = json.loads(out.splitlines()[-1])
+    return json.loads(out.splitlines()[-1])
+
+
+def test_commands_load_no_scipy_linalg_but_the_kernel():
+    seen = run_script(LOADED_SCRIPT)
     assert seen["import"] == seen["lognegplot"] == seen["williamson"] == [KERNEL]
     assert "scipy.linalg._decomp_schur" in seen["run-cycles"]
     assert not any(m.startswith("scipy.sparse") for m in seen["run-cycles"])
+
+
+# every scipy module loaded after verify: the Fock oracle runs on numpy alone
+VERIFY_SCRIPT = """
+import json, sys, tempfile
+from entfarm import cli
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(["verify", "--out", out])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_verify_loads_no_scipy_but_the_kernel():
+    assert run_script(VERIFY_SCRIPT) == [0, [KERNEL]]

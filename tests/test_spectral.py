@@ -486,6 +486,40 @@ def test_extinction_scan_checks_a_given_start_once(monkeypatch):
     assert shapes == [(2 * len(g),) * 2 for g in dense]
 
 
+def test_extinction_scan_validates_its_start_once(monkeypatch):
+    cfg = cavity.standard_config(8)
+    field = (2 * cfg.n_field_modes,) * 2
+    shapes = []
+    original = gaussian._as_covariance
+
+    def as_covariance(sigma):
+        shapes.append(np.shape(sigma))
+        return original(sigma)
+
+    monkeypatch.setattr(gaussian, "_as_covariance", as_covariance)
+    hot = gaussian.thermal_state(cavity.mode_frequencies(cfg), 0.5)
+    for start in (None, hot):
+        shapes.clear()
+        scan = spectral.extinction_scan(cfg, sigma_f0=start)
+        assert len(scan.ks) == spectral.SCAN_DOUBLINGS + 1
+        assert shapes.count(field) == 1
+
+
+def test_extinction_scan_from_a_start_across_groups_runs_on_whole_matrices():
+    cfg = cavity.standard_config(8)
+    blocks = protocol.blocks_for(cfg)
+    first, second = blocks.field_map.groups[:2]
+    start = gaussian.thermal_state(cavity.mode_frequencies(cfg), 0.5)
+    a, b = 2 * first[0], 2 * second[0]
+    start[a, b] = start[b, a] = 0.05  # q-q correlation between two sectors
+    scan = spectral.extinction_scan(cfg, sigma_f0=start)
+    assert max(scan.negativities) > 0.0
+    assert scan.negativities == [
+        gaussian.log_negativity(blocks.detector_out(spectral.power_map(blocks, k).apply(start)))
+        for k in scan.ks
+    ]
+
+
 def per_k_scan(cfg, k_grid):
     """(ks, negativities) of the scan with every k composed afresh by power_map."""
     blocks = protocol.blocks_for(cfg)
