@@ -132,8 +132,8 @@ def _coupled_fixed_point(blocks: protocol.CycleBlocks):
     restricted to the parity sectors, is the field state on the same modes.
     """
     try:
-        star = spectral.fixed_point(blocks.coupled_map).sigma_star
-        gaussian.assert_physical(star)
+        star = gaussian.StateAnalysis(spectral.fixed_point(blocks.coupled_map).sigma_star)
+        star.physical_spectrum  # checked on the Cholesky factor log_density reads
         return thermo.log_density(star)
     except NUMERICAL_ERRORS + (ValueError,) as exc:
         _warn_blank(_REL_ENTROPY, exc)

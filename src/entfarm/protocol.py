@@ -20,9 +20,9 @@ import numpy as np
 from entfarm import cavity, dynamics, gaussian, thermo
 from entfarm.gaussian import InvalidStateError
 
-# largest covariance entry a cycle or a composed map may reach: past it the
-# cycle map is expanding, and double precision can no longer resolve the
-# uncertainty bound of the state it drives
+# largest |entry| a field state, or the d or q of a composed map, may reach
+# (checked as not x <= GROWTH_CAP, so NaN fails too): past it the cycle map is
+# expanding, and double precision cannot resolve the uncertainty bound
 GROWTH_CAP = 1e12
 
 
@@ -106,9 +106,10 @@ class AffineMap:
         return self.partition.split(self.d), self.partition.split(self.q)
 
     @property
-    def q_max(self) -> float:
-        """Largest |entry| of q, read off its blocks."""
-        return _largest_entry(self.blocks[1])
+    def entry_max(self) -> float:
+        """Largest |entry| of d and q, read off their blocks; NaN if any entry is NaN."""
+        d_blocks, q_blocks = self.blocks
+        return _largest_entry(d_blocks + q_blocks)
 
     def apply(self, sigma: np.ndarray) -> np.ndarray:
         """The field state after the map, d sigma d^T + q, from any field state (_state)."""
@@ -198,9 +199,9 @@ class CycleBlocks:
 
     def detector_out(self, sigma_f: np.ndarray) -> np.ndarray:
         """The detector state after one cycle from field state sigma_f, not validated:
-        B sigma_f B^T + A A^T on the whole matrices."""
-        out = self.b @ sigma_f @ self.b.T + self.a @ self.a.T
-        return (out + out.T) / 2.0
+        B sigma_f B^T + A A^T, _readout on the whole matrices."""
+        n = self.d.shape[0] // 2
+        return self._readout(gaussian.Partition((tuple(range(n)),), n), [sigma_f])
 
     def _readout(self, partition: gaussian.Partition, state: list[np.ndarray]) -> np.ndarray:
         """detector_out of a field state given by its blocks on partition:
@@ -389,9 +390,12 @@ def full_cycle(sigma_f: np.ndarray, blocks: CycleBlocks) -> tuple[np.ndarray, np
 
 
 def _checked_start(
-    field_map: AffineMap, sigma_f0: np.ndarray
+    field_map: AffineMap, sigma_f0: np.ndarray | None
 ) -> tuple[AffineMap, list[np.ndarray]]:
-    """field_map._state of a copy of sigma_f0, checked once to be a physical state."""
+    """field_map._state of a copy of sigma_f0, checked once to be a physical
+    state; None starts from the vacuum, which is split unchecked."""
+    if sigma_f0 is None:
+        return field_map._state(gaussian.vacuum_state(field_map.partition.n_modes))
     step, state = field_map._state(np.array(sigma_f0, dtype=float))
     gaussian.StateAnalysis.of_blocks(step.partition, state).physical_spectrum
     return step, state
@@ -429,10 +433,7 @@ def run_cycles(
     if n_cycles < 1:
         raise ValueError("need at least one cycle")
     blocks = blocks_for(config)
-    if sigma_f0 is None:
-        step, state = blocks.field_map._state(gaussian.vacuum_state(config.n_field_modes))
-    else:
-        step, state = _checked_start(blocks.field_map, sigma_f0)
+    step, state = _checked_start(blocks.field_map, sigma_f0)
     sigma_d0 = gaussian.vacuum_state(2)
     detector_freqs = cavity.joint_frequencies(config)[:2]
     field_freqs = cavity.mode_frequencies(config)

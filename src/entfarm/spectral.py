@@ -203,7 +203,7 @@ def _square(power: AffineMap, k: int, k_done: int) -> AffineMap:
     """
     cap = protocol.GROWTH_CAP
     square = power.then(power)
-    if square.q_max > cap:
+    if not square.entry_max <= cap:
         raise GrowthOverflowError(
             f"composed map norm exceeded {cap:g} at 2^{int(math.log2(square.k))} "
             f"cycles while assembling k={k}",
@@ -217,8 +217,8 @@ def power_map(blocks: CycleBlocks, k: int) -> AffineMap:
 
     Cost O(log k) products of the map's group blocks (AffineMap.then),
     exact up to rounding; the result holds only those blocks.  In the unstable
-    regime the inhomogeneous part grows without bound; when its max norm
-    passes protocol.GROWTH_CAP the computation aborts with
+    regime the composed map grows without bound; when an entry of its d or q
+    passes protocol.GROWTH_CAP, or is not finite, the computation aborts with
     GrowthOverflowError whose k_reached attribute reports the largest
     completed composition, 0 when the one-cycle map itself is over the cap.
     For k = 2^j the result is the j-th squaring of the one-cycle map.
@@ -227,7 +227,7 @@ def power_map(blocks: CycleBlocks, k: int) -> AffineMap:
         raise ValueError("cycle count must be >= 1")
     cap = protocol.GROWTH_CAP
     power = blocks.field_map
-    if power.q_max > cap:
+    if not power.entry_max <= cap:
         raise GrowthOverflowError(
             f"cycle map norm exceeded {cap:g} at 1 cycle while assembling k={k}",
             k_reached=0,
@@ -237,7 +237,7 @@ def power_map(blocks: CycleBlocks, k: int) -> AffineMap:
     while True:
         if kk & 1:
             acc = power if acc is None else acc.then(power)
-            if acc.q_max > cap:
+            if not acc.entry_max <= cap:
                 raise GrowthOverflowError(
                     f"composed map norm exceeded {cap:g} while assembling k={k}",
                     k_reached=max(acc.k - power.k, power.k),
@@ -288,11 +288,7 @@ def extinction_scan(
     """
     blocks = protocol.blocks_for(config)
     _, instability_n = timescales(field_spectrum(blocks.coupled_map))
-    if sigma_f0 is None:
-        sigma_f0 = gaussian.vacuum_state(config.n_field_modes)
-        step, state = blocks.field_map._state(sigma_f0)
-    else:
-        step, state = protocol._checked_start(blocks.field_map, sigma_f0)
+    step, state = protocol._checked_start(blocks.field_map, sigma_f0)
 
     def negativity_after(power: AffineMap) -> float:
         # every power shares field_map's groups, so the start split once

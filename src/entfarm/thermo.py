@@ -3,7 +3,7 @@
 Relative entropy between two Gaussian states, the closest thermal state at
 equal energy, and the entropy-ratio thermality estimator.  The reference
 state enters through its quadratic log-density log rho = c + sum H_ij x_i x_j,
-whose coefficients follow from the Williamson normal form.
+whose coefficients are read off the state's own Cholesky factor.
 """
 
 from __future__ import annotations
@@ -65,42 +65,44 @@ class ThermalFit:
         return 1.0 / self.beta
 
 
-def log_density(sigma_b: np.ndarray) -> QuadraticLogDensity:
+def log_density(state: gaussian.StateAnalysis) -> QuadraticLogDensity:
     """Quadratic log-density coefficients (c, H) of a mixed Gaussian state.
 
-    With sigma_B = S D S^T (Williamson) the diagonal form has per-mode
-    coefficients H_k = (1/2) log((nu_k - 1)/(nu_k + 1)) and the constant is
-    c = sum_k (1/2) log(4 / (nu_k^2 - 1)).  Transforming back gives
-    H = S^{-T} H_diag S^{-1}.  A symplectic eigenvalue within PURE_TOL of 1
-    makes the coefficients diverge and raises DivergentLogDensityError.
+    Read off the state's Cholesky factor sigma = T T^T: with K = T^T Omega T
+    and K^T K = U diag(s) U^T (each s = nu^2 twice), the Williamson form
+    sigma = S D S^T has S^-1 T = D^(1/2) Q^T, Q orthogonal with
+    Q D^2 Q^T = K^T K.  So H = S^-T diag((1/2) log((nu - 1)/(nu + 1))) S^-1
+    = W diag(phi(s)) W^T with W = T^-T U and phi(s) = (1/2) sqrt(s)
+    log((sqrt(s) - 1)/(sqrt(s) + 1)); c = (1/4) sum log(4 / (s - 1)) over all
+    2N eigenvalues.  A symplectic eigenvalue within PURE_TOL of 1 makes the
+    coefficients diverge and raises DivergentLogDensityError.
     """
-    s, d = gaussian.williamson_normal_form(sigma_b)
-    nus = np.diag(d)[0::2]
+    k = gaussian._factor_form(state.factor)
+    s, u = np.linalg.eigh(k.T @ k)
+    nus = np.sqrt(np.maximum(s, 0.0))
     if np.any(nus <= 1.0 + PURE_TOL):
         raise DivergentLogDensityError(
             f"symplectic eigenvalue {nus.min():.12g} is too close to 1; "
             "log-density coefficients diverge for pure directions"
         )
-    c = float(np.sum(0.5 * np.log(4.0 / (nus**2 - 1.0))))
-    h_diag = np.repeat(0.5 * np.log((nus - 1.0) / (nus + 1.0)), 2)
-    omega = gaussian.symplectic_form(len(nus))
-    s_inv = -omega @ s.T @ omega  # symplectic inverse
-    h = s_inv.T @ np.diag(h_diag) @ s_inv
+    c = float(np.sum(0.25 * np.log(4.0 / (s - 1.0))))
+    w = np.linalg.solve(state.factor.T, u)
+    h = (w * (0.5 * nus * np.log((nus - 1.0) / (nus + 1.0)))) @ w.T
     return QuadraticLogDensity(c=c, h=(h + h.T) / 2.0)
 
 
 def relative_entropy(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
     """Quantum relative entropy S(rho_A || rho_B) between Gaussian states.
 
-    Evaluates log_density(sigma_b).relative_entropy(StateAnalysis(sigma_a)) in nats.
-    Returns +inf when the reference state has a pure direction.  Result is
-    nonnegative up to ~1e-9 of rounding.
+    Evaluates log_density(StateAnalysis(sigma_b)).relative_entropy(StateAnalysis(sigma_a))
+    in nats.  Returns +inf when the reference state has a pure direction.
+    Result is nonnegative up to ~1e-9 of rounding.
     """
     if np.shape(sigma_a) != np.shape(sigma_b):
         raise ValueError("states must have the same mode count")
     state_a = gaussian.StateAnalysis(sigma_a)
     try:
-        ref = log_density(sigma_b)
+        ref = log_density(gaussian.StateAnalysis(sigma_b))
     except DivergentLogDensityError:
         state_a.entropy  # an invalid sigma_a still raises
         return math.inf

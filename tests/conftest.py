@@ -60,6 +60,24 @@ def entropy_difference_check(
     return direct, difference
 
 
+def williamson_log_density(sigma: np.ndarray) -> tuple[float, np.ndarray]:
+    """(c, H) of log rho = c + sum H_ij x_i x_j by the Williamson normal form.
+
+    With sigma = S D S^T each mode has H_k = (1/2) log((nu_k - 1)/(nu_k + 1))
+    on both quadratures and adds (1/2) log(4 / (nu_k^2 - 1)) to c; then
+    H = S^-T H_diag S^-1.  An oracle for thermo.log_density, which reads the
+    state's Cholesky factor instead.
+    """
+    s, d = gaussian.williamson_normal_form(sigma)
+    nus = np.diag(d)[0::2]
+    c = float(np.sum(0.5 * np.log(4.0 / (nus**2 - 1.0))))
+    h_diag = np.repeat(0.5 * np.log((nus - 1.0) / (nus + 1.0)), 2)
+    omega = gaussian.symplectic_form(len(nus))
+    s_inv = -omega @ s.T @ omega  # symplectic inverse
+    h = s_inv.T @ np.diag(h_diag) @ s_inv
+    return c, (h + h.T) / 2.0
+
+
 def eigvals_symplectic_eigenvalues(sigma: np.ndarray, pair_tol: float = 1e-8) -> np.ndarray:
     """Symplectic eigenvalues by the nonsymmetric eigensolve, sorted descending.
 

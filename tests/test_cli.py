@@ -69,9 +69,9 @@ def test_run_cycles_takes_the_fixed_point_log_density_once(monkeypatch, tmp_path
     calls = []
     log_density = thermo.log_density
 
-    def counted(sigma):
-        calls.append(sigma.shape)
-        return log_density(sigma)
+    def counted(state):
+        calls.append(state.sigma.shape)
+        return log_density(state)
 
     monkeypatch.setattr(thermo, "log_density", counted)
     assert run(["run-cycles"], monkeypatch, tmp_path, n_cycles=5) == 0
@@ -96,8 +96,10 @@ def test_run_cycles_factors_each_cycle_once_for_every_column(monkeypatch, tmp_pa
         assert all(r[5] != "" for r in read_csv(tmp_path / "trajectory.csv")[1])
         counts.append(len(shapes))
     assert counts[1] - counts[0] == 2
-    # the 3 coupled modes of 4 are factored whole only for the fixed point
+    # the 3 coupled modes of 4 are factored whole only for the fixed point,
+    # once for its physicality check and its log-density together
     assert set(shapes) == {(4, 4), (6, 6)}
+    assert shapes.count((6, 6)) == 1
 
 
 def test_run_cycles_warns_when_fixed_point_fails(monkeypatch, tmp_path, capsys):

@@ -59,25 +59,25 @@ def test_dynamics_loads_the_pinned_kernel():
     assert dynamics._EXPM_KERNEL == KERNEL
 
 
-# scipy.linalg and scipy.sparse modules loaded on import, after lognegplot,
-# when run-cycles first takes a Williamson form (its relative entropy's
-# Schur form, the one scipy.linalg import left), and after run-cycles
+# scipy.linalg and scipy.sparse modules loaded on import, after lognegplot and
+# after run-cycles, whose relative entropy to the fixed point takes no
+# Williamson form; and the relative-entropy cells run-cycles wrote
 LOADED_SCRIPT = """
-import json, sys, tempfile
+import csv, json, os, sys, tempfile
 def loaded():
     return sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.sparse")))
 import entfarm.cli
 from entfarm import cli, gaussian
 seen = {"import": loaded()}
-schur = gaussian.williamson_normal_form
 def williamson_normal_form(sigma):
-    seen.setdefault("williamson", loaded())
-    return schur(sigma)
+    raise AssertionError("a command took a Williamson form")
 gaussian.williamson_normal_form = williamson_normal_form
 with tempfile.TemporaryDirectory() as out:
     for argv in (["reproduce-fig", "lognegplot"], ["run-cycles"]):
         assert cli.main(argv + ["--modes", "4", "--out", out]) == 0
         seen[argv[-1]] = loaded()
+    with open(os.path.join(out, "trajectory.csv")) as fh:
+        seen["relative_entropy"] = [r["relative_entropy_to_fixed_point"] for r in csv.DictReader(fh)]
 print(json.dumps(seen))
 """
 
@@ -95,9 +95,9 @@ def run_script(script: str) -> object:
 
 def test_commands_load_no_scipy_linalg_but_the_kernel():
     seen = run_script(LOADED_SCRIPT)
-    assert seen["import"] == seen["lognegplot"] == seen["williamson"] == [KERNEL]
-    assert "scipy.linalg._decomp_schur" in seen["run-cycles"]
-    assert not any(m.startswith("scipy.sparse") for m in seen["run-cycles"])
+    assert seen["import"] == seen["lognegplot"] == seen["run-cycles"] == [KERNEL]
+    assert len(seen["relative_entropy"]) == 3
+    assert all(float(cell) > 0.0 for cell in seen["relative_entropy"])
 
 
 # every scipy module loaded after verify: the Fock oracle runs on numpy alone

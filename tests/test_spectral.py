@@ -384,6 +384,23 @@ def test_power_map_one_cycle_map_over_cap_completes_nothing(k, monkeypatch):
     assert exc.value.k_reached == 0
 
 
+@pytest.mark.parametrize(
+    "top,cap,k_reached",
+    [(1e100, protocol.GROWTH_CAP, 0), (1e100, 1e300, 2), (math.nan, protocol.GROWTH_CAP, 0)],
+)
+@pytest.mark.parametrize("k", [4, 8])
+def test_power_map_rejects_a_non_finite_composition(k, top, cap, k_reached, monkeypatch):
+    # with q = 0 only d grows: d^4 holds inf, and d^8 (inf * 0) NaN in d and
+    # q; the cap stops d = 1e100 at once, a cap of 1e300 at the infinite d^4,
+    # and a NaN, which no comparison passes, at once
+    monkeypatch.setattr(protocol, "GROWTH_CAP", cap)
+    blocks = synthetic_blocks(np.diag([top, 1e-100, 0.5, 0.5]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(spectral.GrowthOverflowError) as exc:
+            spectral.power_map(blocks, k)
+    assert exc.value.k_reached == k_reached
+
+
 def test_power_map_rejects_nonpositive_k():
     cfg = window_config()
     with pytest.raises(ValueError):

@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from entfarm import cavity, gaussian, protocol, thermo
-from conftest import entropy_difference_check, random_covariance
+from entfarm import cavity, gaussian, protocol, spectral, thermo
+from conftest import (
+    entropy_difference_check,
+    random_covariance,
+    random_symplectic,
+    williamson_log_density,
+)
 
 RNG = np.random.default_rng(31415)
 
@@ -39,9 +44,13 @@ def free_energy_relative_entropy(sigma_a, frequencies, temperature):
 # log-density coefficients
 
 
+def log_density_of(sigma):
+    return thermo.log_density(gaussian.StateAnalysis(sigma))
+
+
 def test_log_density_single_mode_closed_form():
     sigma = 3.0 * np.eye(2)
-    ref = thermo.log_density(sigma)
+    ref = log_density_of(sigma)
     assert ref.c == pytest.approx(0.5 * math.log(4.0 / 8.0), rel=1e-12)
     assert np.allclose(ref.h, 0.5 * math.log(2.0 / 4.0) * np.eye(2))
 
@@ -50,14 +59,57 @@ def test_log_density_mean_is_minus_entropy():
     # <log rho>_rho = c + (1/2) sum H_ij sigma_ij must equal -S(rho)
     for n in (1, 3):
         sigma, _ = random_covariance(n, RNG, excitation=0.8)
-        ref = thermo.log_density(sigma)
+        ref = log_density_of(sigma)
         mean_log = ref.c + 0.5 * np.sum(ref.h * sigma)
         assert mean_log == pytest.approx(-gaussian.von_neumann_entropy(sigma), abs=1e-9)
 
 
 def test_log_density_diverges_for_pure_state():
     with pytest.raises(thermo.DivergentLogDensityError):
-        thermo.log_density(gaussian.vacuum_state(2))
+        log_density_of(gaussian.vacuum_state(2))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_log_density_of_a_transformed_thermal_state(seed):
+    # a thermal state at beta has H = -(beta w / 2) on each quadrature and
+    # c = sum log(2 sinh(beta w / 2)); sigma = S tau S^T has H = S^-T H_tau S^-1
+    # and the same c; the expected side takes no Williamson form and no factor.
+    rng = np.random.default_rng(seed)
+    n = seed + 1
+    freqs = rng.uniform(0.3, 3.0, n)
+    beta = float(rng.uniform(0.2, 2.0))
+    s = random_symplectic(n, rng)
+    sigma = s @ gaussian.thermal_state(freqs, 1.0 / beta) @ s.T
+    ref = log_density_of((sigma + sigma.T) / 2.0)
+    s_inv = np.linalg.inv(s)
+    want = s_inv.T @ np.diag(np.repeat(-beta * freqs / 2.0, 2)) @ s_inv
+    assert ref.c == pytest.approx(float(np.sum(np.log(2.0 * np.sinh(beta * freqs / 2.0)))), rel=1e-12)
+    assert np.max(np.abs(ref.h - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def assert_matches_williamson_oracle(sigma, tol=1e-12):
+    ref = log_density_of(sigma)
+    c, h = williamson_log_density(sigma)
+    assert ref.c == pytest.approx(c, rel=tol, abs=tol)
+    assert np.max(np.abs(ref.h - h)) <= tol * np.max(np.abs(h))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_log_density_matches_the_williamson_oracle(seed):
+    # near a pure direction log(nu - 1) amplifies the rounding of nu by
+    # 1 / (nu_min - 1), and reading nu^2 off K^T K costs a further nu_max; at
+    # nu_min - 1 = 1.5e-4 and nu_max = 16 both routes were off a 50-digit
+    # reference (4e-11 and 1.1e-11), so the bound grows with that condition
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(1, 9))
+    sigma, nus = random_covariance(n, rng, float(10 ** rng.uniform(-2.0, 0.5)))
+    assert_matches_williamson_oracle(sigma, 1e-12 * max(1.0, 0.01 * nus[0] ** 2 / (nus[-1] - 1.0)))
+
+
+@pytest.mark.parametrize("modes", [4, 8, 16])
+def test_log_density_matches_the_williamson_oracle_at_the_fixed_point(modes):
+    blocks = protocol.blocks_for(cavity.standard_config(modes))
+    assert_matches_williamson_oracle(spectral.fixed_point(blocks.coupled_map).sigma_star)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +149,11 @@ def test_relative_entropy_nonnegative():
 def test_relative_entropy_to_pure_reference_is_infinite():
     sigma, _ = random_covariance(1, RNG)
     assert thermo.relative_entropy(sigma, gaussian.vacuum_state(1)) == math.inf
+
+
+def test_relative_entropy_to_a_reference_with_no_cholesky_factor():
+    with pytest.raises(gaussian.InvalidStateError, match="not positive definite"):
+        thermo.relative_entropy(np.eye(2), np.diag([1.0, -1.0]))
 
 
 def test_relative_entropy_shape_mismatch():
