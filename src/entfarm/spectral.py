@@ -9,7 +9,10 @@ locates where repeated extraction stops working.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,21 +198,52 @@ def fixed_point(field_map: AffineMap) -> FixedPointResult:
 # k-fold composition in O(log k)
 
 
-def _square(power: AffineMap, k: int, k_done: int) -> AffineMap:
-    """power composed with itself, checked against protocol.GROWTH_CAP.
+def _squarings(first: AffineMap, k: int) -> Iterator[AffineMap]:
+    """The one-cycle map first, then the square of the last map yielded
+    while that square has at most k cycles: first's 2^j-cycle compositions.
 
-    k is the composition being assembled and k_done the largest one already
-    completed besides power; both only word the GrowthOverflowError.
+    The one place a square is formed.  It and first are checked against
+    protocol.GROWTH_CAP: an entry of d or q past the cap, or not finite,
+    raises GrowthOverflowError with k_reached the last k yielded (0 for
+    first).  Each square replaces the last: one map is held at a time.
     """
     cap = protocol.GROWTH_CAP
-    square = power.then(power)
-    if not square.entry_max <= cap:
-        raise GrowthOverflowError(
-            f"composed map norm exceeded {cap:g} at 2^{int(math.log2(square.k))} "
-            f"cycles while assembling k={k}",
-            k_reached=max(k_done, power.k),
-        )
-    return square
+    power = first
+    while True:
+        if not power.entry_max <= cap:
+            raise GrowthOverflowError(
+                f"composed map norm exceeded {cap:g} at 2^{power.k.bit_length() - 1} "
+                f"cycles while assembling k={k}",
+                k_reached=power.k // 2,
+            )
+        yield power
+        if 2 * power.k > k:
+            return
+        power = power.then(power)
+
+
+def _composition(first: AffineMap, k: int) -> AffineMap:
+    """first composed k times: the _squarings that k's bits name, lowest
+    first, each product of two checked against protocol.GROWTH_CAP."""
+    cap = protocol.GROWTH_CAP
+    acc = None
+    try:
+        for j, power in enumerate(_squarings(first, k)):
+            if k >> j & 1 and acc is None:
+                acc = power
+            elif k >> j & 1:
+                composed = acc.then(power)
+                if not composed.entry_max <= cap:
+                    raise GrowthOverflowError(
+                        f"composed map norm exceeded {cap:g} while assembling k={k}",
+                        k_reached=power.k,
+                    )
+                acc = composed
+    except GrowthOverflowError as exc:
+        # the largest completed composition: the last square or acc
+        exc.k_reached = max(exc.k_reached, 0 if acc is None else acc.k)
+        raise
+    return acc
 
 
 def power_map(blocks: CycleBlocks, k: int) -> AffineMap:
@@ -221,32 +255,16 @@ def power_map(blocks: CycleBlocks, k: int) -> AffineMap:
     passes protocol.GROWTH_CAP, or is not finite, the computation aborts with
     GrowthOverflowError whose k_reached attribute reports the largest
     completed composition, 0 when the one-cycle map itself is over the cap.
-    For k = 2^j the result is the j-th squaring of the one-cycle map.
+    For k = 2^j the result is the j-th squaring of the one-cycle map.  k is
+    an integer (Python or numpy); any other k raises ValueError.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"cycle count must be an integer, not {k!r}") from None
     if k < 1:
         raise ValueError("cycle count must be >= 1")
-    cap = protocol.GROWTH_CAP
-    power = blocks.field_map
-    if not power.entry_max <= cap:
-        raise GrowthOverflowError(
-            f"cycle map norm exceeded {cap:g} at 1 cycle while assembling k={k}",
-            k_reached=0,
-        )
-    acc = None
-    kk = int(k)
-    while True:
-        if kk & 1:
-            acc = power if acc is None else acc.then(power)
-            if not acc.entry_max <= cap:
-                raise GrowthOverflowError(
-                    f"composed map norm exceeded {cap:g} while assembling k={k}",
-                    k_reached=max(acc.k - power.k, power.k),
-                )
-        kk >>= 1
-        if not kk:
-            break
-        power = _square(power, k, 0 if acc is None else acc.k)
-    return acc
+    return _composition(blocks.field_map, k)
 
 
 # ---------------------------------------------------------------------------
@@ -279,62 +297,41 @@ def extinction_scan(
 ) -> ExtinctionScan:
     """Sample extraction quality at k = 1, 2, 4, ..., 2^SCAN_DOUBLINGS cycles.
 
-    The samples walk one doubling chain, each squaring the last block by
-    block, so the scan costs SCAN_DOUBLINGS squarings of the map's groups.  If the unstable growth passes
-    protocol.GROWTH_CAP while extraction is still live, the scan refines
-    between the last good point and the cap with power_map before giving
-    up.  The start is checked (a given sigma_f0, as run_cycles checks it)
-    and split on the map's groups once, not once per sample.
+    The start is checked and split once, before the spectrum, on the map
+    that steps it (protocol._checked_start, as in run_cycles: the cycle map,
+    or its one-group map for a start that correlates two groups).  The
+    samples are _squarings of that map; each steps the start's blocks and
+    reads the detectors on them (CycleBlocks._readout).  If the unstable
+    growth passes protocol.GROWTH_CAP while extraction is still live, the
+    scan refines past the last good point, composing each k afresh from the
+    same map, before giving up.
     """
     blocks = protocol.blocks_for(config)
-    _, instability_n = timescales(field_spectrum(blocks.coupled_map))
     step, state = protocol._checked_start(blocks.field_map, sigma_f0)
-
-    def negativity_after(power: AffineMap) -> float:
-        # every power shares field_map's groups, so the start split once
-        # steps on each; a start across groups runs on whole matrices
-        if step is blocks.field_map:
-            sigma = power.partition.join(power._update(state))
-        else:
-            sigma = power.apply(sigma_f0)
-        return gaussian.log_negativity(blocks.detector_out(sigma))
-
+    _, instability_n = timescales(field_spectrum(blocks.coupled_map))
     ks: list[int] = []
     negs: list[float] = []
-    complete = True
-    power = None
-    for _ in range(SCAN_DOUBLINGS + 1):
-        try:
-            power = power_map(blocks, 1) if power is None else _square(power, 2 * power.k, 0)
-        except GrowthOverflowError:
-            complete = False
-            break
+
+    def sample(power: AffineMap) -> None:
+        sigma_d = blocks._readout(power.partition, power._update(state))
         ks.append(power.k)
-        negs.append(negativity_after(power))
+        negs.append(gaussian.log_negativity(sigma_d))
 
-    if not complete and ks and negs[-1] > 0.0:
-        # refine geometrically between the last good k and the cap
-        k = ks[-1]
-        for _ in range(6):
-            k = int(k * 1.3) + 1
-            try:
-                power = power_map(blocks, k)
-            except GrowthOverflowError:
-                break
-            ks.append(k)
-            negs.append(negativity_after(power))
+    try:
+        for power in _squarings(step, 2**SCAN_DOUBLINGS):
+            sample(power)
+    except GrowthOverflowError:
+        if negs and negs[-1] > 0.0:
+            # refine geometrically between the last good k and the cap
+            k = ks[-1]
+            with contextlib.suppress(GrowthOverflowError):
+                for _ in range(6):
+                    k = int(k * 1.3) + 1
+                    sample(_composition(step, k))
 
-    extinction_k = None
-    seen_positive = False
-    for k, e in zip(ks, negs):
-        if e > 0.0:
-            seen_positive = True
-        elif seen_positive:
-            extinction_k = k
-            break
+    # the first zero after the first positive E_N
+    live = next((i for i, e in enumerate(negs) if e > 0.0), len(negs))
+    extinction_k = next((k for k, e in zip(ks[live:], negs[live:]) if not e > 0.0), None)
     return ExtinctionScan(
-        ks=ks,
-        negativities=negs,
-        extinction_k=extinction_k,
-        spectral_estimate=instability_n,
+        ks=ks, negativities=negs, extinction_k=extinction_k, spectral_estimate=instability_n
     )

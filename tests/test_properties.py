@@ -417,3 +417,25 @@ def test_grouped_analysis_matches_the_whole_matrix_analysis(sizes, seed):
     state = grouped_analysis(sigma, groups)
     assert state.log_det == pytest.approx(log_det, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(state.physical_spectrum, nus, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(s=st.floats(min_value=1.05, max_value=2.0), k=st.integers(min_value=1, max_value=2**16))
+def test_power_map_completes_k_or_a_composition_under_the_cap(s, k):
+    # d = s I and q = C C^T = I grow past the cap for most k; either way
+    # every map handed out, and every k_reached, is under it
+    blocks = protocol.CycleBlocks(
+        a=np.eye(4), b=np.zeros((4, 4)), c=np.eye(4), d=s * np.eye(4),
+        sectors=((0, 1),), decoupled=(),
+    )
+
+    def under_the_cap(power, k):
+        assert power.k == k
+        assert max(np.abs(power.d).max(), np.abs(power.q).max()) <= protocol.GROWTH_CAP
+
+    try:
+        under_the_cap(spectral.power_map(blocks, k), k)
+    except spectral.GrowthOverflowError as exc:
+        assert 0 <= exc.k_reached < k
+        if exc.k_reached >= 1:
+            under_the_cap(spectral.power_map(blocks, exc.k_reached), exc.k_reached)

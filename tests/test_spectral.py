@@ -407,6 +407,19 @@ def test_power_map_rejects_nonpositive_k():
         spectral.power_map(protocol.blocks_for(cfg), 0)
 
 
+@pytest.mark.parametrize("k", [2.5, 1.9])
+def test_power_map_rejects_a_k_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match="cycle count must be an integer"):
+        spectral.power_map(protocol.blocks_for(window_config()), k)
+
+
+def test_power_map_takes_python_and_numpy_integers():
+    blocks = protocol.blocks_for(window_config())
+    for k in (3, np.int64(3), np.int32(3), np.uint8(3)):
+        power = spectral.power_map(blocks, k)
+        assert type(power.k) is int and power.k == 3
+
+
 def test_convergence_rate_follows_squared_leading_modulus():
     # distance to the fixed point shrinks by |d1|^2 per cycle on average;
     # complex eigenvalue phases make single-step ratios beat, so measure
@@ -503,6 +516,20 @@ def test_extinction_scan_checks_a_given_start_once(monkeypatch):
     assert shapes == [(2 * len(g),) * 2 for g in dense]
 
 
+@pytest.mark.parametrize(
+    "start,error",
+    [(0.5 * np.eye(10), gaussian.InvalidStateError), (np.eye(8), ValueError)],
+)
+def test_extinction_scan_checks_its_start_before_the_spectrum(start, error, monkeypatch):
+    cfg = window_config(cycle_time=20.0)
+    calls = []
+    field_spectrum = spectral.field_spectrum
+    monkeypatch.setattr(spectral, "field_spectrum", lambda m: calls.append(m) or field_spectrum(m))
+    with pytest.raises(error):
+        spectral.extinction_scan(cfg, sigma_f0=start)
+    assert calls == []
+
+
 def test_extinction_scan_validates_its_start_once(monkeypatch):
     cfg = cavity.standard_config(8)
     field = (2 * cfg.n_field_modes,) * 2
@@ -577,16 +604,34 @@ def test_extinction_scan_walks_one_doubling_chain(modes, monkeypatch):
     assert (scan.ks, scan.negativities) == per_k_scan(cfg, scan.ks)
 
 
-def test_extinction_scan_overflow_matches_power_map(monkeypatch):
-    # a cap between max|q| at 2^10 and 2^11 cycles ends the chain there
-    cfg = cavity.standard_config(8)
+def cap_past_2_to_the_10(cfg):
+    """A growth cap between max|q| at 2^10 and 2^11 cycles: it ends the chain there."""
     blocks = protocol.blocks_for(cfg)
     q_max = [np.max(np.abs(spectral.power_map(blocks, 2**j).q)) for j in (10, 11)]
     assert q_max[0] < q_max[1]
-    cap = float(np.mean(q_max))
+    return float(np.mean(q_max))
+
+
+def test_extinction_scan_overflow_matches_power_map(monkeypatch):
+    cfg = cavity.standard_config(8)
     grid = [2**j for j in range(31)]
-    monkeypatch.setattr(protocol, "GROWTH_CAP", cap)
+    monkeypatch.setattr(protocol, "GROWTH_CAP", cap_past_2_to_the_10(cfg))
     scan = spectral.extinction_scan(cfg)
     assert scan.ks[-1] < 2**spectral.SCAN_DOUBLINGS
     assert scan.ks[:11] == grid[:11] and max(scan.ks) < 2**11
     assert (scan.ks, scan.negativities) == per_k_scan(cfg, grid)
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_extinction_scan_reads_each_sample_on_its_blocks(capped, monkeypatch):
+    # no sample forms the whole 2M-row field, with or without the refinement
+    cfg = cavity.standard_config(8)
+    if capped:
+        monkeypatch.setattr(protocol, "GROWTH_CAP", cap_past_2_to_the_10(cfg))
+    calls = []
+    join, apply = gaussian.Partition.join, AffineMap.apply
+    monkeypatch.setattr(gaussian.Partition, "join", lambda p, b: calls.append("join") or join(p, b))
+    monkeypatch.setattr(AffineMap, "apply", lambda m, s: calls.append("apply") or apply(m, s))
+    scan = spectral.extinction_scan(cfg)
+    assert (scan.ks[-1] < 2**spectral.SCAN_DOUBLINGS) == capped
+    assert calls == []
