@@ -10,7 +10,6 @@ then the retained field modes.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import astuple, dataclass, replace
 
@@ -79,6 +78,10 @@ class CavityConfig:
         return 2 + self.n_field_modes
 
     def fingerprint(self) -> str:
+        """16 hex digits of the SHA-256 of the fields; hashlib (and with it
+        OpenSSL's libcrypto) loads on the first call, as no command makes one."""
+        import hashlib
+
         payload = repr(astuple(self))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -41,6 +41,7 @@ NUMERICAL_ERRORS = (
     fock.NormDriftError,
     thermo.DivergentLogDensityError,
     thermo.NoThermalMatchError,
+    thermo.UndefinedEstimatorError,
 )
 
 
@@ -135,7 +136,7 @@ def _coupled_fixed_point(blocks: protocol.CycleBlocks):
         star = gaussian.StateAnalysis(spectral.fixed_point(blocks.coupled_map).sigma_star)
         star.physical_spectrum  # checked on the Cholesky factor log_density reads
         return thermo.log_density(star)
-    except NUMERICAL_ERRORS + (ValueError,) as exc:
+    except NUMERICAL_ERRORS as exc:
         _warn_blank(_REL_ENTROPY, exc)
         return None
 
@@ -216,7 +217,7 @@ def cmd_fixed_point(args) -> int:
         physical = True
         purity = star.purity
         thermality = thermo.thermality_of(star, freqs)
-    except NUMERICAL_ERRORS + (ValueError,) as exc:
+    except NUMERICAL_ERRORS as exc:
         _warn_blank("field_purity and thermality", exc)
         purity = math.nan
         thermality = math.nan
@@ -277,17 +278,19 @@ def cmd_spectrum(args) -> int:
 def _sweep(cfg: ExperimentConfig, spec: SweepSpec, name: str, extra: str):
     """Header, rows and gnuplot script of critical cycles over a sweep.
 
-    Points are solved in grid order, which is ascending, one at a time.  A
-    point that fails records the error in its failure column.
+    Points are solved in grid order, which is ascending, one at a time; no
+    name holds a point's blocks, so they are freed before the next point's
+    propagator is built.  A point that fails, numerically or with an invalid
+    value, records the error in its failure column.
     """
     rows = []
     for value in spec.grid().tolist():
         try:
-            blocks = protocol.blocks_for(spec.apply(cfg, value).cavity_config())
-            spectrum, (_, instability) = _coupled_spectrum(blocks)
+            cav = spec.apply(cfg, value).cavity_config()
+            spectrum, (_, instability) = _coupled_spectrum(protocol.blocks_for(cav))
             log_critical = None if instability is None else math.log10(instability)
             rows.append((value, spectrum.max_modulus, log_critical, ""))
-        except NUMERICAL_ERRORS + (ValueError,) as exc:
+        except NUMERICAL_ERRORS + (ConfigError,) as exc:
             rows.append((value, None, None, f"{type(exc).__name__}: {exc}"))
     plots = [f"'{name}.csv' skip 1 using 1:3 with linespoints title 'critical cycles'"]
     header = ("parameter", "max_modulus", "log10_critical_cycles", "failure")

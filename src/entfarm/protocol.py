@@ -214,8 +214,11 @@ class CycleBlocks:
 
     @cached_property
     def _coupled_modes(self) -> np.ndarray:
-        """Positions of the field modes not listed in decoupled."""
-        return np.setdiff1d(np.arange(self.d.shape[0] // 2), self.decoupled)
+        """Positions of the field modes not listed in decoupled, ascending (a
+        mask, not np.setdiff1d, whose first call imports numpy.ma)."""
+        coupled = np.ones(self.d.shape[0] // 2, dtype=bool)
+        coupled[np.asarray(self.decoupled, dtype=int)] = False
+        return np.flatnonzero(coupled)
 
     @property
     def coupled_map(self) -> AffineMap:
@@ -238,7 +241,7 @@ class CycleBlocks:
         """
         sigma = np.asarray(frozen, dtype=float).copy()
         keep = gaussian._mode_rows(self._coupled_modes)
-        dead = np.setdiff1d(np.arange(sigma.shape[0]), keep)
+        dead = gaussian._mode_rows(self.decoupled)
         sigma[np.ix_(keep, keep)] = coupled
         sigma[np.ix_(dead, keep)] = 0.0
         sigma[np.ix_(keep, dead)] = 0.0

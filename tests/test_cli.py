@@ -8,12 +8,13 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entfarm import cli, dynamics, fock, thermo
+from entfarm import cli, dynamics, fock, protocol, spectral, thermo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -232,6 +233,33 @@ def test_expanding_cycle_map_exits_3_at_the_growth_cap(monkeypatch, tmp_path, ca
     assert "passed the growth cap 1e+12; the cycle map is expanding" in err
 
 
+def _broadcast_error(*args):
+    raise ValueError("operands could not be broadcast together")
+
+
+# a bare ValueError (numpy's shape mismatch, say) is a fault, not a result:
+# it leaves main as a traceback, so the process exits nonzero, instead of
+# becoming a blank cell or a sweep failure row
+@pytest.mark.parametrize(
+    "argv, module, name, output",
+    [
+        (["run-cycles"], thermo, "log_density", "trajectory.csv"),
+        (["fixed-point"], thermo, "thermality_of", "fixed_point.csv"),
+        (["sweep", "--param", "t_f", "--min", "10", "--max", "20", "--points", "2"],
+         spectral, "field_spectrum", "sweep.csv"),
+    ],
+    ids=["run-cycles", "fixed-point", "sweep"],
+)
+def test_a_bare_value_error_is_not_a_blank_cell(
+    argv, module, name, output, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(module, name, _broadcast_error)
+    with pytest.raises(ValueError, match="operands could not be broadcast together"):
+        run(argv, monkeypatch, tmp_path)
+    assert not (tmp_path / output).exists()
+    assert "warning" not in capsys.readouterr().err
+
+
 # detector frequency 3 pi / 8 with window 0.1 keeps mode 3 alone, which has a
 # node at both detectors (L/3 and 2L/3)
 NODAL_WINDOW = "[cavity]\ndetector_frequency = 1.1780972450961724\nwindow = 0.1\n"
@@ -283,6 +311,35 @@ def test_sweep_ordering_and_determinism(monkeypatch, tmp_path):
     params = [float(r[0]) for r in rows]
     assert params == sorted(params)
     assert all(r[3] == "" for r in rows)
+
+
+def test_sweep_records_an_invalid_point_in_its_failure_row(monkeypatch, tmp_path):
+    argv = ["sweep", "--param", "t_f", "--min", "0", "--max", "2", "--points", "3"]
+    assert run(argv, monkeypatch, tmp_path) == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert rows[0] == ["0.0", "", "", "ConfigError: [cavity] cycle time must be positive"]
+    assert all(float(r[1]) > 0.0 and r[3] == "" for r in rows[1:])
+
+
+def test_a_sweep_frees_each_point_before_the_next_propagator(monkeypatch, tmp_path):
+    # every CycleBlocks a sweep point made is dead when the next point's
+    # propagator is entered, so one point's matrices are held at a time
+    made, alive = [], []
+    blocks_for, propagator_for = protocol.blocks_for, dynamics.propagator_for
+
+    def recording_blocks_for(config):
+        blocks = blocks_for(config)
+        made.append(weakref.ref(blocks))
+        return blocks
+
+    def counting_propagator_for(config):
+        alive.append(sum(ref() is not None for ref in made))
+        return propagator_for(config)
+
+    monkeypatch.setattr(protocol, "blocks_for", recording_blocks_for)
+    monkeypatch.setattr(dynamics, "propagator_for", counting_propagator_for)
+    assert run(["reproduce-fig", "eigtime"], monkeypatch, tmp_path) == 0
+    assert alive == [0] * 33
 
 
 def test_sweep_rejects_removed_workers_flag(monkeypatch, tmp_path, capsys):

@@ -112,3 +112,34 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 
 def test_verify_loads_no_scipy_but_the_kernel():
     assert run_script(VERIFY_SCRIPT) == [0, [KERNEL]]
+
+
+# modules no command computes with: hashlib loads OpenSSL's libcrypto (for
+# CavityConfig.fingerprint, which no command calls), and numpy.ma comes in
+# with the first np.setdiff1d
+UNUSED = ("hashlib", "_hashlib", "numpy.ma")
+
+# the unused modules loaded on import and after each command kind the
+# benchmark runs, in one process, at toy sizes
+UNUSED_SCRIPT = """
+import json, sys, tempfile
+def loaded():
+    return [m for m in %r if m in sys.modules]
+import entfarm.cli
+from entfarm import cli
+seen = {"import": loaded()}
+with tempfile.TemporaryDirectory() as out:
+    for argv in (["run-cycles"], ["reproduce-fig", "lognegplot"], ["reproduce-fig", "eigtime"],
+                 ["reproduce-fig", "ultralong"], ["fixed-point"], ["verify"]):
+        assert cli.main(argv + ["--modes", "4", "--out", out]) == 0
+        seen[argv[-1]] = loaded()
+print(json.dumps(seen))
+""" % (UNUSED,)
+
+
+def test_commands_load_no_hashlib_or_numpy_ma():
+    seen = run_script(UNUSED_SCRIPT)
+    assert list(seen) == [
+        "import", "run-cycles", "lognegplot", "eigtime", "ultralong", "fixed-point", "verify"
+    ]
+    assert seen == dict.fromkeys(seen, [])

@@ -9,7 +9,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
@@ -439,3 +439,54 @@ def test_power_map_completes_k_or_a_composition_under_the_cap(s, k):
         assert 0 <= exc.k_reached < k
         if exc.k_reached >= 1:
             under_the_cap(spectral.power_map(blocks, exc.k_reached), exc.k_reached)
+
+
+def setdiff_coupled_modes(n_modes: int, decoupled) -> np.ndarray:
+    """CycleBlocks._coupled_modes as np.setdiff1d gives it: the oracle for its mask."""
+    return np.setdiff1d(np.arange(n_modes), decoupled)
+
+
+def setdiff_whole_field(coupled_modes, coupled: np.ndarray, frozen: np.ndarray) -> np.ndarray:
+    """CycleBlocks.whole_field with the decoupled rows taken by np.setdiff1d."""
+    sigma = frozen.copy()
+    keep = gaussian._mode_rows(coupled_modes)
+    dead = np.setdiff1d(np.arange(sigma.shape[0]), keep)
+    sigma[np.ix_(keep, keep)] = coupled
+    sigma[np.ix_(dead, keep)] = 0.0
+    sigma[np.ix_(keep, dead)] = 0.0
+    return sigma
+
+
+@PROPERTY
+@given(flags=st.lists(st.booleans(), min_size=1, max_size=8), seed=seeds)
+@example(flags=[False] * 3, seed=0)  # no decoupled mode
+@example(flags=[True] * 3, seed=0)  # no coupled mode
+def test_coupled_index_sets_match_the_setdiff1d_oracle(flags, seed):
+    # flags[m] marks mode m decoupled; the blocks' matrices are random, as
+    # the index sets depend only on the shapes
+    rng = np.random.default_rng(seed)
+    n = len(flags)
+    decoupled = tuple(m for m, flag in enumerate(flags) if flag)
+    coupled_modes = setdiff_coupled_modes(n, decoupled)
+    sector = tuple(coupled_modes.tolist())
+    blocks = protocol.CycleBlocks(
+        a=rng.normal(size=(4, 4)), b=rng.normal(size=(4, 2 * n)),
+        c=rng.normal(size=(2 * n, 4)), d=rng.normal(size=(2 * n, 2 * n)),
+        sectors=(sector,) if sector else (), decoupled=decoupled,
+    )
+    got = blocks._coupled_modes
+    assert got.dtype.kind == "i"
+    assert np.all(np.diff(got) > 0)
+    np.testing.assert_array_equal(got, coupled_modes)
+
+    coupled = rng.normal(size=(2 * len(sector),) * 2)
+    frozen = rng.normal(size=(2 * n, 2 * n))
+    np.testing.assert_array_equal(
+        blocks.whole_field(coupled, frozen), setdiff_whole_field(coupled_modes, coupled, frozen)
+    )
+    if sector:
+        rows = np.ix_(gaussian._mode_rows(coupled_modes), gaussian._mode_rows(coupled_modes))
+        restricted = blocks.coupled_map
+        np.testing.assert_array_equal(restricted.d, blocks.d[rows])
+        np.testing.assert_array_equal(restricted.q, (blocks.c @ blocks.c.T)[rows])
+        assert restricted.groups == (tuple(range(len(sector))),)
