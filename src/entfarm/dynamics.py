@@ -34,14 +34,27 @@ def _single_thread_scipy_blas(scipy_dir: str) -> None:
     expm's Pade stage (and gaussian.williamson_normal_form's Schur form) run
     in scipy's copy, every other product and factorization in numpy's; with
     both multi-threaded the idle workers of one spin against the busy
-    workers of the other (`reproduce-fig eigtime` at 128 modes, 2 threads,
-    2 cores: 2.6-3.0 s, and 1.2-1.3 s with scipy's copy on one thread).
-    numpy's copy keeps the thread count the user set.  Without a bundled
-    copy beside the scipy package (a shared system BLAS, MKL, a non-Linux
-    wheel) this does nothing.
+    workers of the other.  OpenBLAS reads OPENBLAS_NUM_THREADS once, when it
+    loads, and starts its workers then, so the variable reads 1 for the load
+    alone and is then restored (or removed), also if the load fails.  scipy's
+    copy so starts no worker: at 2 threads a process keeps the 2 OS threads
+    it has after `import numpy`, where a copy loaded at 2 threads added a
+    third that spun through each command's start-up.  set_num_threads(1)
+    covers a copy already loaded, e.g. by `import scipy.linalg`.  numpy's
+    copy keeps the thread count the user set.  Without a bundled copy beside
+    the scipy package (a shared system BLAS, MKL, a non-Linux wheel) this
+    does nothing.
     """
     for path in glob.glob(os.path.join(scipy_dir, os.pardir, "scipy.libs", "*openblas*.so*")):
-        lib = ctypes.CDLL(path)
+        user_threads = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            lib = ctypes.CDLL(path)
+        finally:
+            if user_threads is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = user_threads
         for symbol in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
             set_threads = getattr(lib, symbol, None)
             if set_threads is not None:

@@ -249,6 +249,64 @@ def test_scipy_bundled_blas_runs_single_threaded():
     assert set(others.values()) == {2}
 
 
+# OS threads after `import numpy` and after `import entfarm.dynamics`, and
+# OPENBLAS_NUM_THREADS before and after the second import
+BLAS_START_SCRIPT = """
+import json, os
+import numpy
+before = (len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+import entfarm.dynamics
+after = (len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+print(json.dumps([before, after]))
+"""
+
+
+def _blas_start(user_threads):
+    src = Path(dynamics.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if user_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_threads
+    out = subprocess.run(
+        [sys.executable, "-c", BLAS_START_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    return json.loads(out)
+
+
+def test_scipy_bundled_blas_starts_no_worker_thread():
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("reads /proc/self/task; needs two cores for a two-thread OpenBLAS")
+    scipy_libs = Path(scipy.__file__).resolve().parents[1] / "scipy.libs"
+    if not list(scipy_libs.glob("*openblas*.so*")):
+        pytest.skip("numpy and scipy share one BLAS")
+    (threads_before, _), (threads_after, _) = _blas_start("2")
+    assert threads_after <= threads_before
+
+
+@pytest.mark.parametrize("user_threads", ["2", None])
+def test_loading_scipy_blas_leaves_the_thread_variable_as_it_was(user_threads):
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/task")
+    (_, env_before), (_, env_after) = _blas_start(user_threads)
+    assert env_before == env_after == user_threads
+
+
+@pytest.mark.parametrize("user_threads", ["2", None])
+def test_a_failed_blas_load_restores_the_environment(tmp_path, monkeypatch, user_threads):
+    if user_threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", user_threads)
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy.libs").mkdir()
+    (tmp_path / "scipy.libs" / "libscipy_openblas-x.so").write_bytes(b"")
+    before = dict(os.environ)
+    with pytest.raises(OSError):
+        dynamics._single_thread_scipy_blas(str(tmp_path / "scipy"))
+    assert dict(os.environ) == before
+
+
 def test_blas_thread_setting_is_a_no_op_without_a_bundled_copy(tmp_path):
     # a scipy built against a shared BLAS has no scipy.libs beside it; no error
     dynamics._single_thread_scipy_blas(str(tmp_path / "scipy"))
