@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -55,19 +54,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # plain digits for numpy scalars too
     return str(value)
-
-
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def _in_unit(cfg: ExperimentConfig, nats):
@@ -112,8 +98,32 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _out(cfg: ExperimentConfig, filename: str) -> str:
-    return os.path.join(cfg.directory, filename)
+def _write(cfg: ExperimentConfig, filename: str, header=None, rows=(), text: str = "") -> str:
+    """Write a CSV of header and rows, or text when there is no header; return its path.
+
+    This is the one place an output file is opened.  A file that cannot be
+    written is a configuration error of the output directory.
+    """
+    path = os.path.join(cfg.directory, filename)
+    try:
+        with open(path, "w", newline="") as fh:
+            if header is None:
+                fh.write(text)
+            else:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows([_fmt(v) for v in row] for row in rows)
+    except OSError as exc:
+        raise config_mod.key_error("directory", str(exc))
+    return path
+
+
+def _emit(cfg: ExperimentConfig, name: str, header, rows, script: str, *notes: str) -> None:
+    """Write name.csv and its gnuplot script name.gp, and say so with any notes."""
+    csv_path = _write(cfg, f"{name}.csv", header, rows)
+    gp_path = _write(cfg, f"{name}.gp", text=script)
+    summary = ", ".join([f"{len(rows)} rows", *notes])
+    print(f"wrote {csv_path} and {gp_path} ({summary})")
 
 
 # ---------------------------------------------------------------------------
@@ -171,27 +181,16 @@ def cmd_run_cycles(args) -> int:
         )
         for r in traj.records
     ]
-    _write_csv(
-        _out(cfg, "trajectory.csv"),
-        (
-            "cycle",
-            "log_negativity",
-            "energy_input",
-            "field_purity",
-            "thermality",
-            _REL_ENTROPY,
-        ),
-        rows,
+    header = (
+        "cycle",
+        "log_negativity",
+        "energy_input",
+        "field_purity",
+        "thermality",
+        _REL_ENTROPY,
     )
-    _write_text(
-        _out(cfg, "trajectory.gp"),
-        _gnuplot(
-            "trajectory",
-            "log-negativity",
-            ["'trajectory.csv' skip 1 using 1:2 with lines title 'per-cycle E_N'"],
-        ),
-    )
-    print(f"wrote {_out(cfg, 'trajectory.csv')} ({len(rows)} cycles)")
+    plots = ["'trajectory.csv' skip 1 using 1:2 with lines title 'per-cycle E_N'"]
+    _emit(cfg, "trajectory", header, rows, _gnuplot("trajectory", "log-negativity", plots))
     return EXIT_OK
 
 
@@ -226,13 +225,15 @@ def cmd_fixed_point(args) -> int:
             "warning: log_negativity was computed from a non-physical fixed point",
             file=sys.stderr,
         )
-    _write_csv(
-        _out(cfg, "fixed_point.csv"),
+    _write(
+        cfg,
+        "fixed_point.csv",
         ("method", "coupled_dim", "residual", "log_negativity", "field_purity", "thermality"),
         [(res.method, res.sigma_star.shape[0], res.residual, neg, purity, thermality)],
     )
-    _write_csv(
-        _out(cfg, "fixed_point_sigma.csv"),
+    _write(
+        cfg,
+        "fixed_point_sigma.csv",
         [f"c{j}" for j in range(sigma_star.shape[1])],
         [tuple(row) for row in sigma_star],
     )
@@ -267,7 +268,7 @@ def cmd_spectrum(args) -> int:
         for idx, ev in enumerate(spec.eigenvalues)
     ]
     header = ("subspace", "index", "real", "imag", "modulus")
-    _write_csv(_out(cfg, "spectrum.csv"), header, rows)
+    _write(cfg, "spectrum.csv", header, rows)
     return EXIT_OK
 
 
@@ -301,59 +302,65 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     spec = SweepSpec(args.param, args.min, args.max, args.points, args.scale)
     header, rows, script = _sweep(cfg, spec, "sweep", f"set xlabel '{args.param}'")
-    _write_csv(_out(cfg, "sweep.csv"), header, rows)
-    _write_text(_out(cfg, "sweep.gp"), script)
     failures = sum(1 for row in rows if row[3])
-    print(f"wrote {_out(cfg, 'sweep.csv')} ({len(rows)} points, {failures} failures)")
+    _emit(cfg, "sweep", header, rows, script, f"{failures} failures")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# short-cycle
+# per-cycle curves
 
 
-def _cycle_rows(cfg: ExperimentConfig, starts, attr: str) -> list[tuple]:
-    """Rows (cycle, value per run) of one diagnostic over (cavity, initial field) runs.
+def _curves(cfg: ExperimentConfig, name: str, attr: str, ylabel: str, columns):
+    """Header, rows and gnuplot script of one per-cycle diagnostic over several runs.
 
-    Each run computes only that diagnostic; log-negativity is written in the
+    Each column is (header, plot title, the ExperimentConfig of its run).
+    Each run starts from its config's temperature, lasts cfg.n_cycles cycles
+    and computes only that diagnostic; log-negativity is written in the
     configured unit.
     """
     observables = {attr: protocol.DIAGNOSTICS[attr]}
-    columns = []
-    for cav, sigma0 in starts:
+    curves, plots = [], []
+    for index, (_, title, run_cfg) in enumerate(columns, start=2):
+        cav = run_cfg.cavity_config()
+        sigma0 = _initial_field(run_cfg, cav)
         traj = protocol.run_cycles(
             cav, sigma_f0=sigma0, n_cycles=cfg.n_cycles, observables=observables
         )
         values = [getattr(rec, attr) for rec in traj.records]
         if attr == "log_negativity":
             values = [_in_unit(cfg, v) for v in values]
-        columns.append(values)
-    return [(k, *values) for k, values in enumerate(zip(*columns), start=1)]
+        curves.append(values)
+        plots.append(f"'{name}.csv' skip 1 using 1:{index} with lines title '{title}'")
+    header = ("cycle", *(head for head, _, _ in columns))
+    rows = [(k, *values) for k, values in enumerate(zip(*curves), start=1)]
+    return header, rows, _gnuplot(name, ylabel, plots)
+
+
+def _at_tf_r(cfg: ExperimentConfig, tf_r: float) -> ExperimentConfig:
+    """cfg with a cycle time of tf_r times the detector separation r."""
+    cav = cfg.cavity_config()
+    return replace(cfg, cycle_time=tf_r * abs(cav.x2 - cav.x1))
+
+
+# ---------------------------------------------------------------------------
+# short-cycle
 
 
 def cmd_short_cycle(args) -> int:
-    cfg = _load(args)
-    base = cfg.cavity_config()
-    r = abs(base.x2 - base.x1)
-    cfg = replace(cfg, cycle_time=args.tf_r * r)
-    cav = cfg.cavity_config()
+    cfg = _at_tf_r(_load(args), args.tf_r)
+    cfg.cavity_config()  # an out-of-range cycle time is an error, before any warning
     if cfg.modes < 128:
         print(
             f"warning: modes={cfg.modes} is below the recommended floor of 128; "
             "short cycles excite high modes",
             file=sys.stderr,
         )
-    rows = _cycle_rows(cfg, [(cav, _initial_field(cfg, cav))], "log_negativity")
-    _write_csv(_out(cfg, "short_cycle.csv"), ("cycle", "log_negativity"), rows)
-    _write_text(
-        _out(cfg, "short_cycle.gp"),
-        _gnuplot(
-            "short_cycle",
-            "log-negativity",
-            ["'short_cycle.csv' skip 1 using 1:2 with lines title 'per-cycle E_N'"],
-        ),
+    columns = [("log_negativity", "per-cycle E_N", cfg)]
+    header, rows, script = _curves(
+        cfg, "short_cycle", "log_negativity", "log-negativity", columns
     )
-    print(f"wrote {_out(cfg, 'short_cycle.csv')} (cycle time {cfg.cycle_time!r})")
+    _emit(cfg, "short_cycle", header, rows, script, f"cycle time {cfg.cycle_time!r}")
     return EXIT_OK
 
 
@@ -375,18 +382,15 @@ _START_FIGURES = {
 
 def _fig_starts(name: str, cfg: ExperimentConfig):
     attr, prefix, ylabel, temperatures = _START_FIGURES[name]
-    cav = cfg.cavity_config()
-    starts = [(cav, _initial_field(replace(cfg, temperature=t), cav)) for t in temperatures]
-    rows = _cycle_rows(cfg, starts, attr)
-    header, plots = ["cycle"], []
-    for index, t in enumerate(temperatures, start=2):
-        header.append(f"{prefix}_vacuum" if t == 0.0 else f"{prefix}_t{t:g}".replace(".", ""))
+    columns = []
+    for t in temperatures:
+        head = f"{prefix}_vacuum" if t == 0.0 else f"{prefix}_t{t:g}".replace(".", "")
         title = "vacuum start" if t == 0.0 else f"T={t:g} start"
-        plots.append(f"'{name}.csv' skip 1 using 1:{index} with lines title '{title}'")
-    return tuple(header), rows, _gnuplot(name, ylabel, plots)
+        columns.append((head, title, replace(cfg, temperature=t)))
+    return _curves(cfg, name, attr, ylabel, columns)
 
 
-def _fig_ultralong(cfg):
+def _fig_ultralong(name: str, cfg: ExperimentConfig):
     cav = cfg.cavity_config()
     scan = spectral.extinction_scan(cav, sigma_f0=_initial_field(cfg, cav))
     rows = [(k, _in_unit(cfg, e)) for k, e in zip(scan.ks, scan.negativities)]
@@ -396,9 +400,9 @@ def _fig_ultralong(cfg):
             f"\nset arrow from {scan.spectral_estimate!r}, graph 0 "
             f"to {scan.spectral_estimate!r}, graph 1 nohead dashtype 2"
         )
-    plots = ["'ultralong.csv' skip 1 using 1:2 with linespoints title 'E_N at cycle k'"]
+    plots = [f"'{name}.csv' skip 1 using 1:2 with linespoints title 'E_N at cycle k'"]
     return ("cycle", "log_negativity"), rows, _gnuplot(
-        "ultralong", "log-negativity", plots, extra=extra
+        name, "log-negativity", plots, extra=extra
     )
 
 
@@ -422,25 +426,19 @@ def _fig_sweep(name: str, cfg: ExperimentConfig):
     return _sweep(cfg, spec, name, extra)
 
 
-def _fig_extinction(cfg):
-    base = cfg.cavity_config()
-    r = abs(base.x2 - base.x1)
-    cavs = [replace(cfg, cycle_time=factor * r).cavity_config() for factor in (1.44, 1.48, 1.52)]
-    rows = _cycle_rows(cfg, [(cav, _initial_field(cfg, cav)) for cav in cavs], "log_negativity")
-    plots = [
-        "'extinction.csv' skip 1 using 1:2 with lines title 't_f = 1.44 r'",
-        "'extinction.csv' skip 1 using 1:3 with lines title 't_f = 1.48 r'",
-        "'extinction.csv' skip 1 using 1:4 with lines title 't_f = 1.52 r'",
+def _fig_extinction(name: str, cfg: ExperimentConfig):
+    columns = [
+        (f"en_{factor:g}".replace(".", ""), f"t_f = {factor:g} r", _at_tf_r(cfg, factor))
+        for factor in (1.44, 1.48, 1.52)
     ]
-    return ("cycle", "en_144", "en_148", "en_152"), rows, _gnuplot(
-        "extinction", "log-negativity", plots
-    )
+    return _curves(cfg, name, "log_negativity", "log-negativity", columns)
 
 
+# name -> builder(name, cfg) of the figure's header, rows and gnuplot script
 _FIG_BUILDERS = {
-    **{name: partial(_fig_starts, name) for name in _START_FIGURES},
+    **dict.fromkeys(_START_FIGURES, _fig_starts),
     "ultralong": _fig_ultralong,
-    **{name: partial(_fig_sweep, name) for name in _SWEEP_FIGURES},
+    **dict.fromkeys(_SWEEP_FIGURES, _fig_sweep),
     "extinction": _fig_extinction,
 }
 
@@ -453,10 +451,8 @@ def cmd_reproduce_fig(args) -> int:
         )
         return EXIT_CONFIG
     cfg = _load(args)
-    header, rows, script = _FIG_BUILDERS[args.name](cfg)
-    _write_csv(_out(cfg, f"{args.name}.csv"), header, rows)
-    _write_text(_out(cfg, f"{args.name}.gp"), script)
-    print(f"wrote {_out(cfg, args.name + '.csv')} and {_out(cfg, args.name + '.gp')}")
+    header, rows, script = _FIG_BUILDERS[args.name](args.name, cfg)
+    _emit(cfg, args.name, header, rows, script)
     return EXIT_OK
 
 

@@ -493,6 +493,37 @@ def test_unusable_output_directory_exits_2(kind, monkeypatch, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, blocked",
+    [
+        (["run-cycles"], "trajectory.csv"),
+        (["fixed-point"], "fixed_point_sigma.csv"),
+        (["spectrum"], "spectrum.csv"),
+        (["reproduce-fig", "lognegplot"], "lognegplot.gp"),
+    ],
+    ids=["run-cycles", "fixed-point", "spectrum", "reproduce-fig"],
+)
+def test_unwritable_output_file_exits_2(argv, blocked, monkeypatch, tmp_path, capsys):
+    # a directory in place of one of the files the command writes
+    (tmp_path / blocked).mkdir()
+    assert run(argv, monkeypatch, tmp_path, n_cycles=2) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [output] directory: ")
+    assert blocked in err
+    assert "Traceback" not in err
+
+
+def test_extinction_curve_matches_short_cycle(monkeypatch, tmp_path):
+    # both run the cycle time of 1.44 detector separations from the same start
+    assert run(["reproduce-fig", "extinction"], monkeypatch, tmp_path, n_cycles=5) == 0
+    assert run(["short-cycle", "--tf-r", "1.44"], monkeypatch, tmp_path, n_cycles=5) == 0
+    header, rows = read_csv(tmp_path / "extinction.csv")
+    en_144 = [row[header.index("en_144")] for row in rows]
+    header, rows = read_csv(tmp_path / "short_cycle.csv")
+    assert [row[header.index("log_negativity")] for row in rows] == en_144
+    assert len(en_144) == 5
+
+
 def test_verify_builds_every_cavity_from_the_config(monkeypatch, tmp_path):
     cfgfile = tmp_path / "exp.ini"
     cfgfile.write_text("[cavity]\nx1 = 2.0\nx2 = 5.0\n")

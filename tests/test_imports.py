@@ -1,4 +1,4 @@
-"""Where the library may import scipy.
+"""Where the library may import scipy, and that it imports nothing it leaves unused.
 
 The core is meant to need numpy alone; each scipy import that remains is
 listed here, so adding one, or removing one, shows as an edit.
@@ -57,6 +57,45 @@ def test_scipy_imports_are_the_allowed_set():
 
 def test_dynamics_loads_the_pinned_kernel():
     assert dynamics._EXPM_KERNEL == KERNEL
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module's source imports and never reads.
+
+    A name listed in the module's __all__ counts as read (a re-export), and
+    __future__ imports are directives, not names.  Names are compared over
+    the whole module, whatever the scope of the import.
+    """
+    tree = ast.parse(source)
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - exported)
+
+
+def test_unused_import_check_finds_a_name_never_read():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path, sys\n"
+        "from csv import writer as w\n"
+        "from functools import partial\n"
+        "__all__ = ['w']\n"
+        "sys.exit(os.sep)\n"
+    )
+    assert unused_imports(source) == ["partial"]
+
+
+def test_library_imports_no_name_it_leaves_unused():
+    unused = {path.stem: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {module: names for module, names in unused.items() if names} == {}
 
 
 # scipy.linalg and scipy.sparse modules loaded on import, after lognegplot and
