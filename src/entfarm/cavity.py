@@ -103,11 +103,8 @@ def resonant_window(config: CavityConfig, width: float | None = None) -> CavityC
     if width is None:
         kept = config.mode_numbers[: min(5, len(config.mode_numbers))]
     else:
-        kept = tuple(
-            n
-            for n in config.mode_numbers
-            if abs(n * math.pi / config.length - config.detector_frequency) < width
-        )
+        near = np.abs(mode_frequencies(config) - config.detector_frequency) < width
+        kept = tuple(n for n, keep in zip(config.mode_numbers, near) if keep)
     if not kept:
         raise ValueError("resonant window is empty; widen it")
     windowed = replace(config, mode_numbers=kept)
@@ -131,9 +128,16 @@ def joint_frequencies(config: CavityConfig) -> np.ndarray:
     )
 
 
-def _mode_amplitude(n: int, x: float, length: float) -> float:
-    # phi_n(x) = sin(k_n x) / sqrt(pi n)
-    return math.sin(n * math.pi * x / length) / math.sqrt(math.pi * n)
+def _amplitudes(config: CavityConfig) -> np.ndarray:
+    """sin(k_n x1) and sin(k_n x2) for each retained mode, as a 2 x M array.
+
+    The one place the mode shapes are evaluated: the couplings, the nodal
+    modes and the parity sectors are all read off these values.
+    """
+    modes, length = config.mode_numbers, config.length
+    return np.array(
+        [[math.sin(n * math.pi * x / length) for n in modes] for x in (config.x1, config.x2)]
+    )
 
 
 def coupling_matrix(config: CavityConfig) -> np.ndarray:
@@ -142,11 +146,8 @@ def coupling_matrix(config: CavityConfig) -> np.ndarray:
     Only q-q entries are populated: X[0, 2j] couples detector 1 to mode j,
     X[2, 2j] detector 2 to mode j, with amplitude sin(k_n x_d)/sqrt(pi n).
     """
-    m = config.n_field_modes
-    x = np.zeros((4, 2 * m))
-    for j, n in enumerate(config.mode_numbers):
-        x[0, 2 * j] = _mode_amplitude(n, config.x1, config.length)
-        x[2, 2 * j] = _mode_amplitude(n, config.x2, config.length)
+    x = np.zeros((4, 2 * config.n_field_modes))
+    x[::2, ::2] = _amplitudes(config) / np.sqrt([math.pi * n for n in config.mode_numbers])
     return x
 
 
@@ -156,13 +157,10 @@ def hamiltonian_matrix(config: CavityConfig) -> np.ndarray:
     Free part: diag(Omega, Omega, Omega, Omega, omega_1, omega_1, ...).
     Interaction: off-diagonal blocks 2 lambda X and its transpose.
     """
-    n = config.n_modes
-    diag = np.repeat(joint_frequencies(config), 2)
-    f_sym = np.diag(diag)
+    f_sym = np.diag(np.repeat(joint_frequencies(config), 2))
     if config.coupling != 0.0:
-        x = coupling_matrix(config)
-        f_sym[0:4, 4 : 2 * n] = 2.0 * config.coupling * x
-        f_sym[4 : 2 * n, 0:4] = 2.0 * config.coupling * x.T
+        f_sym[:4, 4:] = 2.0 * config.coupling * coupling_matrix(config)
+        f_sym[4:, :4] = f_sym[:4, 4:].T
     return f_sym
 
 
@@ -172,12 +170,7 @@ def decoupled_positions(config: CavityConfig) -> list[int]:
     These modes never talk to the detectors: their propagator block is an
     exact free rotation no matter the coupling.
     """
-    return [
-        j
-        for j, n in enumerate(config.mode_numbers)
-        if abs(math.sin(n * math.pi * config.x1 / config.length)) < NODE_TOL
-        and abs(math.sin(n * math.pi * config.x2 / config.length)) < NODE_TOL
-    ]
+    return np.flatnonzero((np.abs(_amplitudes(config)) < NODE_TOL).all(axis=0)).tolist()
 
 
 def parity_sectors(config: CavityConfig) -> list[tuple[int, ...]]:
@@ -194,17 +187,10 @@ def parity_sectors(config: CavityConfig) -> list[tuple[int, ...]]:
     non-empty sectors, "+" first; otherwise one group of every coupled
     mode, or none when every mode is decoupled.
     """
-    decoupled = set(decoupled_positions(config))
-    sectors: tuple[list[int], list[int]] = ([], [])
-    for j, n in enumerate(config.mode_numbers):
-        if j in decoupled:
-            continue
-        s1 = math.sin(n * math.pi * config.x1 / config.length)
-        s2 = math.sin(n * math.pi * config.x2 / config.length)
-        if abs(s2 - s1) < NODE_TOL:
-            sectors[0].append(j)
-        elif abs(s2 + s1) < NODE_TOL:
-            sectors[1].append(j)
-        else:
-            return [tuple(k for k in range(config.n_field_modes) if k not in decoupled)]
-    return [tuple(sector) for sector in sectors if sector]
+    s1, s2 = amplitudes = _amplitudes(config)
+    coupled = ~(np.abs(amplitudes) < NODE_TOL).all(axis=0)
+    plus = coupled & (np.abs(s2 - s1) < NODE_TOL)
+    minus = coupled & ~plus & (np.abs(s2 + s1) < NODE_TOL)
+    if ((plus | minus) != coupled).any():
+        return [tuple(np.flatnonzero(coupled).tolist())]
+    return [tuple(np.flatnonzero(sector).tolist()) for sector in (plus, minus) if sector.any()]

@@ -11,6 +11,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -118,10 +119,29 @@ def _write(cfg: ExperimentConfig, filename: str, header=None, rows=(), text: str
     return path
 
 
+def _write_all(cfg: ExperimentConfig, *files: tuple) -> list[str]:
+    """_write each (filename, header, rows, text) of files; return their paths.
+
+    A command writes all of its files or none: when one cannot be written,
+    those this call already wrote are removed before the error is raised.
+    """
+    paths = []
+    try:
+        for file in files:
+            paths.append(_write(cfg, *file))
+    except ConfigError:
+        for path in paths:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return paths
+
+
 def _emit(cfg: ExperimentConfig, name: str, header, rows, script: str, *notes: str) -> None:
     """Write name.csv and its gnuplot script name.gp, and say so with any notes."""
-    csv_path = _write(cfg, f"{name}.csv", header, rows)
-    gp_path = _write(cfg, f"{name}.gp", text=script)
+    csv_path, gp_path = _write_all(
+        cfg, (f"{name}.csv", header, rows), (f"{name}.gp", None, (), script)
+    )
     summary = ", ".join([f"{len(rows)} rows", *notes])
     print(f"wrote {csv_path} and {gp_path} ({summary})")
 
@@ -225,17 +245,12 @@ def cmd_fixed_point(args) -> int:
             "warning: log_negativity was computed from a non-physical fixed point",
             file=sys.stderr,
         )
-    _write(
+    columns = ("method", "coupled_dim", "residual", "log_negativity", "field_purity", "thermality")
+    row = (res.method, res.sigma_star.shape[0], res.residual, neg, purity, thermality)
+    _write_all(
         cfg,
-        "fixed_point.csv",
-        ("method", "coupled_dim", "residual", "log_negativity", "field_purity", "thermality"),
-        [(res.method, res.sigma_star.shape[0], res.residual, neg, purity, thermality)],
-    )
-    _write(
-        cfg,
-        "fixed_point_sigma.csv",
-        [f"c{j}" for j in range(sigma_star.shape[1])],
-        [tuple(row) for row in sigma_star],
+        ("fixed_point.csv", columns, [row]),
+        ("fixed_point_sigma.csv", [f"c{j}" for j in range(sigma_star.shape[1])], list(sigma_star)),
     )
     print(
         f"fixed point via {res.method}: residual {res.residual:.3e}, "
@@ -259,9 +274,6 @@ def cmd_spectrum(args) -> int:
     blocks = protocol.blocks_for(cfg.cavity_config())
     full = spectral.field_spectrum(blocks.field_map)
     coupled, (conv, inst) = _coupled_spectrum(blocks)
-    print(f"coupled max modulus: {coupled.max_modulus!r}")
-    print(f"convergence cycles: {'-' if conv is None else repr(conv)}")
-    print(f"instability cycles: {'-' if inst is None else repr(inst)}")
     rows = [
         (label, idx, ev.real, ev.imag, abs(ev))
         for label, spec in (("full", full), ("coupled", coupled))
@@ -269,6 +281,9 @@ def cmd_spectrum(args) -> int:
     ]
     header = ("subspace", "index", "real", "imag", "modulus")
     _write(cfg, "spectrum.csv", header, rows)
+    print(f"coupled max modulus: {coupled.max_modulus!r}")
+    print(f"convergence cycles: {'-' if conv is None else repr(conv)}")
+    print(f"instability cycles: {'-' if inst is None else repr(inst)}")
     return EXIT_OK
 
 

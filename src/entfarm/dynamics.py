@@ -165,20 +165,17 @@ def propagator(f_sym: np.ndarray, t: float) -> np.ndarray:
     return s
 
 
-def _check_bounded_below(config: cavity.CavityConfig) -> None:
+def _check_bounded_below(f_sym: np.ndarray, coupling: float) -> None:
     """Raise UnboundedHamiltonianError unless F_sym is positive definite.
 
-    The field block diag(omega) is positive, so F_sym > 0 exactly when its
-    4 x 4 Schur complement Omega I - 4 lambda^2 X diag(omega)^-1 X^T is, with
-    X the detector-field coupling block: an O(M) test.  Beyond a coupling of
+    F_sym's field block is diagonal and positive (the free frequencies), so
+    F_sym > 0 exactly when the 4 x 4 Schur complement of that block,
+    F_dd - F_df diag(F_ff)^-1 F_fd, is: an O(M) test.  Beyond a coupling of
     about 0.27 in the reference cavity it fails, and evolution would run
     into unphysical states some cycles later.
     """
-    x = cavity.coupling_matrix(config)
-    inv_omega = 1.0 / np.repeat(cavity.mode_frequencies(config), 2)
-    schur = config.detector_frequency * np.eye(4) - 4.0 * config.coupling**2 * (
-        (x * inv_omega) @ x.T
-    )
+    f_df = f_sym[:4, 4:]
+    schur = f_sym[:4, :4] - (f_df / np.diag(f_sym)[4:]) @ f_df.T
     try:
         np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:
@@ -186,7 +183,7 @@ def _check_bounded_below(config: cavity.CavityConfig) -> None:
         # commands' own work may never touch (0.6 MiB of peak RSS)
         least = float(np.linalg.eigvalsh(schur)[0])
         raise UnboundedHamiltonianError(
-            f"coupling {config.coupling!r} makes the Hamiltonian unbounded below "
+            f"coupling {coupling!r} makes the Hamiltonian unbounded below "
             f"(least eigenvalue of its detector Schur complement {least:.6g})"
         ) from None
 
@@ -201,5 +198,6 @@ def propagator_for(config: cavity.CavityConfig) -> np.ndarray:
     Raises UnboundedHamiltonianError before any evolution when the coupling
     leaves the Hamiltonian unbounded below.
     """
-    _check_bounded_below(config)
-    return propagator(cavity.hamiltonian_matrix(config), config.cycle_time)
+    f_sym = cavity.hamiltonian_matrix(config)
+    _check_bounded_below(f_sym, config.coupling)
+    return propagator(f_sym, config.cycle_time)

@@ -150,8 +150,7 @@ def oscillator_hamiltonian(frequencies, couplings, cutoff: int) -> _TensorHamilt
 
 def _system_couplings(config: FockConfig) -> tuple[list[float], list[tuple[int, int, float]]]:
     cav = config.cavity_config
-    freqs = [cav.detector_frequency, cav.detector_frequency]
-    freqs += list(cavity.mode_frequencies(cav))
+    freqs = list(cavity.joint_frequencies(cav))
     x = cavity.coupling_matrix(cav)
     couplings = []
     for j in range(cav.n_field_modes):

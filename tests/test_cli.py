@@ -504,13 +504,16 @@ def test_unusable_output_directory_exits_2(kind, monkeypatch, tmp_path, capsys):
     ids=["run-cycles", "fixed-point", "spectrum", "reproduce-fig"],
 )
 def test_unwritable_output_file_exits_2(argv, blocked, monkeypatch, tmp_path, capsys):
-    # a directory in place of one of the files the command writes
+    # a directory in place of one of the files the command writes: the command
+    # reports nothing written and leaves none of its other files behind
     (tmp_path / blocked).mkdir()
     assert run(argv, monkeypatch, tmp_path, n_cycles=2) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: [output] directory: ")
     assert blocked in err
     assert "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == [blocked]
 
 
 def test_extinction_curve_matches_short_cycle(monkeypatch, tmp_path):

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -186,10 +187,24 @@ def test_propagator_cache_reuses_instance():
 
 
 @pytest.mark.parametrize("coupling", [0.1, 0.25, 0.27, 0.28, 0.3])
-@pytest.mark.parametrize("modes", [4, 8, 128])
-def test_propagator_for_rejects_a_hamiltonian_unbounded_below(modes, coupling):
-    # the 4 x 4 Schur-complement test has the verdict of F_sym's own spectrum
+@pytest.mark.parametrize(
+    "modes, placement",
+    [
+        pytest.param(modes, placement, id=f"{modes}-{placement}".removesuffix("-thirds"))
+        for placement in ("thirds", "asymmetric", "window")
+        for modes in (4, 8, 128)
+    ],
+)
+def test_propagator_for_rejects_a_hamiltonian_unbounded_below(modes, placement, coupling):
+    # the 4 x 4 Schur-complement test has the verdict of F_sym's own spectrum,
+    # also for a pair placed off the mirror symmetry and for a resonant window
+    # of the odd modes (1, 3, 5, ...: mode numbers that are not contiguous)
     cfg = cavity.standard_config(modes, coupling=coupling)
+    if placement == "asymmetric":
+        cfg = replace(cfg, x1=1.37, x2=5.11)
+    elif placement == "window":
+        odd = replace(cfg, mode_numbers=cfg.mode_numbers[::2])
+        cfg = cavity.resonant_window(odd, width=modes * math.pi / 16)
     if np.linalg.eigvalsh(cavity.hamiltonian_matrix(cfg))[0] > 0.0:
         dynamics.propagator_for(cfg)
     else:

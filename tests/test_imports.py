@@ -1,4 +1,4 @@
-"""Where the library may import scipy, and that it imports nothing it leaves unused.
+"""Where the library may import scipy, and that it imports or defines nothing it leaves unused.
 
 The core is meant to need numpy alone; each scipy import that remains is
 listed here, so adding one, or removing one, shows as an edit.
@@ -96,6 +96,52 @@ def test_unused_import_check_finds_a_name_never_read():
 def test_library_imports_no_name_it_leaves_unused():
     unused = {path.stem: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {module: names for module, names in unused.items() if names} == {}
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """module.name of each module-level private function, class or constant never read.
+
+    A name counts as read when any of the modules loads it, as a bare name
+    or as an attribute (module._name); dunder names are not private.
+    """
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                names = []
+            defined.update((module, n) for n in names if n.startswith("_") and not n.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_unused_private_name_check_finds_a_name_never_read():
+    sources = {
+        "a": (
+            "__all__ = []\n"
+            "_LIMIT: int = 3\n"
+            "_SPARE = _SHARED = 0\n"
+            "def _helper(): return _LIMIT\n"
+            "class _Orphan: pass\n"
+            "def public(): return _helper()\n"
+        ),
+        "b": "import a\nprint(a._SHARED)\n",
+    }
+    assert unused_private_names(sources) == ["a._Orphan", "a._SPARE"]
+
+
+def test_library_defines_no_private_name_it_leaves_unread():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unused_private_names(sources) == []
 
 
 # scipy.linalg and scipy.sparse modules loaded on import, after lognegplot and
