@@ -7,7 +7,9 @@ itself, marked read-only; a state evolves as S sigma S^T.
 
 The exponential is scipy.linalg.expm's, bit for bit, without importing
 scipy.linalg (about 0.25 s of each command's start-up): only scipy's compiled
-kernel, _EXPM_KERNEL, is loaded and driven as scipy.linalg.expm drives it.
+kernel, _EXPM_KERNEL, is loaded and driven as scipy.linalg.expm drives a dense
+matrix.  Diagonal and triangular exponentials, which no command builds, go to
+scipy.linalg.expm itself.
 """
 
 from __future__ import annotations
@@ -70,37 +72,26 @@ _single_thread_scipy_blas(_SCIPY_DIR)
 def _kernel_expm(kernel, a: np.ndarray) -> np.ndarray:
     """scipy.linalg.expm of a square float64 matrix, on scipy's compiled kernel.
 
-    The 2-D float64 path of scipy 1.17's expm (scipy/linalg/_matfuncs.py,
+    The dense 2-D float64 path of scipy 1.17's expm (scipy/linalg/_matfuncs.py,
     BSD-3-Clause, Copyright (c) SciPy Developers): Al-Mohy and Higham's
-    scaling and squaring, SIAM J. Matrix Anal. Appl. 31 (2009) 970.
+    scaling and squaring, SIAM J. Matrix Anal. Appl. 31 (2009) 970.  A matrix
+    with no entry below its diagonal, or none above it, goes to
+    scipy.linalg.expm itself, whose closed forms take it; no cavity generator
+    is one, as its +-omega t entries sit on both sides of the diagonal.
     """
-    lower, upper = np.tril(a, -1).any(), np.triu(a, 1).any()
-    if not (lower or upper):
-        return np.diag(np.exp(np.diag(a)))
+    if not (np.tril(a, -1).any() and np.triu(a, 1).any()):
+        from scipy.linalg import expm
+
+        return expm(a)
     am = np.empty((5, *a.shape))
     am[0] = a
     m, s = kernel.pick_pade_structure(am)  # scales am[0] by 2**-s
     if m < 0 or kernel.pade_UV_calc(am, m) != 0:
         raise RuntimeError(f"scipy's expm kernel failed on a {len(a)}-row matrix")
     ea = am[0]
-    if lower and upper:
-        for _ in range(s):
-            ea = ea @ ea
-        return ea
-    # triangular: each squaring resets the diagonal and the one off-diagonal
-    # to their closed forms (Al-Mohy and Higham's Code Fragment 2.1)
-    d, off, i = np.diag(a), np.diag(a, -1 if lower else 1), np.arange(len(a))
-    rows, cols = (i[1:], i[:-1]) if lower else (i[:-1], i[1:])
-    if s:
-        ea[i, i] = np.exp(d * 2.0**-s)
-    for k in range(s - 1, -1, -1):
+    for _ in range(s):
         ea = ea @ ea
-        x = d * 2.0**-k
-        ea[i, i] = np.exp(x)
-        dx = np.diff(x)  # off-diagonal: off (exp x[j+1] - exp x[j]) / (x[j+1] - x[j])
-        sinch = np.divide(np.diff(np.exp(x)), dx, out=np.exp(x[:-1]), where=dx != 0)
-        ea[rows, cols] = sinch * (off * 2.0**-k)
-    return np.tril(ea) if lower else np.triu(ea)
+    return ea
 
 
 def _load_expm(scipy_dir: str):

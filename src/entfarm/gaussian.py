@@ -109,12 +109,10 @@ def _as_covariance(sigma: np.ndarray) -> np.ndarray:
         raise InvalidStateError("covariance matrix must be finite")
     atol = 1e-10 * max(1.0, largest)
     # an exactly symmetric matrix (every state full_cycle returns) passes with
-    # no temporaries; one within atol of its transpose passes np.allclose's
-    # elementwise |s - s^T| <= atol + 1e-5 |s^T| outright; anything else gets
-    # that test in full
+    # no temporaries, and one within atol of its transpose passes np.allclose
+    # outright; anything else takes np.allclose in full
     if not np.array_equal(sigma, sigma.T) and np.abs(sigma - sigma.T).max() > atol:
-        st = sigma.T
-        if not np.all(np.abs(sigma - st) <= atol + 1e-5 * np.abs(st)):
+        if not np.allclose(sigma, sigma.T, atol=atol):
             raise InvalidStateError("covariance matrix must be symmetric")
     return sigma
 

@@ -204,3 +204,25 @@ def whole_matrix_run(config, sigma_f0, n_cycles: int) -> list[dict]:
         })
         sigma = after
     return records
+
+
+def detector_pairs_covariance(blocks, sigma_f0: np.ndarray, n_cycles: int) -> np.ndarray:
+    """Joint covariance of the detector pairs n_cycles cycles discard, 4k x 4k.
+
+    Pair j is read out as d_j = A xi_j + B f_(j-1), xi_j the injected
+    vacuum pair, and the field goes on as f_j = C xi_j + D f_(j-1).  So pair
+    j > h covaries with pair h as B D^(j-h-1) X_h, where X_h = C A^T +
+    D sigma_(h-1) B^T is the field-pair covariance right after cycle h.
+    The first 4k rows and columns are the state of the first k pairs.
+    """
+    a, b, c, d = blocks.a, blocks.b, blocks.c, blocks.d
+    pairs = np.zeros((4 * n_cycles, 4 * n_cycles))
+    cross = np.zeros((d.shape[0], 0))  # the field's covariance with each earlier pair
+    sigma = sigma_f0
+    for j in range(4, 4 * n_cycles + 1, 4):
+        pairs[j - 4 : j, j - 4 : j] = whole_update(b, a @ a.T, sigma)
+        pairs[j - 4 : j, : j - 4] = b @ cross
+        pairs[: j - 4, j - 4 : j] = pairs[j - 4 : j, : j - 4].T
+        cross = np.hstack([d @ cross, c @ a.T + d @ sigma @ b.T])
+        sigma = whole_update(d, c @ c.T, sigma)
+    return pairs

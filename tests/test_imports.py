@@ -20,6 +20,8 @@ SRC = Path(entfarm.__file__).parent
 ALLOWED = {
     # only where scipy's expm kernel is missing or fails its probe
     ("dynamics", "_load_expm", "scipy.linalg.expm"),
+    # only for a diagonal or triangular exponential, which no command builds
+    ("dynamics", "_kernel_expm", "scipy.linalg.expm"),
     ("gaussian", "williamson_normal_form", "scipy.linalg.schur"),
 }
 # the one compiled module dynamics loads, from its file, instead of scipy.linalg
@@ -144,9 +146,94 @@ def test_library_defines_no_private_name_it_leaves_unread():
     assert unused_private_names(sources) == []
 
 
-# scipy.linalg and scipy.sparse modules loaded on import, after lognegplot and
-# after run-cycles, whose relative entropy to the fixed point takes no
-# Williamson form; and the relative-entropy cells run-cycles wrote
+def unused_private_members(sources: dict[str, str]) -> list[str]:
+    """module.Class.name of each private member of a module-level class never read.
+
+    Members are the class body's methods (properties and cached properties
+    among them) and constants, and the attributes its methods set on self.
+    A member counts as read when any of the modules loads it as an
+    attribute (obj._name) or, in the class body, as a bare name; setting it
+    is not reading it.  Dunder names are not private.
+    """
+    def unpacked(targets):
+        for target in targets:
+            if isinstance(target, (ast.Tuple, ast.List)):
+                yield from unpacked(target.elts)
+            else:
+                yield target
+
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            names = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)]
+            for node in ast.walk(cls):
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in unpacked(targets):
+                        if isinstance(target, ast.Name) and node in cls.body:
+                            names.append(target.id)
+                        elif isinstance(target, ast.Attribute) and ast.unparse(target.value) == "self":
+                            names.append(target.attr)
+            defined.update(
+                (module, cls.name, n) for n in names if n.startswith("_") and not n.endswith("__")
+            )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in defined if name not in read)
+
+
+def test_unused_private_member_check_finds_a_member_never_read():
+    sources = {
+        "a": (
+            "from functools import cached_property\n"
+            "class Box:\n"
+            "    _SCALE = 2\n"
+            "    _UNUSED: int = 0\n"
+            "    def __init__(self, x):\n"
+            "        self._x, self._spare = x, x\n"
+            "        self._kept = self._log = x\n"
+            "    @cached_property\n"
+            "    def _doubled(self): return self._SCALE * self._x\n"
+            "    def _orphan(self): return 0\n"
+            "    def value(self): return self._doubled\n"
+        ),
+        "b": "import a\nbox = a.Box(1)\nbox._log = [box._kept]\n",
+    }
+    assert unused_private_members(sources) == [
+        "a.Box._UNUSED", "a.Box._log", "a.Box._orphan", "a.Box._spare"
+    ]
+
+
+def test_library_classes_define_no_private_member_left_unread():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unused_private_members(sources) == []
+
+
+# every command kind, at 4 modes in one process: both sweep parameters, all
+# eight figures (eigtime spans cycle times 1-33, eigcoupling couplings
+# 0.005-0.04 at cycle time 21) and a resonant-window run.  A command that
+# reached a diagonal or triangular exponential would load scipy.linalg.
+COMMANDS = {
+    "run-cycles": ["run-cycles"],
+    "fixed-point": ["fixed-point"],
+    "spectrum": ["spectrum"],
+    "short-cycle": ["short-cycle", "--tf-r", "1.44"],
+    "sweep lambda": ["sweep", "--param", "lambda", "--min", "0.005", "--max", "0.04", "--points", "3"],
+    "sweep t_f": ["sweep", "--param", "t_f", "--min", "1", "--max", "33", "--points", "3"],
+    **{name: ["reproduce-fig", name] for name in (
+        "lognegplot", "energyfig", "thermPure", "thermality",
+        "ultralong", "eigcoupling", "eigtime", "extinction",
+    )},
+    "window": ["run-cycles", "--window", "default"],
+}
+
+# scipy.linalg and scipy.sparse modules loaded on import and after each of
+# COMMANDS, with the Williamson form barred; and the relative-entropy cells
+# run-cycles wrote, which take no Williamson form
 LOADED_SCRIPT = """
 import csv, json, os, sys, tempfile
 def loaded():
@@ -158,13 +245,14 @@ def williamson_normal_form(sigma):
     raise AssertionError("a command took a Williamson form")
 gaussian.williamson_normal_form = williamson_normal_form
 with tempfile.TemporaryDirectory() as out:
-    for argv in (["reproduce-fig", "lognegplot"], ["run-cycles"]):
-        assert cli.main(argv + ["--modes", "4", "--out", out]) == 0
-        seen[argv[-1]] = loaded()
-    with open(os.path.join(out, "trajectory.csv")) as fh:
-        seen["relative_entropy"] = [r["relative_entropy_to_fixed_point"] for r in csv.DictReader(fh)]
-print(json.dumps(seen))
-"""
+    for name, argv in %r.items():
+        assert cli.main(argv + ["--modes", "4", "--out", out]) == 0, name
+        seen[name] = loaded()
+        if name == "run-cycles":
+            with open(os.path.join(out, "trajectory.csv")) as fh:
+                cells = [r["relative_entropy_to_fixed_point"] for r in csv.DictReader(fh)]
+print(json.dumps([seen, cells]))
+""" % (COMMANDS,)
 
 
 def run_script(script: str) -> object:
@@ -179,10 +267,11 @@ def run_script(script: str) -> object:
 
 
 def test_commands_load_no_scipy_linalg_but_the_kernel():
-    seen = run_script(LOADED_SCRIPT)
-    assert seen["import"] == seen["lognegplot"] == seen["run-cycles"] == [KERNEL]
-    assert len(seen["relative_entropy"]) == 3
-    assert all(float(cell) > 0.0 for cell in seen["relative_entropy"])
+    seen, relative_entropy = run_script(LOADED_SCRIPT)
+    assert list(seen) == ["import", *COMMANDS]
+    assert seen == dict.fromkeys(seen, [KERNEL])
+    assert len(relative_entropy) == 3
+    assert all(float(cell) > 0.0 for cell in relative_entropy)
 
 
 # every scipy module loaded after verify: the Fock oracle runs on numpy alone
