@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from entfarm import cavity, gaussian
+from entfarm import _environ_for_load, cavity, gaussian
 
 _EXPM_KERNEL = "scipy.linalg._matfuncs_expm"  # the one compiled module loaded
 _SCIPY_DIR = os.path.dirname(importlib.util.find_spec("scipy").origin)  # scipy not imported
@@ -48,15 +48,8 @@ def _single_thread_scipy_blas(scipy_dir: str) -> None:
     does nothing.
     """
     for path in glob.glob(os.path.join(scipy_dir, os.pardir, "scipy.libs", "*openblas*.so*")):
-        user_threads = os.environ.get("OPENBLAS_NUM_THREADS")
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
+        with _environ_for_load("OPENBLAS_NUM_THREADS", "1"):
             lib = ctypes.CDLL(path)
-        finally:
-            if user_threads is None:
-                del os.environ["OPENBLAS_NUM_THREADS"]
-            else:
-                os.environ["OPENBLAS_NUM_THREADS"] = user_threads
         for symbol in ("scipy_openblas_set_num_threads", "openblas_set_num_threads"):
             set_threads = getattr(lib, symbol, None)
             if set_threads is not None:

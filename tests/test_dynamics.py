@@ -327,6 +327,104 @@ def test_blas_thread_setting_is_a_no_op_without_a_bundled_copy(tmp_path):
     dynamics._single_thread_scipy_blas(str(tmp_path / "scipy"))
 
 
+def _fresh_process(args, user_timeout, **env):
+    """Run args in a fresh Python process from src/, OPENBLAS_THREAD_TIMEOUT as given."""
+    src = Path(dynamics.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if user_timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = user_timeout
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+
+
+# the idle timeout of each OpenBLAS outside scipy.libs that exports it, and
+# OPENBLAS_THREAD_TIMEOUT, after `import entfarm`
+BLAS_TIMEOUT_SCRIPT = """
+import ctypes, json, os
+import entfarm
+with open("/proc/self/maps") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+timeouts = []
+for path in libs:
+    get = getattr(ctypes.CDLL(path), "openblas_thread_timeout", None)
+    if get is not None and os.path.basename(os.path.dirname(path)) != "scipy.libs":
+        get.restype = ctypes.c_int
+        timeouts.append(get())
+print(json.dumps([timeouts, os.environ.get("OPENBLAS_THREAD_TIMEOUT")]))
+"""
+
+
+@pytest.mark.parametrize("user_timeout, timeout", [(None, 4), ("20", 20)])
+def test_numpy_blas_loads_with_the_shortest_idle_timeout_unless_the_user_set_one(
+    user_timeout, timeout
+):
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads /proc/self/maps")
+    timeouts, env_after = json.loads(_fresh_process(["-c", BLAS_TIMEOUT_SCRIPT], user_timeout))
+    if not timeouts:
+        pytest.skip("numpy's BLAS exports no openblas_thread_timeout")
+    assert timeouts == [timeout]
+    assert env_after == user_timeout
+
+
+# OPENBLAS_THREAD_TIMEOUT after an `import entfarm` whose numpy fails to load
+FAILED_NUMPY_LOAD_SCRIPT = """
+import json, os, sys
+sys.modules["numpy"] = None  # `import numpy` raises ImportError
+try:
+    import entfarm
+except ImportError:
+    print(json.dumps(os.environ.get("OPENBLAS_THREAD_TIMEOUT")))
+"""
+
+
+@pytest.mark.parametrize("user_timeout", ["20", None])
+def test_a_failed_numpy_load_restores_the_environment(user_timeout):
+    out = _fresh_process(["-c", FAILED_NUMPY_LOAD_SCRIPT], user_timeout)
+    assert json.loads(out) == user_timeout
+
+
+# CPU clock ticks of every thread but the main one, 0.3 s after `import entfarm`
+IDLE_WORKER_SCRIPT = """
+import os, time
+import entfarm
+time.sleep(0.3)
+ticks = 0
+for tid in os.listdir("/proc/self/task"):
+    if int(tid) != os.getpid():
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rpartition(")")[2].split()
+        ticks += int(fields[11]) + int(fields[12])  # utime, stime
+print(ticks)
+"""
+
+
+def test_numpy_blas_worker_sleeps_while_idle():
+    # at OpenBLAS's default timeout the worker spins for about 0.1 s after
+    # the load, some 13 ticks of 10 ms on a 2-core host
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("reads /proc/self/task; needs two cores for a two-thread OpenBLAS")
+    out = _fresh_process(["-c", IDLE_WORKER_SCRIPT], None, OPENBLAS_NUM_THREADS="2")
+    assert int(out) <= 2
+
+
+@pytest.mark.parametrize("argv", [["run-cycles"], ["reproduce-fig", "eigtime"]])
+def test_the_idle_timeout_moves_no_output_byte(tmp_path, argv):
+    # 28 is OpenBLAS's own default, the timeout the commands ran at before
+    written = {}
+    for user_timeout in (None, "28"):
+        out = tmp_path / str(user_timeout)
+        _fresh_process(
+            ["-m", "entfarm.cli", *argv, "--modes", "8", "--out", str(out)],
+            user_timeout,
+            OPENBLAS_NUM_THREADS="2",
+        )
+        written[user_timeout] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert written[None] and written[None] == written["28"]
+
+
 def test_evolve_preserves_symplectic_spectrum():
     cfg = small_config()
     prop = dynamics.propagator_for(cfg)
