@@ -294,19 +294,25 @@ def cmd_spectrum(args) -> int:
 def _sweep(cfg: ExperimentConfig, spec: SweepSpec, name: str, extra: str):
     """Header, rows and gnuplot script of critical cycles over a sweep.
 
-    Points are solved in grid order, which is ascending, one at a time; no
-    name holds a point's blocks, so they are freed before the next point's
-    propagator is built.  A point that fails, numerically or with an invalid
-    value, records the error in its failure column.
+    Points are solved in grid order, which is ascending, one at a time.
+    Each point's propagator is dynamics.propagator_from the previous point's
+    (config, propagator), so a cycle-time sweep steps one propagator on
+    instead of exponentiating at every point.  That propagator is the one
+    matrix a point leaves behind: no name holds a point's blocks, so they
+    are freed before the next point's propagator is built.  A point that
+    fails, numerically or with an invalid value, records the error in its
+    failure column and leaves no propagator, so the next point starts afresh.
     """
-    rows = []
+    rows, previous = [], None
     for value in spec.grid().tolist():
         try:
             cav = spec.apply(cfg, value).cavity_config()
-            spectrum, (_, instability) = _coupled_spectrum(protocol.blocks_for(cav))
+            previous = cav, dynamics.propagator_from(previous, cav)
+            spectrum, (_, instability) = _coupled_spectrum(protocol._blocks_of(*previous))
             log_critical = None if instability is None else math.log10(instability)
             rows.append((value, spectrum.max_modulus, log_critical, ""))
         except NUMERICAL_ERRORS + (ConfigError,) as exc:
+            previous = None
             rows.append((value, None, None, f"{type(exc).__name__}: {exc}"))
     plots = [f"'{name}.csv' skip 1 using 1:3 with linespoints title 'critical cycles'"]
     header = ("parameter", "max_modulus", "log10_critical_cycles", "failure")

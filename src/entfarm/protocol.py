@@ -370,7 +370,12 @@ def block_decompose(s: np.ndarray) -> CycleBlocks:
 
 def blocks_for(config: cavity.CavityConfig) -> CycleBlocks:
     """The blocks of config's propagator, with its decoupled modes and sectors named."""
-    blocks = block_decompose(dynamics.propagator_for(config))
+    return _blocks_of(config, dynamics.propagator_for(config))
+
+
+def _blocks_of(config: cavity.CavityConfig, s: np.ndarray) -> CycleBlocks:
+    """blocks_for(config) from s, config's propagator."""
+    blocks = block_decompose(s)
     return replace(
         blocks,
         sectors=tuple(cavity.parity_sectors(config)),

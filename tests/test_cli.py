@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entfarm import cli, dynamics, fock, protocol, spectral, thermo
+from entfarm import cavity, cli, dynamics, fock, gaussian, protocol, spectral, thermo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -323,23 +323,73 @@ def test_sweep_records_an_invalid_point_in_its_failure_row(monkeypatch, tmp_path
 
 def test_a_sweep_frees_each_point_before_the_next_propagator(monkeypatch, tmp_path):
     # every CycleBlocks a sweep point made is dead when the next point's
-    # propagator is entered, so one point's matrices are held at a time
-    made, alive = [], []
-    blocks_for, propagator_for = protocol.blocks_for, dynamics.propagator_for
+    # propagator is entered, so one point's blocks are held at a time; of the
+    # points' propagators only the previous point's (which the next one steps
+    # from) and the first's (the cached step of eigtime's uniform grid) live
+    made, stepped, alive = [], [], []
+    blocks_of = protocol._blocks_of
+    propagator_for, propagator_from = dynamics.propagator_for, dynamics.propagator_from
 
-    def recording_blocks_for(config):
-        blocks = blocks_for(config)
+    def recording_blocks_of(config, s):
+        blocks = blocks_of(config, s)
         made.append(weakref.ref(blocks))
         return blocks
 
+    def recording_propagator_from(previous, config):
+        s = propagator_from(previous, config)
+        stepped.append(weakref.ref(s))
+        return s
+
     def counting_propagator_for(config):
-        alive.append(sum(ref() is not None for ref in made))
+        alive.append((sum(ref() is not None for ref in made),
+                      sum(ref() is not None for ref in stepped)))
         return propagator_for(config)
 
-    monkeypatch.setattr(protocol, "blocks_for", recording_blocks_for)
+    monkeypatch.setattr(protocol, "_blocks_of", recording_blocks_of)
+    monkeypatch.setattr(dynamics, "propagator_from", recording_propagator_from)
     monkeypatch.setattr(dynamics, "propagator_for", counting_propagator_for)
     assert run(["reproduce-fig", "eigtime"], monkeypatch, tmp_path) == 0
-    assert alive == [0] * 33
+    assert len(made) == len(stepped) == 33
+    assert alive == [(0, 0), (0, 1)] + [(0, 2)] * 31
+
+
+def test_a_failed_stepped_point_leaves_the_next_to_start_afresh(monkeypatch, tmp_path):
+    # the fourth point's stepped product fails its symplectic check: its row
+    # names the error, and the fifth point is computed from scratch, as a
+    # lone propagator_for at its cycle time computes it
+    check_symplectic, propagator = gaussian.check_symplectic, dynamics.propagator
+    inside, products = [], []
+
+    def marking_propagator(f_sym, t):
+        inside.append(True)
+        try:
+            return propagator(f_sym, t)
+        finally:
+            inside.pop()
+
+    def failing_check(s):
+        if not inside:
+            products.append(s)
+            if len(products) == 3:
+                return 1.0
+        return check_symplectic(s)
+
+    monkeypatch.setattr(dynamics, "propagator", marking_propagator)
+    monkeypatch.setattr(gaussian, "check_symplectic", failing_check)
+    argv = ["sweep", "--param", "t_f", "--min", "1", "--max", "6", "--points", "6"]
+    assert run(argv, monkeypatch, tmp_path) == 0
+    _, rows = read_csv(tmp_path / "sweep.csv")
+    assert rows[3][:3] == ["4.0", "", ""]
+    assert rows[3][3] == "PropagatorAccuracyError: propagator violates the symplectic " \
+        "condition by 1.000e+00"
+    assert [r[3] for r in rows[:3] + rows[4:]] == ["", "", "", "", ""]
+    assert len(products) == 4  # points 2, 3, 4 and 6 step; point 5 does not
+
+    monkeypatch.setattr(gaussian, "check_symplectic", check_symplectic)
+    dynamics.propagator_for.cache_clear()
+    cav = cavity.standard_config(4, cycle_time=5.0)
+    spectrum, (_, instability) = cli._coupled_spectrum(protocol.blocks_for(cav))
+    assert rows[4] == ["5.0", repr(spectrum.max_modulus), repr(math.log10(instability)), ""]
 
 
 def test_sweep_rejects_removed_workers_flag(monkeypatch, tmp_path, capsys):
@@ -563,9 +613,10 @@ PROPAGATOR_LOOKUPS = [
     (["run-cycles"], 1, 1),
     (["run-cycles", "--window", "default"], 1, 1),
     (["reproduce-fig", "lognegplot"], 2, 1),
-    (["reproduce-fig", "eigtime"], 0, 33),
+    (["reproduce-fig", "eigtime"], 32, 1),
     (["reproduce-fig", "eigcoupling"], 0, 7),
     (["sweep", "--param", "lambda", "--min", "0.01", "--max", "0.03", "--points", "3"], 0, 3),
+    (["sweep", "--param", "t_f", "--min", "10", "--max", "20", "--points", "3"], 1, 2),
     (["reproduce-fig", "extinction"], 0, 3),
     (["verify"], 0, 2),
     (["fixed-point"], 0, 1),

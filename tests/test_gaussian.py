@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from entfarm import cavity, gaussian, protocol
+from entfarm import cavity, dynamics, gaussian, protocol
 from conftest import grouped_analysis, random_covariance, random_symplectic
 
 RNG = np.random.default_rng(20240807)
@@ -144,6 +144,35 @@ def test_symplectic_form_by_row_swaps_is_the_dense_product(n):
     assert np.array_equal(gaussian.apply_symplectic_form(x), omega @ x)
     s = rng.standard_normal((2 * n, 2 * n))
     assert gaussian.check_symplectic(s) == float(np.max(np.abs(s @ omega @ s.T - omega)))
+
+
+def dense_drift(s: np.ndarray) -> float:
+    """The symplectic drift with Omega formed and subtracted whole."""
+    omega = gaussian.symplectic_form(len(s) // 2)
+    return float(np.max(np.abs(s @ gaussian.apply_symplectic_form(s.T) - omega)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 130])
+def test_check_symplectic_subtracts_omega_in_place_bit_for_bit(n):
+    # random, near-symplectic and NaN-holding matrices: the in-place
+    # subtraction at Omega's +-1 entries gives the dense formula's float
+    rng = np.random.default_rng(500 + n)
+    dense = rng.standard_normal((2 * n, 2 * n))
+    near = random_symplectic(n, rng, scale=0.1)
+    holed = near.copy()
+    holed[-1, 0] = math.nan
+    for s in (dense, near, holed):
+        assert np.array_equal(gaussian.check_symplectic(s), dense_drift(s), equal_nan=True)
+
+
+def test_check_symplectic_of_propagators_is_the_dense_formula():
+    one = dynamics.propagator_for(cavity.standard_config(128, cycle_time=1.0))
+    later = cavity.standard_config(128, cycle_time=2.0)
+    stepped = dynamics.propagator_from((cavity.standard_config(128, cycle_time=1.0), one), later)
+    for s in (one, stepped, dynamics.propagator_for(later)):
+        drift = gaussian.check_symplectic(s)
+        assert 0.0 < drift < 1e-9
+        assert drift == dense_drift(s)
 
 
 # ---------------------------------------------------------------------------

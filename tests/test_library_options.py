@@ -26,6 +26,7 @@ SURFACE = {
     ],
     "dynamics": [
         "PropagatorAccuracyError", "UnboundedHamiltonianError", "propagator", "propagator_for",
+        "propagator_from",
     ],
     "fock": [
         "TooLargeError", "CutoffTooSmallError", "NormDriftError", "FockConfig",
