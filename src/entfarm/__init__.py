@@ -8,11 +8,11 @@ the induced affine map on field states, thermodynamic diagnostics, and a
 small truncated-Fock cross-check.
 """
 
-import contextlib
-import os
+import contextlib as _contextlib
+import os as _os
 
 
-@contextlib.contextmanager
+@_contextlib.contextmanager
 def _environ_for_load(name: str, value: str):
     """Set the environment variable `name` to `value` for one library load.
 
@@ -20,15 +20,15 @@ def _environ_for_load(name: str, value: str):
     needed only during the load: afterwards the caller's value, or its
     absence, is put back, also if the load fails.
     """
-    user_value = os.environ.get(name)
-    os.environ[name] = value
+    user_value = _os.environ.get(name)
+    _os.environ[name] = value
     try:
         yield
     finally:
         if user_value is None:
-            del os.environ[name]
+            del _os.environ[name]
         else:
-            os.environ[name] = user_value
+            _os.environ[name] = user_value
 
 
 # numpy's OpenBLAS loads here.  After each threaded call its idle workers spin
@@ -36,28 +36,8 @@ def _environ_for_load(name: str, value: str):
 # command makes such a call every few ms, so at two or more threads a worker
 # spins through the whole command.  At 4, OpenBLAS's floor, an idle worker
 # sleeps at once.  A timeout the user set is followed, and the thread count is
-# left as the user set it.
-with _environ_for_load("OPENBLAS_THREAD_TIMEOUT", os.environ.get("OPENBLAS_THREAD_TIMEOUT", "4")):
-    from entfarm.gaussian import (
-        log_negativity,
-        purity,
-        symplectic_eigenvalues,
-        symplectic_form,
-        thermal_state,
-        vacuum_state,
-        von_neumann_entropy,
-        williamson_normal_form,
-    )
-
-__all__ = [
-    "log_negativity",
-    "purity",
-    "symplectic_eigenvalues",
-    "symplectic_form",
-    "thermal_state",
-    "vacuum_state",
-    "von_neumann_entropy",
-    "williamson_normal_form",
-]
+# left as the user set it.  numpy is loaded and bound to no name.
+with _environ_for_load("OPENBLAS_THREAD_TIMEOUT", _os.environ.get("OPENBLAS_THREAD_TIMEOUT", "4")):
+    __import__("numpy")
 
 __version__ = "0.1.0"

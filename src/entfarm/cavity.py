@@ -72,11 +72,6 @@ class CavityConfig:
     def n_field_modes(self) -> int:
         return len(self.mode_numbers)
 
-    @property
-    def n_modes(self) -> int:
-        """Total oscillators: two detectors plus the retained field modes."""
-        return 2 + self.n_field_modes
-
     def fingerprint(self) -> str:
         """16 hex digits of the SHA-256 of the fields; hashlib (and with it
         OpenSSL's libcrypto) loads on the first call, as no command makes one."""

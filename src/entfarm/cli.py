@@ -4,8 +4,8 @@ Every subcommand reads an optional INI config (see entfarm.config), applies
 environment and flag overrides, writes CSV files plus gnuplot scripts into
 the output directory, and exits 0 on success, 2 on configuration problems,
 3 on numerical failures.  Error lines are prefixed "error:" on stderr.
-Outputs are deterministic: the same configuration produces bit-identical
-files.
+Outputs are deterministic: on one host at one BLAS thread count the same
+configuration produces bit-identical files.
 """
 
 from __future__ import annotations

@@ -40,20 +40,10 @@ class DecompositionError(RuntimeError):
 # construction and validation
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, one [[0,1],[-1,0]] block per mode."""
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = j
-    return omega
-
-
 def apply_symplectic_form(x: np.ndarray) -> np.ndarray:
     """Omega @ x for an array with 2N rows, by swapping row pairs with a sign.
 
+    Omega is the symplectic form, one [[0, 1], [-1, 0]] block per mode.
     Every entry of the result is one entry of x or its negative, so it
     equals the dense product exactly (zeros may differ in sign) without an
     O(N^3) matrix product.

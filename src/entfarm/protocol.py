@@ -119,12 +119,16 @@ class AffineMap:
     def _state(self, sigma: np.ndarray) -> tuple[AffineMap, list[np.ndarray]]:
         """The map that steps sigma and sigma's blocks on its partition.
 
-        The entry of apply, full_cycle and run_cycles: sigma is checked for
-        shape and symmetry (not physicality).  A sigma with a covariance
-        between two of the map's groups past gaussian.ISOLATION_TOL times its
-        largest diagonal entry (or 1) runs on the one-group map, the whole
-        matrices, so the update stays exact; any other runs on the groups,
-        and its smaller covariances between them are dropped.
+        The entry of apply, full_cycle, run_cycles and (through
+        _checked_start) extinction_scan: sigma is checked for shape and
+        symmetry, not physicality.  A sigma with a covariance between two of
+        the map's groups past gaussian.ISOLATION_TOL times its largest
+        diagonal entry (or 1) runs on the one-group map, the whole matrices,
+        so the update stays exact; any other runs on the groups, and its
+        smaller covariances between them are dropped.  No command starts from
+        such a state; the route stays for sigma_f0, as a start that correlates
+        two sectors is a valid input to the paper's claim that the farm
+        forgets its start.
         """
         sigma = gaussian._as_covariance(sigma)
         n = self.partition.n_modes

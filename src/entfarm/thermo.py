@@ -60,10 +60,6 @@ class ThermalFit:
     beta: float
     thermal_entropy: float
 
-    @property
-    def temperature(self) -> float:
-        return 1.0 / self.beta
-
 
 def log_density(state: gaussian.StateAnalysis) -> QuadraticLogDensity:
     """Quadratic log-density coefficients (c, H) of a mixed Gaussian state.

@@ -6,11 +6,26 @@ from scipy.linalg import expm, schur
 from entfarm import gaussian, spectral, thermo
 
 
+def symplectic_form(n_modes: int) -> np.ndarray:
+    """Block-diagonal symplectic form, one [[0,1],[-1,0]] block per mode.
+
+    The dense Omega: an oracle for gaussian.apply_symplectic_form and
+    gaussian.check_symplectic, which never form it.
+    """
+    if n_modes < 1:
+        raise ValueError("need at least one mode")
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    omega = np.zeros((2 * n_modes, 2 * n_modes))
+    for k in range(n_modes):
+        omega[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = j
+    return omega
+
+
 def random_symplectic(n_modes: int, rng: np.random.Generator, scale: float = 0.4) -> np.ndarray:
     """Random symplectic matrix exp(Omega A) with A symmetric."""
     a = rng.normal(scale=scale, size=(2 * n_modes, 2 * n_modes))
     a = (a + a.T) / 2.0
-    return expm(gaussian.symplectic_form(n_modes) @ a)
+    return expm(symplectic_form(n_modes) @ a)
 
 
 def random_covariance(
@@ -55,7 +70,7 @@ def entropy_difference_check(
     agree for any valid state; disagreement flags an implementation bug.
     """
     fit = thermo.effective_temperature(sigma, frequencies)
-    direct = thermo.relative_entropy(sigma, gaussian.thermal_state(frequencies, fit.temperature))
+    direct = thermo.relative_entropy(sigma, gaussian.thermal_state(frequencies, 1.0 / fit.beta))
     difference = fit.thermal_entropy - gaussian.von_neumann_entropy(sigma)
     return direct, difference
 
@@ -72,7 +87,7 @@ def williamson_log_density(sigma: np.ndarray) -> tuple[float, np.ndarray]:
     nus = np.diag(d)[0::2]
     c = float(np.sum(0.5 * np.log(4.0 / (nus**2 - 1.0))))
     h_diag = np.repeat(0.5 * np.log((nus - 1.0) / (nus + 1.0)), 2)
-    omega = gaussian.symplectic_form(len(nus))
+    omega = symplectic_form(len(nus))
     s_inv = -omega @ s.T @ omega  # symplectic inverse
     h = s_inv.T @ np.diag(h_diag) @ s_inv
     return c, (h + h.T) / 2.0
@@ -86,7 +101,7 @@ def eigvals_symplectic_eigenvalues(sigma: np.ndarray, pair_tol: float = 1e-8) ->
     gaussian.symplectic_eigenvalues; it needs no positive definiteness.
     """
     sigma = np.asarray(sigma, dtype=float)
-    w = np.linalg.eigvals(gaussian.symplectic_form(sigma.shape[0] // 2) @ sigma)
+    w = np.linalg.eigvals(symplectic_form(sigma.shape[0] // 2) @ sigma)
     moduli = np.sort(np.abs(w))[::-1]
     first, second = moduli[0::2], moduli[1::2]
     if np.max(np.abs(first - second)) > pair_tol * max(1.0, moduli[0]):

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from entfarm import cavity, dynamics, fock, gaussian, protocol, spectral, thermo
-from conftest import entropy_difference_check, evolve, fixed_point_solutions, total_energy
+from conftest import (
+    entropy_difference_check,
+    evolve,
+    fixed_point_solutions,
+    symplectic_form,
+    total_energy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -255,4 +261,4 @@ def _random_symplectic(n, rng, scale=0.4):
     from scipy.linalg import expm
 
     h = rng.standard_normal((2 * n, 2 * n)) * scale
-    return expm(gaussian.symplectic_form(n) @ (h + h.T) / 2.0)
+    return expm(symplectic_form(n) @ (h + h.T) / 2.0)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from entfarm import cavity, cli, dynamics, gaussian
-from conftest import evolve, random_covariance, total_energy
+from conftest import evolve, random_covariance, symplectic_form, total_energy
 
 RNG = np.random.default_rng(97)
 
@@ -61,7 +61,7 @@ def test_propagator_matches_dense_generator(modes):
     # the configured cycle time and at each of eigtime's 33
     cfg = cavity.standard_config(modes)
     f = cavity.hamiltonian_matrix(cfg)
-    generator = gaussian.symplectic_form(modes + 2) @ f
+    generator = symplectic_form(modes + 2) @ f
     eigtime = cli._SWEEP_FIGURES["eigtime"][0].grid().tolist()
     for t in [cfg.cycle_time, *eigtime]:
         assert np.array_equal(dynamics.propagator(f, t), expm(generator * t)), t
@@ -487,7 +487,7 @@ def test_the_idle_timeout_moves_no_output_byte(tmp_path, argv):
 def test_evolve_preserves_symplectic_spectrum():
     cfg = small_config()
     prop = dynamics.propagator_for(cfg)
-    sigma, nus = random_covariance(cfg.n_modes, RNG)
+    sigma, nus = random_covariance(cfg.n_field_modes + 2, RNG)
     evolved = evolve(sigma, prop)
     assert np.allclose(gaussian.symplectic_eigenvalues(evolved), nus, atol=1e-8)
 
@@ -495,7 +495,7 @@ def test_evolve_preserves_symplectic_spectrum():
 def test_evolve_keeps_vacuum_fixed_without_coupling():
     cfg = small_config(coupling=0.0)
     prop = dynamics.propagator_for(cfg)
-    vac = gaussian.vacuum_state(cfg.n_modes)
+    vac = gaussian.vacuum_state(cfg.n_field_modes + 2)
     assert np.allclose(evolve(vac, prop), vac, atol=1e-12)
 
 
@@ -508,7 +508,7 @@ def test_evolve_dimension_mismatch():
 def test_total_energy_conserved_along_evolution():
     cfg = small_config()
     f = cavity.hamiltonian_matrix(cfg)
-    sigma, _ = random_covariance(cfg.n_modes, RNG)
+    sigma, _ = random_covariance(cfg.n_field_modes + 2, RNG)
     e0 = total_energy(sigma, f)
     for t in (1.0, 5.0, 20.0):
         evolved = evolve(sigma, dynamics.propagator(f, t))
@@ -534,7 +534,7 @@ def test_decoupled_mode_block_is_free_rotation():
 def test_detector_correlations_grow_quadratically():
     cfg = small_config()
     f = cavity.hamiltonian_matrix(cfg)
-    vac = gaussian.vacuum_state(cfg.n_modes)
+    vac = gaussian.vacuum_state(cfg.n_field_modes + 2)
     times = np.geomspace(1e-3, 1e-2, 7)
     norms = []
     for t in times:
@@ -566,7 +566,7 @@ def integrate_propagator(f_sym_of_t, t: float, step: float) -> np.ndarray:
         raise ValueError("evolution time must be non-negative")
     f0 = np.asarray(f_sym_of_t(0.0), dtype=float)
     n = f0.shape[0] // 2
-    omega = gaussian.symplectic_form(n)
+    omega = symplectic_form(n)
     s = np.eye(2 * n)
     n_steps = max(1, int(np.ceil(t / step)))
     h = t / n_steps

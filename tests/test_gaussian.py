@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from entfarm import cavity, dynamics, gaussian, protocol
-from conftest import grouped_analysis, random_covariance, random_symplectic
+from conftest import grouped_analysis, random_covariance, random_symplectic, symplectic_form
 
 RNG = np.random.default_rng(20240807)
 
@@ -139,7 +139,7 @@ def test_symplectic_form_by_row_swaps_is_the_dense_product(n):
     # each entry of Omega x is one entry of x or its negative, so the swaps
     # reproduce the dense products bit for bit, drift value included
     rng = np.random.default_rng(n)
-    omega = gaussian.symplectic_form(n)
+    omega = symplectic_form(n)
     x = rng.standard_normal((2 * n, 3 * n))
     assert np.array_equal(gaussian.apply_symplectic_form(x), omega @ x)
     s = rng.standard_normal((2 * n, 2 * n))
@@ -148,7 +148,7 @@ def test_symplectic_form_by_row_swaps_is_the_dense_product(n):
 
 def dense_drift(s: np.ndarray) -> float:
     """The symplectic drift with Omega formed and subtracted whole."""
-    omega = gaussian.symplectic_form(len(s) // 2)
+    omega = symplectic_form(len(s) // 2)
     return float(np.max(np.abs(s @ gaussian.apply_symplectic_form(s.T) - omega)))
 
 
@@ -273,7 +273,7 @@ def mpmath_entropy(sigma: np.ndarray, digits: int = 40) -> float:
     n = sigma.shape[0] // 2
     with mpmath.workdps(digits):
         t = mpmath.cholesky(mpmath.matrix(sigma.tolist()))
-        k = t.T * mpmath.matrix(gaussian.symplectic_form(n).tolist()) * t
+        k = t.T * mpmath.matrix(symplectic_form(n).tolist()) * t
         squares = sorted(mpmath.eigsy(k.T * k, eigvals_only=True), reverse=True)
         total = mpmath.mpf(0)
         for i in range(n):

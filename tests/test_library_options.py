@@ -34,7 +34,7 @@ SURFACE = {
         "evolve_and_covariance",
     ],
     "gaussian": [
-        "InvalidStateError", "DecompositionError", "symplectic_form", "apply_symplectic_form",
+        "InvalidStateError", "DecompositionError", "apply_symplectic_form",
         "vacuum_state", "thermal_state", "thermal_symplectic_eigenvalues", "mode_count",
         "reduce_modes", "symplectic_eigenvalues", "assert_physical", "williamson_normal_form",
         "check_symplectic", "purity", "entropy_of_spectrum", "von_neumann_entropy",

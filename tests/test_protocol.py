@@ -102,8 +102,8 @@ def test_one_step_equals_joint_evolution():
     prop = dynamics.propagator_for(cfg)
     step = protocol.blocks_for(cfg).field_map
     vac_f = gaussian.vacuum_state(cfg.n_field_modes)
-    joint = evolve(gaussian.vacuum_state(cfg.n_modes), prop)
-    field_part = gaussian.reduce_modes(joint, range(2, cfg.n_modes))
+    joint = evolve(gaussian.vacuum_state(cfg.n_field_modes + 2), prop)
+    field_part = gaussian.reduce_modes(joint, range(2, cfg.n_field_modes + 2))
     stepped = step.apply(vac_f)
     assert np.max(np.abs(stepped - field_part)) < 1e-12
 

@@ -9,7 +9,12 @@ from scipy.optimize import linear_sum_assignment
 
 from entfarm import cavity, cli, config, gaussian, protocol, spectral
 from entfarm.protocol import AffineMap, CycleBlocks
-from conftest import eigenbasis_fixed_point, fixed_point_solutions, schur_fixed_point
+from conftest import (
+    eigenbasis_fixed_point,
+    fixed_point_solutions,
+    schur_fixed_point,
+    symplectic_form,
+)
 
 
 def window_config(cycle_time=20.0, **overrides):
@@ -442,7 +447,7 @@ def test_convergence_rate_follows_squared_leading_modulus():
 def _random_field_state(n_modes, rng):
     from scipy.linalg import expm
 
-    omega = gaussian.symplectic_form(n_modes)
+    omega = symplectic_form(n_modes)
     h = rng.standard_normal((2 * n_modes, 2 * n_modes)) * 0.2
     s = expm(omega @ (h + h.T) / 2.0)
     nus = 1.0 + rng.uniform(0.0, 1.0, n_modes)

@@ -169,8 +169,8 @@ def test_effective_temperature_round_trip():
     freqs = np.array([0.5, 1.0, 1.7])
     sigma = gaussian.thermal_state(freqs, 0.7)
     fit = thermo.effective_temperature(sigma, freqs)
-    assert fit.temperature == pytest.approx(0.7, rel=1e-8)
-    assert np.allclose(gaussian.thermal_state(freqs, fit.temperature), sigma, rtol=1e-8)
+    assert 1.0 / fit.beta == pytest.approx(0.7, rel=1e-8)
+    assert np.allclose(gaussian.thermal_state(freqs, 1.0 / fit.beta), sigma, rtol=1e-8)
 
 
 def test_thermal_fit_builds_no_dense_thermal_state(monkeypatch):
@@ -199,9 +199,9 @@ def test_effective_temperature_of_squeezed_mode():
         lambda t: 1.0 / math.tanh(omega / (2.0 * t)) - target_nu, 1e-6, 1e6
     )
     fit = thermo.effective_temperature(sigma, [omega])
-    assert fit.temperature == pytest.approx(t_oracle, rel=1e-8)
+    assert 1.0 / fit.beta == pytest.approx(t_oracle, rel=1e-8)
     want = gaussian.energy(sigma, [omega], "paper")
-    got = gaussian.energy(gaussian.thermal_state([omega], fit.temperature), [omega], "paper")
+    got = gaussian.energy(gaussian.thermal_state([omega], 1.0 / fit.beta), [omega], "paper")
     assert got == pytest.approx(want, rel=1e-10)
 
 
