@@ -3,12 +3,12 @@
 Truncates every oscillator (two detectors plus at most two field modes) at a
 finite Fock level, applies the coupled Hamiltonian to a state as a sum of
 products of c x c single-oscillator factors (H itself is never formed),
-applies exp(-iHt) to the joint ground state by Al-Mohy & Higham's truncated
-Taylor action on that one vector (products H psi; neither the exponential
-nor an eigenbasis of H is formed), and reads the covariance matrix off
-quadrature expectation values.  numpy alone does all of it.  Nothing here
-assumes Gaussianity, which is the point: agreement with the symplectic
-engine certifies both.
+applies exp(-iHt) to the joint ground state by Tal-Ezer & Kosloff's
+Chebyshev expansion on that one vector (products H psi; neither the
+exponential nor an eigenbasis of H is formed), and reads the covariance
+matrix off quadrature expectation values.  numpy alone does all of it.
+Nothing here assumes Gaussianity, which is the point: agreement with the
+symplectic engine certifies both.
 
 Quadratures follow q = (a + a*)/sqrt(2), p = i(a* - a)/sqrt(2), so the
 uncoupled ground state has covariance 1 on every diagonal entry, matching
@@ -17,7 +17,6 @@ the engine's vacuum normalization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,59 +173,60 @@ def _top_level_population(psi: np.ndarray, n_sites: int, cutoff: int) -> float:
     return worst
 
 
-# theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 488, 2011) in double
-# precision (Higham, Functions of Matrices, table A.3): m Taylor terms of
-# exp(A) psi are accurate to unit roundoff while ||A||_1 <= theta_m.  The
-# table stops at m = 30, which keeps verify's two truncations within 2e-14
-# of a dense eigendecomposition (tests/test_fock.py).
-_THETA = (
-    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2,
-    8.96e-2, 1.44e-1, 2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1,
-    9.31e-1, 1.09, 1.26, 1.44, 1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08,
-    3.31, 3.54,
-)
-_UNIT_ROUNDOFF = 2.0**-53
+# unit roundoff / 16: a Chebyshev term past k = rho |t| is dropped below it
+_TERM_TOL = 2.0**-57
 
 
-def _taylor_action(h: _TensorHamiltonian, psi: np.ndarray, t: float) -> np.ndarray:
-    """exp(-iHt) psi by Al-Mohy & Higham's truncated Taylor action.
+def _bessel_coefficients(x: float) -> np.ndarray:
+    """J_0(x), ..., J_(K-1)(x), K the first k > max(x, 1) with |J_k(x)| < _TERM_TOL.
 
-    H is shifted by mu, the mean of its diagonal (the phase exp(-i mu t / s)
-    put back after each step); the exact 1-norm of t (H - mu) is the largest entry of
-    |H - mu| applied to ones.  The time is cut into s steps of m Taylor
-    terms each, (m, s) the pair with the fewest products m s subject to
-    ||t (H - mu)||_1 <= s theta_m, and a step's series stops early once two
-    successive terms fall below unit roundoff of the sum.
+    Miller's backward recurrence J_(k-1) = (2k / x) J_k - J_(k+1) from
+    J_(n+1) = 0 at n = x + 15 x^(1/3) + 30, where J_n is far below roundoff,
+    rescaled before it overflows and normalised by J_0 + 2 sum_k J_2k = 1.
+    """
+    if x < 1e-20:  # J_0 = 1 and J_1 = x / 2 to roundoff; J_2 = x^2 / 8 is below _TERM_TOL
+        return np.array([1.0, x / 2.0])
+    start = int(x + 15.0 * x ** (1.0 / 3.0) + 30.0)
+    j = [0.0] * (start + 2)
+    j[start] = 1e-300
+    for k in range(start, 0, -1):
+        j[k - 1] = (2.0 * k / x) * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j = [v * 1e-250 for v in j]
+    coeffs = np.array(j[: start + 1])
+    coeffs /= coeffs[0] + 2.0 * coeffs[2::2].sum()
+    k = np.arange(len(coeffs))
+    return coeffs[: np.flatnonzero((k > max(x, 1.0)) & (np.abs(coeffs) < _TERM_TOL))[0]]
+
+
+def _chebyshev_action(h: _TensorHamiltonian, psi: np.ndarray, t: float) -> np.ndarray:
+    """exp(-iHt) psi by Tal-Ezer & Kosloff's Chebyshev expansion (J. Chem. Phys. 81, 3967, 1984).
+
+    rho, the largest row sum of |H - mu| (|H - mu| applied to ones, mu the
+    diagonal's mean), bounds the spectrum of H - mu, so with X = (H - mu) / rho
+    exp(-iHt) = exp(-i mu t) sum_k (2 - delta_k0) (-i sgn t)^k J_k(rho |t|) T_k(X),
+    T_(k+1)(X) psi = 2 X T_k(X) psi - T_(k-1)(X) psi.  The sum stops where
+    _bessel_coefficients does, after about rho |t| + O((rho |t|)^(1/3)) products.
     """
     mu = float(h.diagonal.mean())
-    norm = abs(t) * float((h.magnitude(mu) @ np.ones(len(psi))).max())
-    m, s = 0, 1
-    if norm > 0.0:
-        m, s = min(
-            ((terms, math.ceil(norm / theta)) for terms, theta in enumerate(_THETA, start=1)),
-            key=lambda pair: pair[0] * pair[1],
-        )
-    eta = np.exp(-1j * t * mu / s)
-    f = psi
-    for _ in range(s):
-        b = f
-        c1 = np.abs(b).max()
-        for j in range(m):
-            b = (-1j * t / (s * (j + 1))) * (h @ b - mu * b)
-            c2 = np.abs(b).max()
-            f = f + b
-            if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(f).max():
-                break
-            c1 = c2
-        f = eta * f
-    return f
+    rho = float((h.magnitude(mu) @ np.ones(len(psi))).max())
+    if rho * t == 0.0:
+        return np.exp(-1j * mu * t) * psi
+    j = _bessel_coefficients(rho * abs(t))
+    coeffs = 2.0 * (-1j * np.sign(t)) ** np.arange(len(j)) * j
+    prev, cur = psi, (h @ psi - mu * psi) / rho
+    out = j[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:]:
+        prev, cur = cur, (2.0 / rho) * (h @ cur - mu * cur) - prev
+        out += c * cur
+    return np.exp(-1j * mu * t) * out
 
 
 def evolve_ground_state(config: FockConfig, t: float) -> np.ndarray:
     """Evolve the all-oscillator ground state for time t.
 
-    exp(-iHt) acts on the state by a truncated Taylor series in steps
-    (_taylor_action), built from products H psi alone, so neither the
+    exp(-iHt) acts on the state by a Chebyshev expansion
+    (_chebyshev_action), built from products H psi alone, so neither the
     exponential nor an eigenbasis of H is materialized.  The norm must stay
     within NORM_TOL of 1, or NormDriftError.  Results are gated on
     truncation leakage: if the top Fock level of any oscillator carries
@@ -235,7 +235,7 @@ def evolve_ground_state(config: FockConfig, t: float) -> np.ndarray:
     """
     freqs, couplings = _system_couplings(config)
     h = oscillator_hamiltonian(freqs, couplings, config.cutoff)
-    psi = _taylor_action(h, _ground_state(config.dimension), t)
+    psi = _chebyshev_action(h, _ground_state(config.dimension), t)
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > NORM_TOL:
         raise NormDriftError(f"state norm drifted to {norm!r} during evolution")

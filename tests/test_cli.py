@@ -601,7 +601,7 @@ def test_verify_passes(monkeypatch, tmp_path, capsys):
 
 
 def test_verify_exits_3_when_the_fock_state_norm_drifts(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(fock, "_taylor_action", lambda h, psi, t: 1.5 * psi)
+    monkeypatch.setattr(fock, "_chebyshev_action", lambda h, psi, t: 1.5 * psi)
     assert run(["verify"], monkeypatch, tmp_path) == 3
     err = capsys.readouterr().err
     assert err.splitlines() == ["error: state norm drifted to 1.5 during evolution"]

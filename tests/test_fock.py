@@ -1,5 +1,6 @@
 """Tests for the truncated-Fock validator and its agreement with the engine."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -167,7 +168,7 @@ def test_norm_conserved():
 
 def test_norm_drift_raises_a_typed_error(monkeypatch):
     cfg = fock.FockConfig(one_mode_config(), 6)
-    monkeypatch.setattr(fock, "_taylor_action", lambda h, psi, t: (1.0 + 1e-9) * psi)
+    monkeypatch.setattr(fock, "_chebyshev_action", lambda h, psi, t: (1.0 + 1e-9) * psi)
     with pytest.raises(fock.NormDriftError, match="norm drifted"):
         fock.evolve_ground_state(cfg, 20.0)
 
@@ -194,7 +195,7 @@ def dense_evolution(config: fock.FockConfig, t: float) -> np.ndarray:
     return vectors @ (np.exp(-1j * energies * t) * (vectors.conj().T @ psi0))
 
 
-def test_dense_and_taylor_paths_agree():
+def test_dense_and_chebyshev_paths_agree():
     # cutoff 14 (dimension 2744) is well past where the dense route is cheap
     cfg = fock.FockConfig(one_mode_config(), 14)
     sd = fock.state_covariance(dense_evolution(cfg, 20.0), cfg.n_oscillators, cfg.cutoff)
@@ -202,7 +203,7 @@ def test_dense_and_taylor_paths_agree():
     np.testing.assert_allclose(sd, sk, atol=1e-10)
 
 
-def test_taylor_state_matches_dense_oracle_in_verify_sizes():
+def test_chebyshev_state_matches_dense_oracle_in_verify_sizes():
     # the two truncations `verify` runs: 1 field mode at cutoff 8, 2 at cutoff 6;
     # 1e-13 sits below scipy expm_multiply's error here (1.45e-12 and 5.2e-13)
     for cfg in (
@@ -213,6 +214,48 @@ def test_taylor_state_matches_dense_oracle_in_verify_sizes():
         np.testing.assert_allclose(
             fock.evolve_ground_state(cfg, t), dense_evolution(cfg, t), rtol=0, atol=1e-13
         )
+
+
+@pytest.mark.parametrize("x", [1e-12, 0.1, 1.0, 20.0, 84.0, 100.0, 300.0])
+def test_bessel_coefficients_match_mpmath(x):
+    coeffs = fock._bessel_coefficients(x)
+    assert len(coeffs) > x
+    with mpmath.workdps(30):
+        want = np.array([float(mpmath.besselj(k, x)) for k in range(len(coeffs))])
+    np.testing.assert_allclose(coeffs, want, rtol=0, atol=1e-14)
+
+
+def test_zero_time_returns_the_state_unchanged():
+    cfg = fock.FockConfig(one_mode_config(), 6)
+    h = fock.oscillator_hamiltonian(*fock._system_couplings(cfg), cfg.cutoff)
+    psi = np.random.default_rng(7).normal(size=cfg.dimension) + 0j
+    assert np.array_equal(fock._chebyshev_action(h, psi, 0.0), psi)
+
+
+def test_negative_time_conjugates_the_evolved_ground_state():
+    # H and the ground state are real, so exp(iHt) psi0 = conj(exp(-iHt) psi0)
+    cfg = fock.FockConfig(one_mode_config(), 8)
+    t = cfg.cavity_config.cycle_time
+    forward = fock.evolve_ground_state(cfg, t)
+    np.testing.assert_allclose(fock.evolve_ground_state(cfg, -t), forward.conj(), rtol=0, atol=1e-14)
+
+
+def test_verify_truncations_take_at_most_200_hamiltonian_products(monkeypatch):
+    counted = []
+    matmul = fock._TensorHamiltonian.__matmul__
+
+    def counting(self, psi):
+        counted.append(psi.size)
+        return matmul(self, psi)
+
+    monkeypatch.setattr(fock._TensorHamiltonian, "__matmul__", counting)
+    for cfg in (
+        fock.FockConfig(one_mode_config(), 8),
+        fock.FockConfig(cavity.standard_config(2), 6),
+    ):
+        counted.clear()
+        fock.evolve_ground_state(cfg, cfg.cavity_config.cycle_time)
+        assert 0 < len(counted) <= 200
 
 
 # ---------------------------------------------------------------------------
