@@ -121,11 +121,14 @@ def effective_temperature(sigma: np.ndarray, frequencies: np.ndarray) -> Thermal
     """Thermal state of the same free Hamiltonian with the same energy.
 
     That state is the closest thermal state in relative entropy, since the
-    entropy gradient vanishes exactly at equal mean energy.  Energy is
-    monotone in temperature, so a bracket on beta always exists; inside it
-    Newton steps on log E(beta), which is convex and decreasing, converge
-    in a handful of iterations, and any step that leaves the bracket is
-    replaced by a bisection.  States at or below vacuum energy have no
+    entropy gradient vanishes exactly at equal mean energy.  The excitation
+    energy E(beta) = sum w / expm1(w beta) of M modes obeys
+    M/beta - sum(w)/2 <= E(beta) <= M/beta, since 1/expm1(x) + 1/2 =
+    coth(x/2)/2 > 1/x and expm1(x) >= x, so the match E(beta) = T lies in
+    the closed-form bracket [M / (T + sum(w)/2), M / T].  Inside it Newton
+    steps on log E(beta), which is convex and decreasing, converge in a
+    handful of iterations, and any step that leaves the bracket is replaced
+    by a bisection.  States at or below vacuum energy have no
     positive-temperature match; the beta -> infinity limit is reported
     through NoThermalMatchError.
     """
@@ -144,16 +147,10 @@ def _thermal_fit(state: gaussian.StateAnalysis, frequencies: np.ndarray) -> Ther
             "the matching thermal state is the beta -> infinity limit"
         )
 
-    # bracket the root of E(beta) - target, which is decreasing in beta
-    beta_lo = beta_hi = 1.0 / float(np.min(frequencies))
-    while _thermal_excitation_energy(frequencies, beta_lo)[0] < target:
-        beta_lo /= 2.0
-        if beta_lo < 1e-300:
-            raise NoThermalMatchError("target energy too large to bracket")
-    while _thermal_excitation_energy(frequencies, beta_hi)[0] > target:
-        beta_hi *= 2.0
-        if beta_hi > 1e300:
-            raise NoThermalMatchError("target energy too small to bracket")
+    # 1/x - 1/2 <= 1/expm1(x) <= 1/x gives M/beta - scale/2 <= E(beta) <= M/beta
+    # for M modes, so the decreasing E(beta) crosses target in this bracket
+    beta_lo = frequencies.size / (target + scale / 2.0)
+    beta_hi = frequencies.size / target
 
     # from the low end Newton on the convex log E never overshoots the root
     beta = beta_lo

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entfarm import cavity, cli, dynamics, fock, gaussian, protocol, spectral, thermo
+from entfarm import cavity, cli, config, dynamics, fock, gaussian, protocol, spectral, thermo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -468,6 +468,25 @@ def test_reproduce_fig_ultralong(monkeypatch, tmp_path):
     ks = [int(r[0]) for r in rows]
     assert ks[:5] == [1, 2, 4, 8, 16]
     assert all(float(r[1]) > 0.0 for r in rows)
+
+
+def test_reproduce_fig_ultralong_marks_the_instability_timescale(monkeypatch, tmp_path):
+    # at cycle time 21 the 16-mode map is unstable: the script marks the
+    # spectral estimate of the extinction cycle with a dashed arrow
+    monkeypatch.setenv("ENTFARM_CAVITY_CYCLE_TIME", "21")
+    assert run(["reproduce-fig", "ultralong", "--modes", "16"], monkeypatch, tmp_path) == 0
+    cav = config.load_config(None, environ={
+        "ENTFARM_CAVITY_CYCLE_TIME": "21", "ENTFARM_CAVITY_MODES": "16"}).cavity_config()
+    e = spectral.extinction_scan(cav).spectral_estimate
+    assert e is not None
+    assert (
+        f"set arrow from {e!r}, graph 0 to {e!r}, graph 1 nohead dashtype 2\n"
+        in (tmp_path / "ultralong.gp").read_text()
+    )
+    # the contracting 4-mode default map has no instability to mark
+    monkeypatch.delenv("ENTFARM_CAVITY_CYCLE_TIME")
+    assert run(["reproduce-fig", "ultralong"], monkeypatch, tmp_path) == 0
+    assert "set arrow" not in (tmp_path / "ultralong.gp").read_text()
 
 
 def test_config_file_plus_flag_precedence(monkeypatch, tmp_path):

@@ -216,7 +216,9 @@ def test_chebyshev_state_matches_dense_oracle_in_verify_sizes():
         )
 
 
-@pytest.mark.parametrize("x", [1e-30, 1e-12, 0.1, 1.0, 20.0, 84.0, 100.0, 300.0])
+# 1e-30 takes the small-x branch; only about 1e-20 < x < 1e-17, as 1e-18,
+# grows the backward recurrence past 1e250 and rescales it
+@pytest.mark.parametrize("x", [1e-30, 1e-18, 1e-12, 0.1, 1.0, 20.0, 84.0, 100.0, 300.0])
 def test_bessel_coefficients_match_mpmath(x):
     coeffs = fock._bessel_coefficients(x)
     assert len(coeffs) > x

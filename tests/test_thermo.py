@@ -10,6 +10,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from entfarm import cavity, gaussian, protocol, spectral, thermo
@@ -205,8 +207,8 @@ def test_effective_temperature_of_squeezed_mode():
     assert got == pytest.approx(want, rel=1e-10)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_effective_temperature_matches_brentq_on_many_modes(seed, monkeypatch):
+def brentq_case(seed):
+    """A random state of 1 to 8 modes, its frequencies and brentq's root beta."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     freqs = rng.uniform(0.3, 12.0, n)
@@ -217,15 +219,72 @@ def test_effective_temperature_matches_brentq_on_many_modes(seed, monkeypatch):
         return float(np.sum(freqs * (1.0 / np.tanh(freqs * beta / 2.0) - 1.0) / 2.0)) - target
 
     beta_oracle = brentq(excess, 1e-6, 1e6, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=1000)
+    return sigma, freqs, beta_oracle
+
+
+def count_energy_calls(monkeypatch, slope_factor=1.0):
+    """Record each E(beta) evaluation, optionally scaling the returned slope."""
     calls = []
     solve = thermo._thermal_excitation_energy
-    monkeypatch.setattr(
-        thermo, "_thermal_excitation_energy", lambda f, beta: calls.append(beta) or solve(f, beta)
-    )
+
+    def counted(frequencies, beta):
+        calls.append(beta)
+        energy_above, slope = solve(frequencies, beta)
+        return energy_above, slope_factor * slope
+
+    monkeypatch.setattr(thermo, "_thermal_excitation_energy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_effective_temperature_matches_brentq_on_many_modes(seed, monkeypatch):
+    sigma, freqs, beta_oracle = brentq_case(seed)
+    calls = count_energy_calls(monkeypatch)
     fit = thermo.effective_temperature(sigma, freqs)
     assert fit.beta == pytest.approx(beta_oracle, rel=1e-12, abs=0)
-    # the bisection this replaced evaluated E(beta) 43 to 52 times on these states
-    assert len(calls) <= 20
+    # the bracket search this replaced, halving and doubling beta from
+    # 1 / w_min, took E(beta) 8 to 12 times on these states in all; Newton
+    # from the closed-form bracket takes 4 or 5
+    assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_newton_steps_that_leave_the_bracket_fall_back_to_bisection(seed, monkeypatch):
+    # a slope 100 times too shallow sends every Newton step far out of the
+    # bracket, so only the bisection safeguard converges
+    sigma, freqs, beta_oracle = brentq_case(seed)
+    calls = count_energy_calls(monkeypatch, slope_factor=0.01)
+    fit = thermo.effective_temperature(sigma, freqs)
+    assert fit.beta == pytest.approx(beta_oracle, rel=1e-12, abs=0)
+    assert len(calls) <= 60
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=1, max_value=128),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    exponents=st.tuples(st.floats(-9.0, 3.0), st.floats(-9.0, 3.0)),
+)
+def test_effective_temperature_lies_in_the_closed_form_bracket(n, seed, exponents):
+    # diagonal states of up to 128 modes, each at its own occupation nbar
+    # between 10^min(exponents) and 10^max(exponents): the fitted beta lies
+    # in [M / (T + sum(w)/2), M / T] and is the root of E(beta) = T there
+    rng = np.random.default_rng(seed)
+    freqs = rng.uniform(0.05, 60.0, n)
+    nbar = 10.0 ** rng.uniform(min(exponents), max(exponents), n)
+    sigma = np.diag(np.repeat(2.0 * nbar + 1.0, 2))
+    target = gaussian.energy(sigma, freqs, "normal_ordered")
+    assume(target > 1e-12 * freqs.sum())
+    beta_lo, beta_hi = len(freqs) / (target + freqs.sum() / 2.0), len(freqs) / target
+
+    def excess(beta):
+        with np.errstate(over="ignore"):
+            return float(np.sum(freqs / np.expm1(freqs * beta))) - target
+
+    fit = thermo.effective_temperature(sigma, freqs)
+    assert beta_lo <= fit.beta <= beta_hi
+    root = brentq(excess, beta_lo, beta_hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=1000)
+    assert fit.beta == pytest.approx(root, rel=1e-12, abs=0)
 
 
 def test_thermal_excitation_energy_keeps_precision_at_large_beta():
